@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 
@@ -20,6 +21,7 @@ namespace
 /** A failure as caught by a worker, before shrinking. */
 struct RawFailure
 {
+    std::uint64_t caseIdx = 0;
     std::size_t oracleIdx = 0;
     std::uint64_t seed = 0;
     std::string detail;
@@ -60,7 +62,7 @@ runFuzz(const FuzzOptions &opts)
 
     std::atomic<std::uint64_t> nextCase{0};
     std::mutex mtx;
-    std::vector<RawFailure> raw;
+    std::vector<std::vector<RawFailure>> kept(oracles.size());
     std::vector<std::uint64_t> caseCount(oracles.size(), 0);
     std::vector<std::uint64_t> failCount(oracles.size(), 0);
 
@@ -93,21 +95,27 @@ runFuzz(const FuzzOptions &opts)
 
             std::lock_guard<std::mutex> lock(mtx);
             ++caseCount[which];
-            if (result.failed) {
-                ++failCount[which];
-                if (failCount[which] <= opts.maxFailures) {
-                    RawFailure f;
-                    f.oracleIdx = which;
-                    f.seed = case_seed;
-                    f.detail = result.detail;
-                    f.programLevel = oracle.programLevel();
-                    if (f.programLevel) {
-                        f.recipe = std::move(recipe);
-                        f.configs = std::move(configs);
-                    }
-                    raw.push_back(std::move(f));
-                }
-            }
+            if (!result.failed)
+                continue;
+            ++failCount[which];
+            RawFailure f;
+            f.caseIdx = idx;
+            f.oracleIdx = which;
+            f.seed = case_seed;
+            f.detail = result.detail;
+            f.programLevel = oracle.programLevel();
+            f.recipe = std::move(recipe);
+            f.configs = std::move(configs);
+            // Keep the maxFailures lowest-numbered failing cases, so the
+            // survivors do not depend on which worker finished first.
+            std::vector<RawFailure> &mine = kept[which];
+            mine.push_back(std::move(f));
+            std::sort(mine.begin(), mine.end(),
+                      [](const RawFailure &a, const RawFailure &b) {
+                          return a.caseIdx < b.caseIdx;
+                      });
+            if (mine.size() > opts.maxFailures)
+                mine.pop_back();
         }
     };
 
@@ -121,6 +129,9 @@ runFuzz(const FuzzOptions &opts)
     }
 
     // Deterministic failure order regardless of thread interleaving.
+    std::vector<RawFailure> raw;
+    for (std::vector<RawFailure> &mine : kept)
+        std::move(mine.begin(), mine.end(), std::back_inserter(raw));
     std::sort(raw.begin(), raw.end(),
               [](const RawFailure &a, const RawFailure &b) {
                   return a.seed < b.seed;

@@ -6,9 +6,9 @@
  * as Rng::mixSeed(masterSeed, i) and round-robins over the selected
  * oracles — so the (case, seed, oracle) mapping is a pure function of
  * the master seed, independent of the number of worker threads or their
- * interleaving. Failures are collected (capped per oracle), then shrunk
- * single-threaded after the workers join, and serialized as repro files
- * into the corpus directory.
+ * interleaving. Failures are collected (the lowest-numbered cases, capped
+ * per oracle), then shrunk single-threaded after the workers join, and
+ * serialized as repro files into the corpus directory.
  */
 
 #ifndef RBSIM_FUZZ_FUZZER_HH
@@ -40,6 +40,7 @@ struct FuzzOptions
     bool shrink = true;               //!< delta-debug failing programs
     unsigned maxShrinkEvals = 400;    //!< shrinker oracle-eval budget
     unsigned maxFailures = 3;         //!< repros kept per oracle
+                                      //!< (lowest case numbers)
     //! Ring-buffer size for the pipeline trace written next to every
     //! program-level repro ("<repro>.trace"); 0 disables.
     std::size_t traceLast = 64;

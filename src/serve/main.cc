@@ -11,8 +11,7 @@
  *   --max-insts <n>  static-instruction cap per program (default 1Mi)
  *   --max-scale <n>  workload scale cap (default 10000)
  *   --trace-ring <n> last-n instruction ring attached to aborted jobs'
- *                    error responses (default 64; 0 disables the ring
- *                    and restores the zero-allocation serving path)
+ *                    error responses (default 64; 0 disables the ring)
  */
 
 #include <cstdio>

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "common/alloccount.hh"
 #include "serve/protocol.hh"
@@ -104,18 +105,18 @@ SimService::submit(JobSpec spec, std::function<void(JobOutcome)> done)
                   done = std::move(done)](unsigned worker) mutable {
         WarmSim &ws = warmFor(worker, spec.cfg, config_key);
         JobOutcome out;
-        // Abort-diagnostic ring (constructed before the measured window
-        // so traced jobs don't perturb the allocation count; inert and
-        // never attached when traceLast == 0, keeping the zero-alloc
-        // hot path).
-        trace::Tracer::Options ring_opts;
-        ring_opts.ringCap = spec.traceLast;
-        ring_opts.codeBase = spec.prog.codeBase;
-        ring_opts.decodeDepth = spec.cfg.fetchDecodeDepth;
-        ring_opts.renameDepth = spec.cfg.renameDepth;
-        trace::Tracer ring(ring_opts);
-        if (spec.traceLast && !spec.opts.tracer)
-            spec.opts.tracer = &ring;
+        // Abort-diagnostic ring, constructed before the measured window:
+        // it allocates all its storage up front, so the run inside the
+        // window allocates nothing with or without it.
+        std::optional<trace::Tracer> ring;
+        if (spec.traceLast && !spec.opts.tracer) {
+            trace::Tracer::Options ring_opts;
+            ring_opts.ringCap = spec.traceLast;
+            ring_opts.codeBase = spec.prog.codeBase;
+            ring_opts.decodeDepth = spec.cfg.fetchDecodeDepth;
+            ring_opts.renameDepth = spec.cfg.renameDepth;
+            spec.opts.tracer = &ring.emplace(ring_opts);
+        }
         // The measured window covers exactly the reset + run; the
         // result copy and cache insert below are host bookkeeping
         // outside the zero-alloc invariant.
@@ -142,8 +143,8 @@ SimService::submit(JobSpec spec, std::function<void(JobOutcome)> done)
                     out.result.counter("core.deadlockAborts");
                 out.abortKind = out.deadlockAborts ? "watchdog-deadlock"
                                                    : "cycle-budget";
-                if (spec.traceLast)
-                    out.traceDump = ring.renderRing();
+                if (ring)
+                    out.traceDump = ring->renderRing();
             } else if (!spec.bypassCache) {
                 // Aborted outcomes are deliberately not cached: their
                 // value is the diagnostics, and a later retry with a

@@ -46,8 +46,8 @@ struct JobSpec
     bool bypassCache = false;
     //! Keep a worker-local ring of the last N instructions and ship it
     //! in JobOutcome::traceDump when the run aborts, so a served job's
-    //! abort carries the same diagnostics a local run prints. 0 keeps
-    //! the worker's zero-alloc hot path (no tracer attached).
+    //! abort carries the same diagnostics a local run prints. 0 attaches
+    //! no ring.
     unsigned traceLast = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "trace/tracer.hh"
 
+#include <bit>
 #include <sstream>
 
 #include "isa/disasm.hh"
@@ -7,29 +8,76 @@
 namespace rbsim::trace
 {
 
-TraceEntry
-Tracer::build(const RobEntry &e, Cycle now) const
+namespace
 {
-    TraceEntry t;
-    t.id = e.traceId;
-    t.seq = e.seq;
-    t.pc = opts.codeBase + 4 * e.pcIndex;
-    t.fetch = e.fetchCycle;
-    t.decode = e.fetchCycle + opts.decodeDepth;
-    t.rename = t.decode + opts.renameDepth;
-    t.dispatch = e.dispatchCycle;
+
+//! Initial span of trace ids that can wait for in-order emission. The
+//! built-in workloads reach at most ~590 on the paper machines at
+//! widths 4 and 8, so serving them never grows it.
+constexpr std::size_t initialPendingSlots = 1024;
+
+} // namespace
+
+Tracer::Tracer(const Options &opts_)
+    : opts(opts_), pending(initialPendingSlots)
+{
+    if (opts.ringCap)
+        ringBuf.init(opts.ringCap);
+}
+
+Tracer::Record
+Tracer::capture(RobEntry &e, Cycle now, Fate fate) const
+{
+    Record r;
+    r.id = e.traceId;
+    r.seq = e.seq;
+    r.pcIndex = e.pcIndex;
+    r.inst = e.inst;
+    r.fetch = e.fetchCycle;
+    r.dispatch = e.dispatchCycle;
     // A squashed instruction may have issued but not yet reached its
     // (future-dated) completion cycle: clamp to what really happened.
-    t.issued = e.issued && e.issueCycle <= now;
-    t.issue = t.issued ? e.issueCycle : 0;
-    t.completed = e.complete && e.completeCycle <= now;
-    t.complete = t.completed ? e.completeCycle : 0;
-    t.isStore = e.isMemStore;
+    r.issued = e.issued && e.issueCycle <= now;
+    r.issue = e.issueCycle;
+    r.completed = e.complete && e.completeCycle <= now;
+    r.complete = e.completeCycle;
+    r.end = now;
+    r.holeWait = e.holeWait;
+    r.srcBypass = e.srcBypass;
+    r.numSrcs = e.numSrcs;
+    r.fate = fate;
+    r.isStore = e.isMemStore;
+    r.loadForwarded = e.loadForwarded;
+    r.usedRbPath = e.usedRbPath;
+    r.bogusCorrected = e.bogusCorrected;
+    r.mispredicted = e.mispredicted;
+    e.traceId = 0;
+    return r;
+}
+
+TraceEntry
+Tracer::expand(const Record &r) const
+{
+    TraceEntry t;
+    t.id = r.id;
+    t.seq = r.seq;
+    t.pc = opts.codeBase + 4 * r.pcIndex;
+    t.fetch = r.fetch;
+    t.decode = r.fetch + opts.decodeDepth;
+    t.rename = t.decode + opts.renameDepth;
+    t.dispatch = r.dispatch;
+    t.issued = r.issued;
+    t.issue = r.issued ? r.issue : 0;
+    t.completed = r.completed;
+    t.complete = r.completed ? r.complete : 0;
+    t.retire = r.fate == Fate::Retired ? r.end : 0;
+    t.squashed = r.fate != Fate::Retired;
+    t.isStore = r.isStore;
 
     std::ostringstream text;
-    text << disassemble(e.inst, e.pcIndex);
-    for (unsigned i = 0; i < e.numSrcs; ++i) {
-        const std::uint8_t v = e.srcBypass[i];
+    text << disassemble(r.inst, r.pcIndex);
+    for (unsigned i = 0; i < r.numSrcs; ++i) {
+        const std::uint8_t v = r.srcBypass[i];
         if (v == srcUnknown)
             continue;
         text << " s" << i << '=';
@@ -40,16 +88,21 @@ Tracer::build(const RobEntry &e, Cycle now) const
             text << "BYP" << level;
         text << (v & srcRbForm ? "/RB" : "/TC");
     }
-    if (e.holeWait)
-        text << " hole=" << e.holeWait;
-    if (e.loadForwarded)
+    if (r.holeWait)
+        text << " hole=" << r.holeWait;
+    if (r.loadForwarded)
         text << " stlf";
-    if (e.usedRbPath)
+    if (r.usedRbPath)
         text << " rb";
-    if (e.bogusCorrected)
+    if (r.bogusCorrected)
         text << " bogusfix";
-    if (e.mispredicted)
+    if (r.mispredicted)
         text << " mispred";
+    if (r.fate == Fate::Squashed)
+        text << " SQUASHED@" << r.end << " by seq=" << r.causeSeq
+             << " pc=" << r.causePc;
+    else if (r.fate == Fate::Aborted)
+        text << " IN-FLIGHT(" << r.why << ")";
     t.text = text.str();
     return t;
 }
@@ -59,10 +112,7 @@ Tracer::onRetire(RobEntry &e, Cycle now)
 {
     if (e.traceId == 0)
         return; // dispatched before the tracer was attached
-    TraceEntry t = build(e, now);
-    t.retire = now;
-    e.traceId = 0;
-    finalize(std::move(t));
+    finalize(capture(e, now, Fate::Retired));
 }
 
 void
@@ -71,14 +121,10 @@ Tracer::onSquash(RobEntry &e, Cycle now, std::uint64_t causeSeq,
 {
     if (e.traceId == 0)
         return;
-    TraceEntry t = build(e, now);
-    t.squashed = true;
-    std::ostringstream cause;
-    cause << " SQUASHED@" << now << " by seq=" << causeSeq
-          << " pc=" << causePc;
-    t.text += cause.str();
-    e.traceId = 0;
-    finalize(std::move(t));
+    Record r = capture(e, now, Fate::Squashed);
+    r.causeSeq = causeSeq;
+    r.causePc = causePc;
+    finalize(r);
 }
 
 void
@@ -86,35 +132,51 @@ Tracer::onAbort(RobEntry &e, Cycle now, const char *why)
 {
     if (e.traceId == 0)
         return; // already finalized (e.g. retired into a throwing hook)
-    TraceEntry t = build(e, now);
-    t.squashed = true;
-    t.text += std::string(" IN-FLIGHT(") + why + ")";
-    e.traceId = 0;
-    finalize(std::move(t));
+    Record r = capture(e, now, Fate::Aborted);
+    r.why = why;
+    finalize(r);
 }
 
 void
-Tracer::finalize(TraceEntry &&t)
+Tracer::finalize(const Record &r)
 {
     ++numFinalized;
-    pendingEmit.emplace(t.id, std::move(t));
-    // Emit the contiguous dispatch-order prefix.
-    for (auto it = pendingEmit.begin();
-         it != pendingEmit.end() && it->first == nextEmit;
-         it = pendingEmit.erase(it), ++nextEmit) {
-        emit(it->second);
+    if (r.id > nextEmit) {
+        park(r); // an older instruction is still in flight
+        return;
     }
+    emit(r);
+    if (r.id < nextEmit)
+        return; // an id finish() skipped as never reported
+    // Emit the contiguous dispatch-order prefix parked behind it.
+    const std::size_t mask = pending.size() - 1;
+    for (++nextEmit; pending[nextEmit & mask].id == nextEmit; ++nextEmit)
+        emit(pending[nextEmit & mask]);
 }
 
 void
-Tracer::emit(const TraceEntry &t)
+Tracer::park(const Record &r)
+{
+    if (r.id - nextEmit >= pending.size()) {
+        std::vector<Record> wider(std::bit_ceil(r.id - nextEmit + 1));
+        for (const Record &w : pending) {
+            if (w.id >= nextEmit)
+                wider[w.id & (wider.size() - 1)] = w;
+        }
+        pending.swap(wider);
+    }
+    pending[r.id & (pending.size() - 1)] = r;
+}
+
+void
+Tracer::emit(const Record &r)
 {
     if (opts.stream)
-        *opts.stream << render(t, opts.ticksPerCycle);
+        *opts.stream << render(expand(r), opts.ticksPerCycle);
     if (opts.ringCap) {
-        ringBuf.push_back(t);
-        while (ringBuf.size() > opts.ringCap)
+        if (ringBuf.size() == opts.ringCap)
             ringBuf.pop_front();
+        ringBuf.push_back(r);
     }
 }
 
@@ -123,10 +185,11 @@ Tracer::finish()
 {
     // Ids can have gaps here only if some in-flight entries were never
     // reported (traceInFlight not called); emit what we have, in order.
-    for (auto &[id, entry] : pendingEmit)
-        emit(entry);
-    pendingEmit.clear();
-    nextEmit = nextId;
+    const std::size_t mask = pending.size() - 1;
+    for (; nextEmit < nextId; ++nextEmit) {
+        if (pending[nextEmit & mask].id == nextEmit)
+            emit(pending[nextEmit & mask]);
+    }
     if (opts.stream)
         opts.stream->flush();
 }
@@ -151,11 +214,21 @@ Tracer::render(const TraceEntry &e, Cycle ticksPerCycle)
     return os.str();
 }
 
+std::vector<TraceEntry>
+Tracer::ring() const
+{
+    std::vector<TraceEntry> out;
+    out.reserve(ringBuf.size());
+    for (std::size_t i = 0; i < ringBuf.size(); ++i)
+        out.push_back(expand(ringBuf[i]));
+    return out;
+}
+
 std::string
 Tracer::renderRing() const
 {
     std::string out;
-    for (const TraceEntry &t : ringBuf)
+    for (const TraceEntry &t : ring())
         out += render(t, opts.ticksPerCycle);
     return out;
 }

@@ -14,6 +14,13 @@
  * optional in-memory ring buffer of the last N instructions, dumped on
  * cosim mismatch, watchdog abort, or fuzz-oracle failure.
  *
+ * Both sinks share one capture path: each finalized instruction is
+ * copied into a fixed-size raw record, and its text is built only when
+ * a sink reads it — on stream emission, or at ring()/renderRing(). The
+ * record buffers are sized at construction, so a ring-only tracer
+ * allocates nothing while the core runs (unless a run outgrows the
+ * initial in-order emission window, which then doubles).
+ *
  * Tracing is zero-cost when disabled: the core holds a raw
  * `trace::Tracer *` (nullptr by default) and every hook sits behind a
  * single pointer test — no virtual calls, no allocation, no stats. A
@@ -25,12 +32,13 @@
 #ifndef RBSIM_TRACE_TRACER_HH
 #define RBSIM_TRACE_TRACER_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "core/rob.hh"
 
@@ -90,7 +98,7 @@ class Tracer
         unsigned renameDepth = 2; //!< MachineConfig::renameDepth
     };
 
-    explicit Tracer(const Options &opts_) : opts(opts_) {}
+    explicit Tracer(const Options &opts_);
 
     // ------------------------------------------------------ core hooks
 
@@ -112,7 +120,9 @@ class Tracer
                   std::uint64_t causePc);
 
     /** An instruction stranded in flight when the run aborted (watchdog
-     * deadlock, cosim mismatch, cycle budget). Idempotent per entry. */
+     * deadlock, cosim mismatch, cycle budget). Idempotent per entry.
+     * `why` is kept by pointer and rendered on demand, so it must
+     * outlive the tracer (pass a string literal). */
     void onAbort(RobEntry &e, Cycle now, const char *why);
 
     /** Flush entries still held for in-order emission and the stream.
@@ -121,8 +131,8 @@ class Tracer
 
     // ------------------------------------------------------------ sinks
 
-    /** The ring buffer (oldest first). */
-    const std::deque<TraceEntry> &ring() const { return ringBuf; }
+    /** The ring buffer (oldest first), rendered from its records. */
+    std::vector<TraceEntry> ring() const;
 
     /** Render the whole ring buffer as one O3PipeView document. */
     std::string renderRing() const;
@@ -134,9 +144,47 @@ class Tracer
     static std::string render(const TraceEntry &e, Cycle ticksPerCycle);
 
   private:
-    TraceEntry build(const RobEntry &e, Cycle now) const;
-    void finalize(TraceEntry &&t);
-    void emit(const TraceEntry &t);
+    enum class Fate : std::uint8_t
+    {
+        Retired,
+        Squashed,
+        Aborted
+    };
+
+    /** One finalized instruction as captured: a fixed-size copy of the
+     * RobEntry fields its O3PipeView block is rendered from. */
+    struct Record
+    {
+        std::uint64_t id = 0; //!< trace id; 0 marks an empty slot
+        std::uint64_t seq = 0;
+        std::uint64_t pcIndex = 0;
+        Inst inst;
+        Cycle fetch = 0;
+        Cycle dispatch = 0;
+        Cycle issue = 0;    //!< valid iff `issued`
+        Cycle complete = 0; //!< valid iff `completed`
+        Cycle end = 0;      //!< cycle of the retire, squash or abort
+        std::uint64_t causeSeq = 0; //!< squashing branch (Squashed)
+        std::uint64_t causePc = 0;
+        const char *why = nullptr; //!< abort reason (Aborted)
+        std::uint32_t holeWait = 0;
+        std::array<std::uint8_t, 3> srcBypass{};
+        std::uint8_t numSrcs = 0;
+        Fate fate = Fate::Retired;
+        bool issued = false;
+        bool completed = false;
+        bool isStore = false;
+        bool loadForwarded = false;
+        bool usedRbPath = false;
+        bool bogusCorrected = false;
+        bool mispredicted = false;
+    };
+
+    Record capture(RobEntry &e, Cycle now, Fate fate) const;
+    TraceEntry expand(const Record &r) const;
+    void finalize(const Record &r);
+    void park(const Record &r);
+    void emit(const Record &r);
 
     Options opts;
     std::uint64_t nextId = 1;
@@ -144,9 +192,11 @@ class Tracer
     std::uint64_t numFinalized = 0;
     //! Finalization is out of order (squash walks youngest-first while
     //! older instructions are still in flight); O3PipeView wants fetch
-    //! order. Buffer by id and emit the contiguous prefix.
-    std::map<std::uint64_t, TraceEntry> pendingEmit;
-    std::deque<TraceEntry> ringBuf;
+    //! order. Records finalized ahead of `nextEmit` wait in slot
+    //! `id & (size - 1)`; the array doubles only when the span of ids
+    //! waiting outgrows it.
+    std::vector<Record> pending;
+    StaticRing<Record> ringBuf; //!< last ringCap emitted records
 };
 
 } // namespace rbsim::trace

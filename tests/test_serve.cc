@@ -191,28 +191,34 @@ TEST(SimService, ServingWindowIsAllocationFree)
         << "test_serve must link rbsim-allochook";
     alloccount::enable(true);
 
-    serve::SimService service(
-        serve::SimService::Options{/*workers=*/1, /*cacheCapacity=*/0});
+    // Without an abort ring, and with the ring rbsim-serve attaches by
+    // default: the ring's records are allocated before the window.
+    for (const unsigned ring : {0u, serve::Server::Options{}.traceLast}) {
+        SCOPED_TRACE("traceLast=" + std::to_string(ring));
+        serve::SimService service(serve::SimService::Options{
+            /*workers=*/1, /*cacheCapacity=*/0});
 
-    auto runOnce = [&] {
-        serve::JobSpec spec = compressSpec();
-        spec.bypassCache = true; // must execute, not hit a cache
-        std::vector<serve::JobSpec> batch;
-        batch.push_back(std::move(spec));
-        auto out = service.runBatch(std::move(batch));
-        EXPECT_TRUE(out[0].ok) << out[0].error;
-        return out[0];
-    };
+        auto runOnce = [&] {
+            serve::JobSpec spec = compressSpec();
+            spec.bypassCache = true; // must execute, not hit a cache
+            spec.traceLast = ring;
+            std::vector<serve::JobSpec> batch;
+            batch.push_back(std::move(spec));
+            auto out = service.runBatch(std::move(batch));
+            EXPECT_TRUE(out[0].ok) << out[0].error;
+            return out[0];
+        };
 
-    // Warm-up: simulator construction plus first-run buffer growth.
-    runOnce();
-    runOnce();
-    // Steady state: reset + run + snapshot reuse every buffer.
-    for (int i = 0; i < 3; ++i) {
-        const serve::JobOutcome o = runOnce();
-        ASSERT_TRUE(o.allocsCounted);
-        EXPECT_EQ(o.workerAllocs, 0u)
-            << "warm serving window allocated on iteration " << i;
+        // Warm-up: simulator construction plus first-run buffer growth.
+        runOnce();
+        runOnce();
+        // Steady state: reset + run + snapshot reuse every buffer.
+        for (int i = 0; i < 3; ++i) {
+            const serve::JobOutcome o = runOnce();
+            ASSERT_TRUE(o.allocsCounted);
+            EXPECT_EQ(o.workerAllocs, 0u)
+                << "warm serving window allocated on iteration " << i;
+        }
     }
     alloccount::enable(false);
 }

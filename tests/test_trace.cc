@@ -1,125 +1,27 @@
 /**
  * @file
- * Tests for the pipeline tracer: record capture through the retire hook,
- * log and diagram rendering, capacity capping, and composition with
+ * Tests for the O3PipeView pipeline tracer: the golden trace, stage
+ * ordering, the ring buffer against the stream, and composition with
  * co-simulation.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/core.hh"
 #include "isa/assembler.hh"
-#include "sim/cosim.hh"
 #include "sim/simulator.hh"
-#include "sim/trace.hh"
 #include "trace/tracer.hh"
 
 namespace rbsim
 {
 namespace
 {
-
-Program
-tinyLoop()
-{
-    return assemble(R"(
-            ldiq r1, 20
-        loop:
-            addq r1, r1, r2
-            subq r1, #1, r1
-            bne r1, loop
-            halt
-    )");
-}
-
-TEST(Trace, RecordsRetirementOrderTimings)
-{
-    const Program p = tinyLoop();
-    const MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 8);
-    OooCore core(cfg, p);
-    PipelineTrace trace;
-    core.onRetire([&trace](const RobEntry &e) { trace.record(e); });
-    ASSERT_TRUE(core.run(100000));
-
-    ASSERT_EQ(trace.all().size(), core.stats().retired);
-    Cycle prev_issue_dispatch = 0;
-    for (const TraceRecord &r : trace.all()) {
-        EXPECT_LE(r.dispatch, r.issue);
-        EXPECT_LT(r.issue, r.complete);
-        // Retirement order implies nondecreasing dispatch cycles.
-        EXPECT_GE(r.dispatch, prev_issue_dispatch);
-        prev_issue_dispatch = r.dispatch;
-    }
-}
-
-TEST(Trace, CapBoundsMemory)
-{
-    const Program p = tinyLoop();
-    const MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 8);
-    OooCore core(cfg, p);
-    PipelineTrace trace(5);
-    core.onRetire([&trace](const RobEntry &e) { trace.record(e); });
-    ASSERT_TRUE(core.run(100000));
-    EXPECT_EQ(trace.all().size(), 5u);
-}
-
-TEST(Trace, LogRendersAnnotations)
-{
-    const Program p = tinyLoop();
-    const MachineConfig cfg =
-        MachineConfig::make(MachineKind::RbFull, 8);
-    OooCore core(cfg, p);
-    PipelineTrace trace;
-    core.onRetire([&trace](const RobEntry &e) { trace.record(e); });
-    ASSERT_TRUE(core.run(100000));
-
-    const std::string log = trace.renderLog(0, 10);
-    EXPECT_NE(log.find("ldiq r1, 20"), std::string::npos);
-    EXPECT_NE(log.find("issue="), std::string::npos);
-    // The loop has a dependent add chain: some record shows a bypass
-    // annotation.
-    EXPECT_NE(trace.renderLog(0, trace.all().size()).find("[byp+"),
-              std::string::npos);
-}
-
-TEST(Trace, DiagramHasOneRowPerInstruction)
-{
-    const Program p = tinyLoop();
-    const MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 8);
-    OooCore core(cfg, p);
-    PipelineTrace trace;
-    core.onRetire([&trace](const RobEntry &e) { trace.record(e); });
-    ASSERT_TRUE(core.run(100000));
-
-    const std::string diagram = trace.renderDiagram(1, 6);
-    unsigned rows = 0;
-    for (char c : diagram)
-        rows += c == '\n';
-    EXPECT_EQ(rows, 6u);
-    EXPECT_NE(diagram.find('E'), std::string::npos);
-}
-
-TEST(Trace, ComposesWithCosim)
-{
-    const Program p = tinyLoop();
-    const MachineConfig cfg =
-        MachineConfig::make(MachineKind::RbLimited, 4);
-    OooCore core(cfg, p);
-    PipelineTrace trace;
-    CosimChecker checker(p);
-    core.onRetire([&](const RobEntry &e) {
-        checker.onRetire(e);
-        trace.record(e);
-    });
-    ASSERT_TRUE(core.run(100000));
-    EXPECT_EQ(checker.checked(), trace.all().size());
-}
-
-// ----------------------------------------- O3PipeView tracer (src/trace)
 
 /** ~20 static instructions covering the annotation surface: a bypassed
  * add chain, a multiply, store-to-load forwarding, and a data-dependent
@@ -153,6 +55,10 @@ goldenProgram()
             halt
     )");
 }
+
+constexpr MachineKind allMachines[] = {
+    MachineKind::Baseline, MachineKind::RbLimited, MachineKind::RbFull,
+    MachineKind::Ideal};
 
 trace::Tracer::Options
 tracerOptions(const MachineConfig &cfg, const Program &p)
@@ -214,9 +120,7 @@ TEST(PipeView, StatSnapshotsBitIdenticalWithTracerAttached)
     // Tracing must be observation-only: a traced run and an untraced
     // run of the same program produce bit-identical statistics.
     const Program p = goldenProgram();
-    for (const MachineKind kind :
-         {MachineKind::Baseline, MachineKind::RbLimited,
-          MachineKind::RbFull, MachineKind::Ideal}) {
+    for (const MachineKind kind : allMachines) {
         const MachineConfig cfg = MachineConfig::make(kind, 4);
         const SimResult plain = simulate(cfg, p);
 
@@ -352,6 +256,146 @@ TEST(PipeView, EmissionIsInDispatchOrderAcrossSquashes)
         prev_id = id;
     }
     EXPECT_GT(prev_id, 0u);
+}
+
+/** Split an O3PipeView document into its 7-line blocks. */
+std::vector<std::string>
+blocksOf(const std::string &doc)
+{
+    std::vector<std::string> blocks;
+    std::istringstream is(doc);
+    std::string block;
+    for (std::string line; std::getline(is, line);) {
+        block += line + '\n';
+        if (line.rfind("O3PipeView:retire:", 0) == 0) {
+            blocks.push_back(block);
+            block.clear();
+        }
+    }
+    EXPECT_TRUE(block.empty()) << "trailing partial block";
+    return blocks;
+}
+
+TEST(PipeView, RingEqualsStreamTail)
+{
+    // The stream renders each block when it is emitted; the ring keeps
+    // raw records and renders them only when read. Both must produce the
+    // same text: the ring dump is exactly the last N blocks of the
+    // golden-pinned stream, squash causes and abort reasons included —
+    // for runs that reach HALT and runs a cycle budget cuts off with
+    // instructions in flight.
+    const Program p = goldenProgram();
+    constexpr std::size_t ringCap = 24;
+    bool saw_squashed = false;
+    bool saw_in_flight = false;
+    for (const MachineKind kind : allMachines) {
+        const MachineConfig cfg = MachineConfig::make(kind, 4);
+        // The program needs 357-400 cycles on these machines.
+        for (const Cycle budget : {Cycle{250}, Cycle{100'000}}) {
+            SCOPED_TRACE(cfg.label + " budget " + std::to_string(budget));
+            std::ostringstream os;
+            trace::Tracer::Options topts = tracerOptions(cfg, p);
+            topts.stream = &os;
+            topts.ringCap = ringCap;
+            trace::Tracer tracer(topts);
+            SimOptions opts;
+            opts.tracer = &tracer;
+            opts.maxCycles = budget;
+            const SimResult r = simulate(cfg, p, opts);
+            EXPECT_EQ(r.halted, budget > 250);
+
+            const std::vector<std::string> stream = blocksOf(os.str());
+            ASSERT_GT(stream.size(), ringCap);
+            std::string tail;
+            for (std::size_t i = stream.size() - ringCap; i < stream.size();
+                 ++i)
+                tail += stream[i];
+            const std::string ring = tracer.renderRing();
+            EXPECT_EQ(ring, tail);
+            saw_squashed |= ring.find("SQUASHED@") != std::string::npos;
+            saw_in_flight |= ring.find("IN-FLIGHT(") != std::string::npos;
+        }
+    }
+    EXPECT_TRUE(saw_squashed);
+    EXPECT_TRUE(saw_in_flight);
+}
+
+TEST(PipeView, RetiredRecordsAreCompleteAndCountedByCosim)
+{
+    // Every retired instruction issued, then completed after its issue
+    // cycle, and the tracer saw exactly the instructions co-simulation
+    // checked (tracing composes with the cosim retire hook).
+    const Program p = goldenProgram();
+    for (const MachineKind kind : allMachines) {
+        const MachineConfig cfg = MachineConfig::make(kind, 4);
+        SCOPED_TRACE(cfg.label);
+        trace::Tracer::Options topts = tracerOptions(cfg, p);
+        topts.ringCap = 4096; // holds the whole run
+        trace::Tracer tracer(topts);
+        SimOptions opts;
+        opts.tracer = &tracer;
+        const SimResult r = simulate(cfg, p, opts);
+        ASSERT_TRUE(r.halted);
+        ASSERT_LT(tracer.finalized(), topts.ringCap);
+
+        std::uint64_t retired = 0;
+        for (const trace::TraceEntry &e : tracer.ring()) {
+            if (e.squashed)
+                continue;
+            ++retired;
+            EXPECT_TRUE(e.issued && e.completed) << e.text;
+            EXPECT_LE(e.dispatch, e.issue) << e.text;
+            EXPECT_LT(e.issue, e.complete) << e.text;
+            EXPECT_LE(e.complete, e.retire) << e.text;
+        }
+        EXPECT_GT(retired, 0u);
+        EXPECT_EQ(retired, r.counter("cosim.checked"));
+        EXPECT_EQ(retired, r.counter("core.retired"));
+    }
+}
+
+TEST(PipeView, OutOfOrderFinalizationBeyondInitialSpan)
+{
+    // A squash storm behind a stalled head can leave thousands of
+    // younger ids finalized while the head is still in flight: more than
+    // the tracer's initial emission window. The window grows and the
+    // stream still comes out in dispatch order, with the ring its tail.
+    constexpr std::uint64_t n = 5000;
+    std::ostringstream os;
+    trace::Tracer::Options topts;
+    topts.stream = &os;
+    topts.ringCap = 64;
+    trace::Tracer tracer(topts);
+    std::vector<RobEntry> rob(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        rob[i].seq = i;
+        rob[i].pcIndex = i % 16;
+    }
+    // Storms of 500 — dispatch, then squash youngest-first — behind a
+    // head (id 1) that stays in flight.
+    tracer.onDispatch(rob[0]);
+    for (std::uint64_t first = 1; first < n; first += 500) {
+        const std::uint64_t last = std::min(n, first + 500);
+        for (std::uint64_t i = first; i < last; ++i)
+            tracer.onDispatch(rob[i]);
+        for (std::uint64_t i = last; i-- > first;)
+            tracer.onSquash(rob[i], i, 0, 0);
+    }
+    EXPECT_TRUE(os.str().empty()); // all waiting on the head
+    tracer.onRetire(rob[0], 20);
+    tracer.finish();
+    EXPECT_EQ(tracer.finalized(), n);
+
+    const std::vector<std::string> stream = blocksOf(os.str());
+    ASSERT_EQ(stream.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::string id = ":0:" + std::to_string(i + 1) + ":";
+        ASSERT_NE(stream[i].find(id), std::string::npos) << stream[i];
+    }
+    std::string tail;
+    for (std::size_t i = n - topts.ringCap; i < n; ++i)
+        tail += stream[i];
+    EXPECT_EQ(tracer.renderRing(), tail);
 }
 
 } // namespace
