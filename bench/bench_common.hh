@@ -142,8 +142,8 @@ class BenchReport
  * (ops / seconds / 1e3 via the core.cycles counter) and `ipc` is pinned
  * to 1.0, so scripts/bench_diff.py gates the throughput with
  * --speed-gate unmodified while its IPC gate stays inert. Used by the
- * arithmetic micro-benches (rb_kernels, adder_delay), whose cells have
- * no simulation behind them.
+ * host-throughput micro-benches (adder_delay, interp_mips), whose cells
+ * have no simulation behind them.
  */
 Cell throughputCell(const std::string &machine,
                     const std::string &workload, std::uint64_t ops,

@@ -1,11 +1,12 @@
 /**
  * @file
  * Counting global operator new/delete replacement (see
- * common/alloccount.hh). Built as its own static library
+ * common/alloccount.hh). Built as its own object library
  * (`rbsim-allochook`); executables that link it get per-thread
- * allocation counts, everything else keeps the stock allocator. The
- * replacement operators are referenced by practically every TU, so the
- * linker always pulls this object (and its markHooked initializer) in.
+ * allocation counts, everything else keeps the stock allocator. An
+ * object library is linked whole, so this object (and its markHooked
+ * initializer) is present even when a sanitizer runtime already defines
+ * operator new; the linker would skip it as a static archive member.
  */
 
 #include <cstdlib>

@@ -43,7 +43,6 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
                 cfg.schedEntries <= 64 /* wakeupCapable */)
 {
     execBatchRefs.reserve(execBatch.capacity());
-    execBatchRefs.reserve(execBatch.capacity());
     commitMem.loadProgram(prog);
     frontPipeCap =
         cfg.fetchWidth * (cfg.fetchDecodeDepth + cfg.renameDepth + 4);
@@ -1019,13 +1018,6 @@ OooCore::issueInst(std::uint64_t seq)
     assert(!e.issued);
     e.issued = true;
     e.issueCycle = now;
-    static const bool trace_issue =
-        std::getenv("RBSIM_DEBUG_ISSUE") != nullptr;
-    if (trace_issue) {
-        std::printf("issue seq=%llu pc=%llu op=%d cyc=%llu cluster=%d sched=%d\n",
-            (unsigned long long)e.seq, (unsigned long long)e.pcIndex,
-            (int)e.inst.op, (unsigned long long)now, (int)e.cluster, (int)e.sched);
-    }
     ++coreStats.issued;
 
     recordBypassStats(e);
@@ -1191,7 +1183,7 @@ OooCore::tryBatchRbIssue(RobEntry &e)
       case Opcode::S8SUBQ: shift = 3; neg_b = true; break;
       case Opcode::LDA: case Opcode::LDAH: break;
       default:
-        // MULx run their own vectorized reduction; LDIQ is a pure
+        // MULx run their own batched reduction; LDIQ is a pure
         // conversion (rbAdd(0, x) would renormalize the planes); the
         // rest have no scaled-add form. All keep the scalar path.
         return false;
@@ -1239,7 +1231,7 @@ OooCore::flushExecBatch()
     if (execBatchRefs.empty())
         return;
     StageTimer timer(profiler, HostProfiler::Kernel);
-    execBatch.run(simd::kernels());
+    execBatch.run();
     for (std::size_t i = 0; i < execBatchRefs.size(); ++i) {
         RobEntry &e = rob.get(execBatchRefs[i].seq);
         RbNum sum = execBatch.sum(i);

@@ -21,9 +21,8 @@
  *    GCC/Clang: every handler ends in its own indirect jump, giving the
  *    host branch predictor one BTB entry per (handler, successor) pair;
  *  - a portable `switch` fallback, also selectable at runtime with
- *    `RBSIM_FORCE_SWITCH=1` in the environment (mirroring the SIMD
- *    layer's `RBSIM_FORCE_SCALAR`), which is what the CI parity lane
- *    pins to prove both strategies execute bit-identically.
+ *    `RBSIM_FORCE_SWITCH=1` in the environment, which is what the CI
+ *    parity lane pins to prove both strategies execute bit-identically.
  *
  * The `Sink` parameter is a compile-time event listener: the record-free
  * `Interp::runFast` passes `NullExecSink` (all hooks inline to nothing),
@@ -175,8 +174,7 @@ struct DecodedProgram
 std::shared_ptr<const DecodedProgram> decodeProgram(const Program &prog);
 
 /** True when the computed-goto loop is compiled in and the environment
- * did not pin `RBSIM_FORCE_SWITCH` (resolved once, like the SIMD
- * backend's RBSIM_FORCE_SCALAR). */
+ * did not pin `RBSIM_FORCE_SWITCH` (resolved once per process). */
 bool threadedDispatchEnabled();
 
 /** Dispatch strategy name for logs/benches: "goto" or "switch". */

@@ -16,11 +16,10 @@ namespace
 /**
  * Partial products in structure-of-arrays form: one contiguous array
  * per plane, on the stack. The pairwise carry-free reduction runs
- * through the dispatched batch kernel (src/rb/simd/) — each round is
- * one adder delay regardless of operand width, and the kernel folds
- * four (AVX2) or two (NEON) adders per host instruction. The multiply
- * sits on the simulator's execute path, so nothing here touches the
- * heap (docs/PERFORMANCE.md).
+ * through the batch kernel simd::mulReduce (src/rb/simd/) — each round
+ * is one adder delay regardless of operand width. The multiply sits on
+ * the simulator's execute path, so nothing here touches the heap
+ * (docs/PERFORMANCE.md).
  */
 struct PartialProducts
 {
@@ -42,7 +41,7 @@ struct PartialProducts
         if (n == 0)
             return RbMulResult{RbNum(), 0};
         const unsigned levels =
-            simd::kernels().mulReduce(plus.data(), minus.data(), n);
+            simd::mulReduce(plus.data(), minus.data(), n);
         return RbMulResult{RbNum(plus[0], minus[0]), levels};
     }
 };

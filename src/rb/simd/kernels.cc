@@ -1,56 +1,21 @@
 /**
  * @file
- * Portable scalar backend and the runtime dispatch for the batched RB
- * kernels. The scalar loops below are the reference the SIMD backends
- * are measured against; they are also what every non-x86/non-aarch64
- * host runs. See kernels.hh for the dispatch rules.
+ * The batched RB kernels: loops over the lane_math.hh formulas.
  */
 
 #include "rb/simd/kernels.hh"
-
-#include <cstdlib>
 
 #include "rb/simd/lane_math.hh"
 
 namespace rbsim::simd
 {
 
-// Backend tables, defined in their own translation units so their
-// instruction-set flags never leak into dispatch code. Only referenced
-// behind the matching architecture guard.
-namespace detail_avx2
-{
-const KernelOps &table();
-}
-namespace detail_neon
-{
-const KernelOps &table();
-}
-
-namespace
-{
-
 void
-scalarAddBatch(const std::uint64_t *ap, const std::uint64_t *am,
-               const std::uint64_t *bp, const std::uint64_t *bm,
-               std::uint64_t *sp, std::uint64_t *sm, std::uint8_t *bogus,
-               std::uint8_t *ovf, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const LaneAdd r = laneAdd(ap[i], am[i], bp[i], bm[i]);
-        sp[i] = r.plus;
-        sm[i] = r.minus;
-        bogus[i] = static_cast<std::uint8_t>(r.bogus);
-        ovf[i] = static_cast<std::uint8_t>(r.ovf);
-    }
-}
-
-void
-scalarScaledAddBatch(const std::uint64_t *ap, const std::uint64_t *am,
-                     const std::uint8_t *shift, const std::uint64_t *bp,
-                     const std::uint64_t *bm, std::uint64_t *sp,
-                     std::uint64_t *sm, std::uint8_t *bogus,
-                     std::uint8_t *ovf, std::size_t n)
+scaledAddBatch(const std::uint64_t *ap, const std::uint64_t *am,
+               const std::uint8_t *shift, const std::uint64_t *bp,
+               const std::uint64_t *bm, std::uint64_t *sp,
+               std::uint64_t *sm, std::uint8_t *bogus, std::uint8_t *ovf,
+               std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const LanePair a = laneShiftLeftDigits(ap[i], am[i], shift[i]);
@@ -62,54 +27,8 @@ scalarScaledAddBatch(const std::uint64_t *ap, const std::uint64_t *am,
     }
 }
 
-void
-scalarFromTcBatch(const std::uint64_t *w, std::uint64_t *p,
-                  std::uint64_t *m, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const LanePair r = laneFromTc(w[i]);
-        p[i] = r.plus;
-        m[i] = r.minus;
-    }
-}
-
-void
-scalarToTcBatch(const std::uint64_t *p, const std::uint64_t *m,
-                std::uint64_t *w, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        w[i] = p[i] - m[i];
-}
-
-void
-scalarNormalizeMsdBatch(std::uint64_t *p, std::uint64_t *m, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        // laneShiftLeftDigits with k != 0 is shift + re-sign; re-sign
-        // alone is the same flip logic with the shift removed.
-        const std::uint64_t rest = (std::uint64_t{1} << 63) - 1;
-        const std::uint64_t rest_neg =
-            (m[i] & rest) > (p[i] & rest) ? 1u : 0u;
-        const std::uint64_t flip_up = (p[i] >> 63) & (rest_neg ^ 1);
-        const std::uint64_t flip_down = (m[i] >> 63) & rest_neg;
-        p[i] = (p[i] & ~(flip_up << 63)) | (flip_down << 63);
-        m[i] = (m[i] & ~(flip_down << 63)) | (flip_up << 63);
-    }
-}
-
-void
-scalarExtractLongwordBatch(std::uint64_t *p, std::uint64_t *m,
-                           std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const LanePair r = laneExtractLongword(p[i], m[i]);
-        p[i] = r.plus;
-        m[i] = r.minus;
-    }
-}
-
 unsigned
-scalarMulReduce(std::uint64_t *p, std::uint64_t *m, std::size_t n)
+mulReduce(std::uint64_t *p, std::uint64_t *m, std::size_t n)
 {
     unsigned levels = 0;
     while (n > 1) {
@@ -129,83 +48,6 @@ scalarMulReduce(std::uint64_t *p, std::uint64_t *m, std::size_t n)
         ++levels;
     }
     return levels;
-}
-
-constexpr KernelOps kScalarKernels = {
-    scalarAddBatch,        scalarScaledAddBatch,
-    scalarFromTcBatch,     scalarToTcBatch,
-    scalarNormalizeMsdBatch, scalarExtractLongwordBatch,
-    scalarMulReduce,
-};
-
-bool
-forceScalarRequested()
-{
-    const char *env = std::getenv("RBSIM_FORCE_SCALAR");
-    return env != nullptr && *env != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-}
-
-struct Dispatch
-{
-    const KernelOps *ops;
-    Backend backend;
-};
-
-Dispatch
-resolve()
-{
-    if (forceScalarRequested())
-        return {&kScalarKernels, Backend::Scalar};
-#if defined(__x86_64__)
-    // The AVX2 table lives in kernels_avx2.cc (compiled with -mavx2);
-    // the feature check stays in this TU so no AVX2 instruction can
-    // execute before the check passes.
-    if (__builtin_cpu_supports("avx2"))
-        return {&detail_avx2::table(), Backend::Avx2};
-#elif defined(__aarch64__)
-    // Advanced SIMD is architecturally mandatory on aarch64.
-    return {&detail_neon::table(), Backend::Neon};
-#endif
-    return {&kScalarKernels, Backend::Scalar};
-}
-
-const Dispatch &
-dispatch()
-{
-    static const Dispatch d = resolve();
-    return d;
-}
-
-} // namespace
-
-const KernelOps &
-kernels()
-{
-    return *dispatch().ops;
-}
-
-const KernelOps &
-scalarKernels()
-{
-    return kScalarKernels;
-}
-
-Backend
-activeBackend()
-{
-    return dispatch().backend;
-}
-
-const char *
-backendName()
-{
-    switch (activeBackend()) {
-      case Backend::Scalar: return "scalar";
-      case Backend::Avx2: return "avx2";
-      case Backend::Neon: return "neon";
-    }
-    return "scalar";
 }
 
 } // namespace rbsim::simd

@@ -1,27 +1,13 @@
 /**
  * @file
- * Batched redundant binary kernels behind runtime CPU-feature dispatch.
+ * Batched redundant binary kernels.
  *
- * Every kernel operates on structure-of-arrays operands: contiguous
+ * Both kernels operate on structure-of-arrays operands: contiguous
  * `plus[]` / `minus[]` plane arrays (see rb_batch.hh for the container
- * the core uses). Each kernel exists in a portable scalar form and, on
- * hosts that have them, AVX2 (x86-64) or NEON (aarch64) forms. All
- * backends evaluate the identical straight-line formulas from
- * lane_math.hh, so results are bit-identical by construction — CI
- * asserts this (tests/test_rb_simd.cc and the forced-scalar matrix
- * lane).
- *
- * Dispatch is resolved once, at first use:
- *   - `RBSIM_FORCE_SCALAR` in the environment (set to anything but
- *     "0") pins the portable backend — the A/B and CI override;
- *   - otherwise x86-64 hosts with AVX2 (checked via
- *     __builtin_cpu_supports) get the AVX2 table, aarch64 hosts the
- *     NEON table, and everything else the scalar table.
- *
- * The SIMD translation units are always compiled (with per-file
- * `-mavx2`); `RBSIM_NATIVE` remains a separate, orthogonal opt-in that
- * tunes the *whole* build with -march=native. See
- * docs/PERFORMANCE.md §6.
+ * the core uses). They are plain loops over the straight-line formulas
+ * in lane_math.hh, the single rendering of the batched RB adder, so
+ * proving or fuzzing those formulas covers every batched add the
+ * simulator performs. See docs/PERFORMANCE.md §6.
  */
 
 #ifndef RBSIM_RB_SIMD_KERNELS_HH
@@ -34,93 +20,39 @@ namespace rbsim::simd
 {
 
 /**
- * A backend's kernel table. All array arguments may alias only as
- * documented on each member; `n` is a lane count, not a byte count.
- * Flag outputs are 0/1 bytes.
+ * sum[i] = normalize((a[i] << shift[i]) + b[i]) — the batched
+ * rbScaledAdd. A lane with shift[i] == 0 is exactly rbAdd (no MSD
+ * re-sign of the unshifted operand, matching rbShiftLeftDigits' k == 0
+ * identity), and rbSub is a lane whose b planes were swapped. `bogus[i]`
+ * and `ovf[i]` receive the bogusCorrected / tcOverflow flags as 0/1
+ * bytes. shift[i] must be < 64; `n` is a lane count. Output arrays may
+ * alias the inputs lane-for-lane.
  */
-struct KernelOps
+void scaledAddBatch(const std::uint64_t *ap, const std::uint64_t *am,
+                    const std::uint8_t *shift, const std::uint64_t *bp,
+                    const std::uint64_t *bm, std::uint64_t *sp,
+                    std::uint64_t *sm, std::uint8_t *bogus,
+                    std::uint8_t *ovf, std::size_t n);
+
+/**
+ * In-place pairwise tree reduction of n partial products (the
+ * multiplier's reduceTree): repeated rounds of
+ * out[j] = normalize(lane[2j] + lane[2j+1]) with an odd leftover
+ * passed through, until one lane remains in (p[0], m[0]). Returns
+ * the number of rounds. n == 0 is a no-op returning 0.
+ */
+unsigned mulReduce(std::uint64_t *p, std::uint64_t *m, std::size_t n);
+
+/**
+ * Name of the kernel backend: always "scalar", since there is one. It
+ * exists because the repository benchmark (perfbench/src/common.cc)
+ * writes it into the `simd_backend` field of every dump's provenance
+ * block.
+ */
+inline const char *
+backendName()
 {
-    /**
-     * sum[i] = normalize(a[i] + b[i]) — the batched rbAdd. `bogus[i]`
-     * and `ovf[i]` receive the bogusCorrected / tcOverflow flags.
-     * Output arrays may alias the inputs lane-for-lane.
-     */
-    void (*addBatch)(const std::uint64_t *ap, const std::uint64_t *am,
-                     const std::uint64_t *bp, const std::uint64_t *bm,
-                     std::uint64_t *sp, std::uint64_t *sm,
-                     std::uint8_t *bogus, std::uint8_t *ovf,
-                     std::size_t n);
-
-    /**
-     * sum[i] = normalize((a[i] << shift[i]) + b[i]) — the batched
-     * rbScaledAdd. A lane with shift[i] == 0 degenerates to addBatch
-     * exactly (no MSD re-sign of the unshifted operand, matching
-     * rbShiftLeftDigits' k == 0 identity). shift[i] must be < 64.
-     */
-    void (*scaledAddBatch)(const std::uint64_t *ap,
-                           const std::uint64_t *am,
-                           const std::uint8_t *shift,
-                           const std::uint64_t *bp,
-                           const std::uint64_t *bm, std::uint64_t *sp,
-                           std::uint64_t *sm, std::uint8_t *bogus,
-                           std::uint8_t *ovf, std::size_t n);
-
-    /** (p[i], m[i]) = RbNum::fromTc(w[i]) — hardwired TC -> RB. */
-    void (*fromTcBatch)(const std::uint64_t *w, std::uint64_t *p,
-                        std::uint64_t *m, std::size_t n);
-
-    /** w[i] = p[i] - m[i] — the RB -> TC carry-propagate view. */
-    void (*toTcBatch)(const std::uint64_t *p, const std::uint64_t *m,
-                      std::uint64_t *w, std::size_t n);
-
-    /** In-place MSD re-sign at digit 63 (batched normalizeMsd). */
-    void (*normalizeMsdBatch)(std::uint64_t *p, std::uint64_t *m,
-                              std::size_t n);
-
-    /** In-place longword extraction (batched extractLongword). */
-    void (*extractLongwordBatch)(std::uint64_t *p, std::uint64_t *m,
-                                 std::size_t n);
-
-    /**
-     * In-place pairwise tree reduction of n partial products (the
-     * multiplier's reduceTree): repeated rounds of
-     * out[j] = normalize(lane[2j] + lane[2j+1]) with an odd leftover
-     * passed through, until one lane remains in (p[0], m[0]). Returns
-     * the number of rounds. n == 0 is a no-op returning 0.
-     */
-    unsigned (*mulReduce)(std::uint64_t *p, std::uint64_t *m,
-                          std::size_t n);
-};
-
-/** Which table dispatch selected. */
-enum class Backend
-{
-    Scalar,
-    Avx2,
-    Neon,
-};
-
-/** The dispatched table (resolved once; honors RBSIM_FORCE_SCALAR). */
-const KernelOps &kernels();
-
-/** The portable table, regardless of dispatch — the A/B reference. */
-const KernelOps &scalarKernels();
-
-/** Backend behind kernels(). */
-Backend activeBackend();
-
-/** Human-readable name of activeBackend(): "scalar", "avx2", "neon". */
-const char *backendName();
-
-/** rbSub is rbAdd of the negated subtrahend — a plane swap, so the
- *  batched subtraction is addBatch with b's plane arrays exchanged. */
-inline void
-rbSubBatch(const KernelOps &k, const std::uint64_t *ap,
-           const std::uint64_t *am, const std::uint64_t *bp,
-           const std::uint64_t *bm, std::uint64_t *sp, std::uint64_t *sm,
-           std::uint8_t *bogus, std::uint8_t *ovf, std::size_t n)
-{
-    k.addBatch(ap, am, bm, bp, sp, sm, bogus, ovf, n);
+    return "scalar";
 }
 
 } // namespace rbsim::simd

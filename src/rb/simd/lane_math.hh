@@ -1,23 +1,20 @@
 /**
  * @file
- * Branchless per-lane formulation of the redundant binary kernels.
+ * Branchless per-lane formulation of the redundant binary adder.
  *
- * The batch backends (scalar loop, AVX2, NEON) all evaluate the same
- * straight-line bit-plane formulas defined here; the SIMD variants are
- * transliterations of these functions onto 64-bit vector lanes. Keeping
- * the math in one header is what makes "bit-identical across backends"
- * a structural property instead of a testing aspiration: a backend can
- * only diverge by mistranslating an operation, which the batch-vs-scalar
- * equivalence suite (tests/test_rb_simd.cc) and the rbalu/slice fuzz
- * oracles then catch.
+ * The batch kernels (kernels.hh) evaluate these straight-line bit-plane
+ * formulas one lane at a time; this header is the only place the
+ * batched adder's math is written down.
  *
  * The formulas are the branchless rendering of the reference scalar
- * path (`rbAddRaw` + `normalizeQuad` + `rbShiftLeftDigits` +
- * `extractLongword`); tests assert exact agreement with those reference
+ * path (`rbAddRaw` + `normalizeQuad` + `rbShiftLeftDigits`);
+ * tests/test_rb_simd.cc asserts exact agreement with those reference
  * functions over random plane pairs and all carry/overflow corner
- * cases. One non-obvious identity used throughout: the planes of a
- * legal number are disjoint, so "the most significant nonzero digit in
- * a range is -1" is exactly the unsigned comparison
+ * cases, and cosim checks every batched result the core retires.
+ *
+ * One non-obvious identity used throughout: the planes of a legal
+ * number are disjoint, so "the most significant nonzero digit in a
+ * range is -1" is exactly the unsigned comparison
  * `(minus & range) > (plus & range)` — no digit scan needed.
  */
 
@@ -127,7 +124,7 @@ laneAdd(std::uint64_t xp, std::uint64_t xm, std::uint64_t yp,
     return laneNormalizeQuad(laneAddRaw(xp, xm, yp, ym));
 }
 
-/** One lane's plane pair (shift/conversion results carry no flags). */
+/** One lane's plane pair (shift results carry no flags). */
 struct LanePair
 {
     std::uint64_t plus;
@@ -155,33 +152,6 @@ laneShiftLeftDigits(std::uint64_t xp, std::uint64_t xm, unsigned k)
     sp = (sp & ~(flip_up << 63)) | (flip_down << 63);
     sm = (sm & ~(flip_down << 63)) | (flip_up << 63);
     return LanePair{sp, sm};
-}
-
-/**
- * Quadword-to-longword extraction (extractLongword): keep digits 31..0
- * and re-sign digit 31 so the 32-digit value lands in [-2^31, 2^31).
- */
-inline LanePair
-laneExtractLongword(std::uint64_t xp, std::uint64_t xm)
-{
-    const std::uint64_t msd = std::uint64_t{1} << 31;
-    std::uint64_t sp = xp & 0xffffffffull;
-    std::uint64_t sm = xm & 0xffffffffull;
-    const std::uint64_t rest = msd - 1;
-    const std::uint64_t rest_neg = (sm & rest) > (sp & rest) ? 1u : 0u;
-    const std::uint64_t flip_up = ((sp >> 31) & 1) & (rest_neg ^ 1);
-    const std::uint64_t flip_down = ((sm >> 31) & 1) & rest_neg;
-    sp = (sp & ~(flip_up << 31)) | (flip_down << 31);
-    sm = (sm & ~(flip_down << 31)) | (flip_up << 31);
-    return LanePair{sp, sm};
-}
-
-/** Hardwired TC -> RB conversion (RbNum::fromTc). */
-inline LanePair
-laneFromTc(std::uint64_t w)
-{
-    const std::uint64_t msb = w & (std::uint64_t{1} << 63);
-    return LanePair{w & ~msb, msb};
 }
 
 } // namespace rbsim::simd

@@ -1,11 +1,11 @@
 /**
  * @file
  * RbBatch: a fixed-capacity structure-of-arrays operand batch for the
- * SIMD kernels (kernels.hh).
+ * batched RB kernels (kernels.hh).
  *
  * The container holds the two operand plane pairs, a per-lane digit
  * shift, and the result planes + flags as separate contiguous arrays —
- * the layout every kernel backend consumes directly. Capacity is fixed
+ * the layout scaledAddBatch consumes directly. Capacity is fixed
  * at construction and `clear()` keeps the storage, so a batch owned by
  * a hot-path component obeys the zero-allocation invariant
  * (docs/PERFORMANCE.md §2; tests/test_allocfree.cc extends its
@@ -16,7 +16,7 @@
  * rbScaledAdd, and subtraction is encoded at push time by swapping the
  * subtrahend's planes (rbSub == rbAdd of the negation, and negation is
  * a plane swap). This is what lets the core funnel every batchable RB
- * ALU op selected in a cycle through a single dispatch.
+ * ALU op selected in a cycle through a single kernel call.
  */
 
 #ifndef RBSIM_RB_SIMD_RB_BATCH_HH
@@ -81,12 +81,11 @@ class RbBatch
 
     /** Evaluate every lane with one kernel call. */
     void
-    run(const KernelOps &k)
+    run()
     {
-        k.scaledAddBatch(aPlus_.data(), aMinus_.data(), shift_.data(),
-                         bPlus_.data(), bMinus_.data(), sumPlus_.data(),
-                         sumMinus_.data(), bogus_.data(), ovf_.data(),
-                         n_);
+        scaledAddBatch(aPlus_.data(), aMinus_.data(), shift_.data(),
+                       bPlus_.data(), bMinus_.data(), sumPlus_.data(),
+                       sumMinus_.data(), bogus_.data(), ovf_.data(), n_);
     }
 
     /** Results, valid after run(). */

@@ -103,7 +103,6 @@ TEST(AllocFree, RbBatchPushRunClearAllocatesNothing)
         << "test_allocfree must link rbsim-allochook";
     Rng rng(7);
     simd::RbBatch batch(64);
-    const simd::KernelOps &k = simd::kernels(); // resolve dispatch first
 
     alloccount::enable(true);
     const std::uint64_t before = alloccount::threadCount();
@@ -117,7 +116,7 @@ TEST(AllocFree, RbBatchPushRunClearAllocatesNothing)
             const RbNum b(bp, rng.next() & ~bp);
             batch.pushScaledAdd(a, static_cast<unsigned>(i & 3), b);
         }
-        batch.run(k);
+        batch.run();
         for (std::size_t i = 0; i < batch.size(); ++i)
             sink ^= batch.sum(i).plus();
     }

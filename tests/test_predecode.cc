@@ -11,7 +11,7 @@
  *
  * CI additionally reruns this whole binary with RBSIM_FORCE_SWITCH=1 so
  * the process-selected dispatch path is proven on both strategies
- * end-to-end (mirroring the SIMD force-scalar parity lane).
+ * end-to-end (the predecode-dispatch-parity job).
  */
 
 #include <gtest/gtest.h>

@@ -1,25 +1,17 @@
 /**
  * @file
- * Batch-vs-scalar equivalence for the SIMD redundant binary kernels
- * (rb/simd/kernels.hh). Every kernel in the *dispatched* table and in
- * the portable table must agree bit-for-bit with the scalar reference
- * functions (rbAdd, rbScaledAdd, RbNum::fromTc/toTc, normalizeMsd,
- * extractLongword, the multiplier's pairwise reduction) across every
- * batch length from 0 through one past the widest vector width, and
- * every output must keep the disjoint plane invariant
- * (plus & minus == 0). Adder inputs are MSD-normalized (the datapath's
- * domain); the conversion/normalization kernels get arbitrary planes.
- *
- * Run with RBSIM_FORCE_SCALAR=1 the same binary pins the portable
- * backend, which is how the CI matrix lane proves the SIMD paths are
- * observationally invisible (see .github/workflows).
+ * Batch-vs-scalar equivalence for the batched redundant binary kernels
+ * (rb/simd/kernels.hh). Each kernel must agree bit-for-bit with the
+ * scalar reference functions (rbAdd, rbSub, rbScaledAdd, the
+ * multiplier's pairwise reduction) across every batch length from 0
+ * through 65, and every output must keep the disjoint plane invariant
+ * (plus & minus == 0). Adder inputs are MSD-normalized, the datapath's
+ * domain.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -33,7 +25,8 @@ namespace rbsim
 namespace
 {
 
-// One past every vector width (scalar tail + full vectors + odd lane).
+// The empty batch, odd and even lengths (mulReduce's leftover lane),
+// and one past a 64-lane batch.
 constexpr std::size_t maxLanes = 65;
 
 struct Planes
@@ -41,18 +34,6 @@ struct Planes
     std::array<std::uint64_t, maxLanes> p{};
     std::array<std::uint64_t, maxLanes> m{};
 };
-
-/** Arbitrary legal (disjoint-plane) digits — the whole encoding space.
- * Only the kernels defined on it (toTc, normalizeMsd, extractLongword)
- * may consume these. */
-void
-fillArbitrary(Rng &rng, Planes &x, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        x.p[i] = rng.next();
-        x.m[i] = rng.next() & ~x.p[i];
-    }
-}
 
 /** Normalized (MSD re-signed) digits — the adder's domain. Every value
  * the datapath holds is a fromTc conversion or a normalized adder
@@ -76,188 +57,35 @@ expectDisjoint(const Planes &x, std::size_t n, const char *what)
         ASSERT_EQ(x.p[i] & x.m[i], 0u) << what << " lane " << i;
 }
 
-/** Both tables under test: whatever dispatch picked, plus the portable
- * reference table (identical when RBSIM_FORCE_SCALAR pins scalar). */
-std::vector<const simd::KernelOps *>
-tables()
-{
-    return {&simd::kernels(), &simd::scalarKernels()};
-}
-
-TEST(RbSimd, DispatchIsConsistent)
-{
-    const char *forced = std::getenv("RBSIM_FORCE_SCALAR");
-    if (forced && std::string(forced) != "0") {
-        EXPECT_EQ(simd::activeBackend(), simd::Backend::Scalar);
-    }
-    switch (simd::activeBackend()) {
-      case simd::Backend::Scalar:
-        EXPECT_STREQ(simd::backendName(), "scalar");
-        break;
-      case simd::Backend::Avx2:
-        EXPECT_STREQ(simd::backendName(), "avx2");
-        break;
-      case simd::Backend::Neon:
-        EXPECT_STREQ(simd::backendName(), "neon");
-        break;
-    }
-    // The portable table is always available and distinct storage-wise
-    // only when a SIMD backend won dispatch.
-    (void)simd::scalarKernels();
-}
-
-TEST(RbSimd, AddBatchMatchesRbAdd)
-{
-    Rng rng(101);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-            const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-            Planes a, b, s;
-            std::array<std::uint8_t, maxLanes> bogus{}, ovf{};
-            fillNormalized(rng, a, lanes);
-            fillNormalized(rng, b, lanes);
-            k->addBatch(a.p.data(), a.m.data(), b.p.data(), b.m.data(),
-                        s.p.data(), s.m.data(), bogus.data(), ovf.data(),
-                        lanes);
-            expectDisjoint(s, lanes, "add");
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const RbAddResult r = rbAdd(RbNum(a.p[i], a.m[i]),
-                                            RbNum(b.p[i], b.m[i]));
-                ASSERT_EQ(s.p[i], r.sum.plus()) << "lane " << i;
-                ASSERT_EQ(s.m[i], r.sum.minus()) << "lane " << i;
-                ASSERT_EQ(bogus[i] != 0, r.bogusCorrected) << "lane " << i;
-                ASSERT_EQ(ovf[i] != 0, r.tcOverflow) << "lane " << i;
-            }
-        }
-    }
-}
-
-TEST(RbSimd, SubViaPlaneSwapMatchesRbSub)
-{
-    Rng rng(102);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n : {1u, 3u, 4u, 7u, 64u}) {
-            Planes a, b, s;
-            std::array<std::uint8_t, maxLanes> bogus{}, ovf{};
-            fillNormalized(rng, a, n);
-            fillNormalized(rng, b, n);
-            simd::rbSubBatch(*k, a.p.data(), a.m.data(), b.p.data(),
-                             b.m.data(), s.p.data(), s.m.data(),
-                             bogus.data(), ovf.data(), n);
-            expectDisjoint(s, n, "sub");
-            for (std::size_t i = 0; i < n; ++i) {
-                const RbAddResult r = rbSub(RbNum(a.p[i], a.m[i]),
-                                            RbNum(b.p[i], b.m[i]));
-                ASSERT_EQ(s.p[i], r.sum.plus()) << "lane " << i;
-                ASSERT_EQ(s.m[i], r.sum.minus()) << "lane " << i;
-                ASSERT_EQ(bogus[i] != 0, r.bogusCorrected) << "lane " << i;
-                ASSERT_EQ(ovf[i] != 0, r.tcOverflow) << "lane " << i;
-            }
-        }
-    }
-}
-
 TEST(RbSimd, ScaledAddBatchMatchesRbScaledAdd)
 {
     Rng rng(103);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-            const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-            Planes a, b, s;
-            std::array<std::uint8_t, maxLanes> shift{}, bogus{}, ovf{};
-            fillNormalized(rng, a, lanes);
-            fillNormalized(rng, b, lanes);
-            for (std::size_t i = 0; i < lanes; ++i) {
-                // Mix shift-0 (the plain-add degenerate case, which must
-                // NOT re-sign the MSD) with the full shift range.
-                shift[i] = rng.chance(1, 3)
-                    ? 0
-                    : static_cast<std::uint8_t>(rng.below(64));
-            }
-            k->scaledAddBatch(a.p.data(), a.m.data(), shift.data(),
-                              b.p.data(), b.m.data(), s.p.data(),
-                              s.m.data(), bogus.data(), ovf.data(),
-                              lanes);
-            expectDisjoint(s, lanes, "scaledadd");
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const RbAddResult r =
-                    rbScaledAdd(RbNum(a.p[i], a.m[i]), shift[i],
-                                RbNum(b.p[i], b.m[i]));
-                ASSERT_EQ(s.p[i], r.sum.plus())
-                    << "lane " << i << " shift " << int(shift[i]);
-                ASSERT_EQ(s.m[i], r.sum.minus())
-                    << "lane " << i << " shift " << int(shift[i]);
-                ASSERT_EQ(bogus[i] != 0, r.bogusCorrected) << "lane " << i;
-                ASSERT_EQ(ovf[i] != 0, r.tcOverflow) << "lane " << i;
-            }
+    for (std::size_t lanes = 0; lanes <= maxLanes; ++lanes) {
+        Planes a, b, s;
+        std::array<std::uint8_t, maxLanes> shift{}, bogus{}, ovf{};
+        fillNormalized(rng, a, lanes);
+        fillNormalized(rng, b, lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            // Mix shift-0 (the plain-add degenerate case, which must
+            // NOT re-sign the MSD) with the full shift range.
+            shift[i] = rng.chance(1, 3)
+                ? 0
+                : static_cast<std::uint8_t>(rng.below(64));
         }
-    }
-}
-
-TEST(RbSimd, ConversionBatchesRoundTrip)
-{
-    Rng rng(104);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-            const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-            std::array<std::uint64_t, maxLanes> w{}, back{};
-            Planes x;
-            for (std::size_t i = 0; i < lanes; ++i)
-                w[i] = rng.next();
-            k->fromTcBatch(w.data(), x.p.data(), x.m.data(), lanes);
-            expectDisjoint(x, lanes, "fromTc");
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const RbNum ref = RbNum::fromTc(w[i]);
-                ASSERT_EQ(x.p[i], ref.plus()) << "lane " << i;
-                ASSERT_EQ(x.m[i], ref.minus()) << "lane " << i;
-            }
-
-            // toTc over arbitrary planes, not just fromTc outputs.
-            fillArbitrary(rng, x, lanes);
-            k->toTcBatch(x.p.data(), x.m.data(), back.data(), lanes);
-            for (std::size_t i = 0; i < lanes; ++i)
-                ASSERT_EQ(back[i], RbNum(x.p[i], x.m[i]).toTc())
-                    << "lane " << i;
-        }
-    }
-}
-
-TEST(RbSimd, NormalizeMsdBatchMatchesScalar)
-{
-    Rng rng(105);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-            const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-            Planes x;
-            fillArbitrary(rng, x, lanes);
-            Planes in = x;
-            k->normalizeMsdBatch(x.p.data(), x.m.data(), lanes);
-            expectDisjoint(x, lanes, "normalizeMsd");
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const RbNum ref = normalizeMsd(RbNum(in.p[i], in.m[i]));
-                ASSERT_EQ(x.p[i], ref.plus()) << "lane " << i;
-                ASSERT_EQ(x.m[i], ref.minus()) << "lane " << i;
-            }
-        }
-    }
-}
-
-TEST(RbSimd, ExtractLongwordBatchMatchesScalar)
-{
-    Rng rng(106);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-            const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-            Planes x;
-            fillArbitrary(rng, x, lanes);
-            Planes in = x;
-            k->extractLongwordBatch(x.p.data(), x.m.data(), lanes);
-            expectDisjoint(x, lanes, "extractLongword");
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const RbNum ref = extractLongword(RbNum(in.p[i], in.m[i]));
-                ASSERT_EQ(x.p[i], ref.plus()) << "lane " << i;
-                ASSERT_EQ(x.m[i], ref.minus()) << "lane " << i;
-            }
+        simd::scaledAddBatch(a.p.data(), a.m.data(), shift.data(),
+                             b.p.data(), b.m.data(), s.p.data(),
+                             s.m.data(), bogus.data(), ovf.data(), lanes);
+        expectDisjoint(s, lanes, "scaledadd");
+        for (std::size_t i = 0; i < lanes; ++i) {
+            const RbAddResult r = rbScaledAdd(RbNum(a.p[i], a.m[i]),
+                                              shift[i],
+                                              RbNum(b.p[i], b.m[i]));
+            ASSERT_EQ(s.p[i], r.sum.plus())
+                << "lane " << i << " shift " << int(shift[i]);
+            ASSERT_EQ(s.m[i], r.sum.minus())
+                << "lane " << i << " shift " << int(shift[i]);
+            ASSERT_EQ(bogus[i] != 0, r.bogusCorrected) << "lane " << i;
+            ASSERT_EQ(ovf[i] != 0, r.tcOverflow) << "lane " << i;
         }
     }
 }
@@ -265,71 +93,34 @@ TEST(RbSimd, ExtractLongwordBatchMatchesScalar)
 TEST(RbSimd, MulReduceMatchesPairwiseTree)
 {
     Rng rng(107);
-    for (const simd::KernelOps *k : tables()) {
-        for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-            const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-            Planes x;
-            fillNormalized(rng, x, lanes);
+    for (std::size_t lanes = 0; lanes <= maxLanes; ++lanes) {
+        Planes x;
+        fillNormalized(rng, x, lanes);
 
-            // Reference: the multiplier's pairwise reduction — rounds of
-            // out[j] = rbAdd(lane[2j], lane[2j+1]) with an odd leftover
-            // passed through.
-            std::vector<RbNum> ref;
-            for (std::size_t i = 0; i < lanes; ++i)
-                ref.emplace_back(x.p[i], x.m[i]);
-            unsigned ref_levels = 0;
-            while (ref.size() > 1) {
-                std::vector<RbNum> next;
-                for (std::size_t j = 0; j + 1 < ref.size(); j += 2)
-                    next.push_back(rbAdd(ref[j], ref[j + 1]).sum);
-                if (ref.size() & 1)
-                    next.push_back(ref.back());
-                ref = std::move(next);
-                ++ref_levels;
-            }
-
-            const unsigned levels =
-                k->mulReduce(x.p.data(), x.m.data(), lanes);
-            ASSERT_EQ(levels, ref_levels) << "n " << lanes;
-            if (lanes > 0) {
-                ASSERT_EQ(x.p[0] & x.m[0], 0u);
-                ASSERT_EQ(x.p[0], ref.front().plus()) << "n " << lanes;
-                ASSERT_EQ(x.m[0], ref.front().minus()) << "n " << lanes;
-            }
-        }
-    }
-}
-
-TEST(RbSimd, DispatchedMatchesForcedScalarBitForBit)
-{
-    // The property the CI matrix lane checks end-to-end at the simulator
-    // level, here at kernel granularity: whatever backend dispatch
-    // picked produces the exact bytes the portable backend produces.
-    Rng rng(108);
-    const simd::KernelOps &dispatched = simd::kernels();
-    const simd::KernelOps &portable = simd::scalarKernels();
-    for (std::size_t n = 0; n < maxLanes + 1; ++n) {
-        const std::size_t lanes = n <= maxLanes ? n : maxLanes;
-        Planes a, b, s1, s2;
-        std::array<std::uint8_t, maxLanes> shift{};
-        std::array<std::uint8_t, maxLanes> bog1{}, ovf1{}, bog2{}, ovf2{};
-        fillArbitrary(rng, a, lanes);
-        fillArbitrary(rng, b, lanes);
+        // Reference: the multiplier's pairwise reduction — rounds of
+        // out[j] = rbAdd(lane[2j], lane[2j+1]) with an odd leftover
+        // passed through.
+        std::vector<RbNum> ref;
         for (std::size_t i = 0; i < lanes; ++i)
-            shift[i] = static_cast<std::uint8_t>(rng.below(64));
-        dispatched.scaledAddBatch(a.p.data(), a.m.data(), shift.data(),
-                                  b.p.data(), b.m.data(), s1.p.data(),
-                                  s1.m.data(), bog1.data(), ovf1.data(),
-                                  lanes);
-        portable.scaledAddBatch(a.p.data(), a.m.data(), shift.data(),
-                                b.p.data(), b.m.data(), s2.p.data(),
-                                s2.m.data(), bog2.data(), ovf2.data(),
-                                lanes);
-        for (std::size_t i = 0; i < lanes; ++i) {
-            ASSERT_EQ(s1.p[i], s2.p[i]) << "lane " << i;
-            ASSERT_EQ(s1.m[i], s2.m[i]) << "lane " << i;
-            ASSERT_EQ(bog1[i], bog2[i]) << "lane " << i;
-            ASSERT_EQ(ovf1[i], ovf2[i]) << "lane " << i;
+            ref.emplace_back(x.p[i], x.m[i]);
+        unsigned ref_levels = 0;
+        while (ref.size() > 1) {
+            std::vector<RbNum> next;
+            for (std::size_t j = 0; j + 1 < ref.size(); j += 2)
+                next.push_back(rbAdd(ref[j], ref[j + 1]).sum);
+            if (ref.size() & 1)
+                next.push_back(ref.back());
+            ref = std::move(next);
+            ++ref_levels;
+        }
+
+        const unsigned levels = simd::mulReduce(x.p.data(), x.m.data(),
+                                                lanes);
+        ASSERT_EQ(levels, ref_levels) << "n " << lanes;
+        if (lanes > 0) {
+            ASSERT_EQ(x.p[0] & x.m[0], 0u);
+            ASSERT_EQ(x.p[0], ref.front().plus()) << "n " << lanes;
+            ASSERT_EQ(x.m[0], ref.front().minus()) << "n " << lanes;
         }
     }
 }
@@ -367,7 +158,7 @@ TEST(RbSimd, RbBatchLanesEvaluateLikeTheScalarOps)
             }
         }
         ASSERT_EQ(batch.size(), n);
-        batch.run(simd::kernels());
+        batch.run();
         for (std::size_t i = 0; i < n; ++i) {
             ASSERT_EQ(batch.sum(i).plus(), ref[i].sum.plus());
             ASSERT_EQ(batch.sum(i).minus(), ref[i].sum.minus());
