@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare two rbsim bench JSON dumps and flag IPC regressions.
 
-Usage: bench_diff.py [--threshold PCT] [--speed-gate PCT] old.json new.json
+Usage: bench_diff.py [--threshold PCT] [--speed-gate PCT] [--exact]
+                     old.json new.json
 
 Cells are matched on (machine, workload); per-machine harmonic-mean IPC
 is recomputed over the *common* cells only, so dumps taken with
@@ -25,6 +26,14 @@ A sampled dump compared against a full-detail dump (ci95 on one side
 only) therefore gates on the sampled run's own CI — exactly the
 sampled-vs-full acceptance check. Cells without ci95 on either side
 keep the exact harmonic-mean threshold gate.
+
+With --exact the dumps must describe the same simulations: every cell
+without a ci95 must be present in both dumps, with equal "ipc" and equal
+"stats" (the full StatSnapshot: counters, formulas, vectors). The first
+cell that is missing or differs is named, with the first differing stat,
+and the script exits 1. The harmonic-mean gate alone cannot see an IPC
+rise, or a moved counter that leaves IPC alone; the CI steps that check
+"bit-identical" simulation use --exact.
 
 When both dumps carry per-cell host speed (sim_khz, written since the
 wakeup-array scheduler landed), a second section reports per-machine
@@ -65,6 +74,40 @@ def ci_map(doc):
             for c in doc["cells"] if "ci95" in c}
 
 
+def flat_stats(stats):
+    """{"counters": {name: v}, ...} -> {"counters/name": v}, so a
+    difference can be named by one key (a cell without stats: {})."""
+    return {f"{kind}/{name}": v
+            for kind, group in (stats or {}).items()
+            for name, v in group.items()}
+
+
+def first_exact_difference(old_doc, new_doc):
+    """The first non-ci95 cell that is missing from one dump or differs
+    in ipc or stats, as a message; None when the dumps agree."""
+    def exact_cells(doc):
+        return {(c["machine"], c["workload"]): c for c in doc["cells"]
+                if "ci95" not in c}
+    old, new = exact_cells(old_doc), exact_cells(new_doc)
+    order = list(old) + [k for k in new if k not in old]
+    for key in order:
+        cell = f"(machine={key[0]!r}, workload={key[1]!r})"
+        if key not in new:
+            return f"cell {cell} is missing from the new dump"
+        if key not in old:
+            return f"cell {cell} is missing from the old dump"
+        o, n = old[key], new[key]
+        if o["ipc"] != n["ipc"]:
+            return f"cell {cell}: ipc {o['ipc']!r} -> {n['ipc']!r}"
+        os_, ns = flat_stats(o.get("stats")), flat_stats(n.get("stats"))
+        for name in sorted(set(os_) | set(ns)):
+            if os_.get(name, "<absent>") != ns.get(name, "<absent>"):
+                return (f"cell {cell}: stat {name} "
+                        f"{os_.get(name, '<absent>')!r} -> "
+                        f"{ns.get(name, '<absent>')!r}")
+    return None
+
+
 def hmean(xs):
     """Harmonic mean. Refuses empty and non-positive inputs with a
     message instead of raising ZeroDivisionError — callers are expected
@@ -99,11 +142,22 @@ def main():
                     help="also fail when a machine's hmean sim_khz "
                          "dropped by more than PCT percent (default: "
                          "speed is informational only)")
+    ap.add_argument("--exact", action="store_true",
+                    help="fail unless every cell without a ci95 is in "
+                         "both dumps with equal ipc and stats")
     ap.add_argument("old")
     ap.add_argument("new")
     args = ap.parse_args()
 
     old_doc, new_doc = load(args.old), load(args.new)
+    if args.exact:
+        diff = first_exact_difference(old_doc, new_doc)
+        if diff:
+            print(f"bench_diff: FAIL — not exact: {diff}")
+            return 1
+        n_exact = sum(1 for c in old_doc["cells"] if "ci95" not in c)
+        print(f"bench_diff: exact — {n_exact} cells with equal ipc "
+              "and stats")
     old_cells, new_cells = cell_map(old_doc), cell_map(new_doc)
     common = sorted(set(old_cells) & set(new_cells))
     if not common:

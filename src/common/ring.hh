@@ -56,6 +56,16 @@ class StaticRing
         slots[tailPos++ & mask] = v;
     }
 
+    /** Append a slot and return it for the caller to fill in place
+     * (spares a copy of large elements). It still holds whatever
+     * element last occupied it: overwrite every field. */
+    T &
+    push_back_slot()
+    {
+        assert(!full());
+        return slots[tailPos++ & mask];
+    }
+
     T &front()
     {
         assert(!empty());

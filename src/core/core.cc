@@ -23,7 +23,8 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
       regs(cfg.physRegs),
       scoreboard(cfg.physRegs),
       rob(cfg.robEntries),
-      sched(cfg.numSchedulers, cfg.schedEntries, cfg.selectWidth),
+      sched(cfg.numSchedulers, cfg.schedEntries, cfg.selectWidth,
+            cfg.robEntries),
       // The LSQ's seq window (oldest-to-youngest in-flight span) is
       // bounded by the ROB capacity: the ROB is dense in seq, so no two
       // live instructions are more than robEntries seqs apart.
@@ -36,24 +37,26 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
       rbBatchEnabled(cfg.kind == MachineKind::RbFull ||
                      cfg.kind == MachineKind::RbLimited),
       regWaiterHead(cfg.physRegs, -1),
-      slotPendingOps(
-          static_cast<std::size_t>(cfg.numSchedulers) * cfg.schedEntries,
-          0),
-      useWakeup(!cfg.polledScheduler &&
-                cfg.schedEntries <= 64 /* wakeupCapable */)
+      slotPendingOps(rob.slotCount(), 0),
+      useWakeup(!cfg.polledScheduler)
 {
     execBatchRefs.reserve(execBatch.capacity());
     commitMem.loadProgram(prog);
     frontPipeCap =
         cfg.fetchWidth * (cfg.fetchDecodeDepth + cfg.renameDepth + 4);
     frontPipe.init(frontPipeCap);
+    frontSnaps.init(frontPipeCap);
+    robSnaps.resize(rob.slotCount());
     fetchBuf.reserve(cfg.fetchWidth);
     pendingFlushes.reserve(cfg.robEntries);
 
-    // Waiter pool: at most one node per (scheduler slot, source operand)
+    // Waiter pool: at most one node per (scheduler entry, source operand)
     // is ever live (dead nodes are reclaimed on broadcast and on flush).
-    const std::size_t slot_count =
-        static_cast<std::size_t>(cfg.numSchedulers) * cfg.schedEntries;
+    // Every scheduler entry is also in the ROB, so the ROB bounds the
+    // live entries as well as the schedulers' total capacity does.
+    const std::size_t slot_count = std::min<std::size_t>(
+        static_cast<std::size_t>(cfg.numSchedulers) * cfg.schedEntries,
+        cfg.robEntries);
     waiterPool.resize(slot_count * 3 /* max sources per instruction */);
     for (std::size_t i = 0; i < waiterPool.size(); ++i) {
         waiterPool[i].next = i + 1 < waiterPool.size()
@@ -92,6 +95,7 @@ OooCore::reset(const Program &prog)
 
     std::fill(producerSched.begin(), producerSched.end(), 0xff);
     frontPipe.clear();
+    frontSnaps.clear();
     pendingFlushes.clear();
     fetchBuf.clear();
     execBatch.clear();
@@ -499,11 +503,13 @@ OooCore::flushAfter(const RobEntry &branch)
     }
     coreStats.squashed += frontPipe.size();
     frontPipe.clear();
+    frontSnaps.clear();
 
     // Repair the predictor to the state before this branch predicted,
     // then re-apply the architectural outcome.
-    fetch.predictor.restoreHistory(branch.snapshot.globalHistory);
-    fetch.ras.restore(branch.snapshot);
+    const BpSnapshot &snap = robSnaps[rob.slotOf(branch.seq)];
+    fetch.predictor.restoreHistory(snap.globalHistory);
+    fetch.ras.restore(snap);
     const Inst &inst = branch.inst;
     if (isCondBranch(inst.op)) {
         fetch.predictor.speculate(branch.pcIndex, branch.actualTaken);
@@ -562,7 +568,8 @@ OooCore::doRetire()
             ++coreStats.condBranches;
             if (e.mispredicted)
                 ++coreStats.condMispredicts;
-            fetch.predictor.update(e.snapshot.indices, e.actualTaken);
+            fetch.predictor.update(robSnaps[rob.slotOf(e.seq)].indices,
+                                   e.actualTaken);
         } else if (e.inst.op == Opcode::JMP && e.inst.ra != zeroReg) {
             fetch.btb.update(e.pcIndex, e.actualNextPc);
         }
@@ -622,29 +629,6 @@ OooCore::operandScan(RobEntry &e)
         if (operandAvail(config, p, e.src[i].needsTc, e.cluster, now))
             continue;
         failed = true;
-        // Store address generation is decoupled from store data: once
-        // the base register is ready, publish the address so younger
-        // loads can disambiguate (and forward once the data arrives).
-        if (e.isMemStore && !e.storeAddrRecorded) {
-            const ProdAvail &bp = scoreboard.of(
-                e.inst.rb == zeroReg ? PhysReg{0} : e.physB);
-            const bool base_ready = e.inst.rb == zeroReg ||
-                bp.rfTc <= now || operandAvail(config, bp, false,
-                                               e.cluster, now);
-            if (base_ready) {
-                const Word base =
-                    e.inst.rb == zeroReg ? 0 : regs.readTc(e.physB);
-                const unsigned size = memAccessSize(e.inst.op);
-                const Addr ea =
-                    (base +
-                     static_cast<Word>(static_cast<SWord>(e.inst.disp))) &
-                    ~Addr{size - 1};
-                lsq.setAddress(e.seq, ea, size);
-                e.storeAddrRecorded = true;
-                e.effAddr = ea;
-                e.memSize = size;
-            }
-        }
         // Is this operand in a *hole* (was available earlier, will be
         // again later) rather than simply not produced yet?
         if (p.rfTc == neverCycle ||
@@ -654,6 +638,8 @@ OooCore::operandScan(RobEntry &e)
         }
     }
     if (failed) {
+        if (e.isMemStore && !e.storeAddrRecorded)
+            publishStoreAddr(e);
         if (all_failing_are_holes) {
             ++coreStats.holeWaitCycles;
             ++e.holeWait;
@@ -661,6 +647,29 @@ OooCore::operandScan(RobEntry &e)
         return false;
     }
     return true;
+}
+
+void
+OooCore::publishStoreAddr(RobEntry &e)
+{
+    // Store address generation is decoupled from store data: once the
+    // base register is ready, publish the address so younger loads can
+    // disambiguate (and forward once the data arrives).
+    const ProdAvail &bp =
+        scoreboard.of(e.inst.rb == zeroReg ? PhysReg{0} : e.physB);
+    const bool base_ready = e.inst.rb == zeroReg || bp.rfTc <= now ||
+                            operandAvail(config, bp, false, e.cluster, now);
+    if (!base_ready)
+        return;
+    const Word base = e.inst.rb == zeroReg ? 0 : regs.readTc(e.physB);
+    const unsigned size = memAccessSize(e.inst.op);
+    const Addr ea =
+        (base + static_cast<Word>(static_cast<SWord>(e.inst.disp))) &
+        ~Addr{size - 1};
+    lsq.setAddress(e.seq, ea, size);
+    e.storeAddrRecorded = true;
+    e.effAddr = ea;
+    e.memSize = size;
 }
 
 bool
@@ -710,14 +719,19 @@ OooCore::tryIssueWakeup(std::uint64_t seq)
 void
 OooCore::attendEntry(std::uint64_t seq, SchedulerBank::SlotRef ref)
 {
-    // Per-cycle side effects of scanning a non-ready entry: hole-wait
-    // accounting and early store address generation, computed by the
-    // same operand walk the polled path runs.
+    // Per-cycle side effects of scanning a non-ready entry, as the
+    // polled operandScan has them. The hole bit is the polled hole
+    // classification (oracle mode checks it every cycle), and a
+    // non-ready entry has a failing operand, so a store still without
+    // an address only needs its base register checked.
     RobEntry &e = rob.get(seq);
     assert(now > e.dispatchCycle);
-    const bool all_ready = operandScan(e);
-    assert(!all_ready && "wakeup ready bit missed an available entry");
-    (void)all_ready;
+    if (sched.isHole(ref)) {
+        ++coreStats.holeWaitCycles;
+        ++e.holeWait;
+    }
+    if (e.isMemStore && !e.storeAddrRecorded)
+        publishStoreAddr(e);
     if (e.isMemStore && e.storeAddrRecorded)
         sched.setStoreScan(ref, false);
 }
@@ -725,8 +739,12 @@ OooCore::attendEntry(std::uint64_t seq, SchedulerBank::SlotRef ref)
 void
 OooCore::doSelect()
 {
+    // Scheduler entries are ROB entries: the walk from the ROB head's
+    // slot is oldest-first.
+    const std::uint64_t head = rob.headSequence();
     if (!useWakeup) {
         sched.selectCycle(
+            head,
             [this](std::uint64_t seq, unsigned s) {
                 return readyToIssue(seq, s);
             },
@@ -736,6 +754,7 @@ OooCore::doSelect()
         if (config.wakeupOracle)
             verifyWakeupOracle();
         sched.selectWakeup(
+            head,
             [this](std::uint64_t seq, unsigned) {
                 return tryIssueWakeup(seq);
             },
@@ -782,9 +801,6 @@ OooCore::addWaiter(PhysReg r, SchedulerBank::SlotRef ref)
 void
 OooCore::armDispatch(const RobEntry &e, SchedulerBank::SlotRef ref)
 {
-    const std::size_t idx =
-        static_cast<std::size_t>(ref.sched) * config.schedEntries +
-        ref.slot;
     std::uint8_t pending = 0;
     for (unsigned i = 0; i < e.numSrcs; ++i) {
         if (scoreboard.of(e.src[i].reg).rfTc == neverCycle) {
@@ -792,7 +808,7 @@ OooCore::armDispatch(const RobEntry &e, SchedulerBank::SlotRef ref)
             addWaiter(e.src[i].reg, ref);
         }
     }
-    slotPendingOps[idx] = pending;
+    slotPendingOps[ref.slot] = pending;
     // Stores want the oldest-first scan's attention until their address
     // reaches the LSQ, even while the data producer is still unknown.
     if (e.isMemStore && !e.storeAddrRecorded)
@@ -818,15 +834,9 @@ OooCore::produceAndWake(PhysReg r, const ProdAvail &p)
         WaiterNode &w = waiterPool[it];
         const std::int32_t next = w.next;
         if (sched.live(w.ref, w.gen)) {
-            const std::size_t idx =
-                static_cast<std::size_t>(w.ref.sched) *
-                    config.schedEntries +
-                w.ref.slot;
-            assert(slotPendingOps[idx] > 0);
-            if (--slotPendingOps[idx] == 0) {
-                armWakeup(rob.get(sched.seqAt(w.ref.sched, w.ref.slot)),
-                          w.ref);
-            }
+            assert(slotPendingOps[w.ref.slot] > 0);
+            if (--slotPendingOps[w.ref.slot] == 0)
+                armWakeup(rob.get(sched.seqAt(w.ref)), w.ref);
         }
         w.next = waiterFree;
         waiterFree = it;
@@ -887,16 +897,12 @@ void
 OooCore::verifyWakeupOracle()
 {
     for (unsigned s = 0; s < sched.numSchedulers(); ++s) {
-        const std::uint64_t ready_mask = sched.readyMaskOf(s);
-        const std::uint64_t hole_mask = sched.holeMaskOf(s);
-        for (std::uint64_t m = sched.validMaskOf(s); m; m &= m - 1) {
-            const unsigned slot =
-                static_cast<unsigned>(std::countr_zero(m));
-            const std::uint64_t seq = sched.seqAt(s, slot);
+        sched.forEachEntry(s, [&](SchedulerBank::SlotRef ref,
+                                  std::uint64_t seq) {
             const RobEntry &e = rob.get(seq);
-            const bool bit = ready_mask >> slot & 1;
+            const bool bit = sched.isReady(ref);
             const bool pure = operandsReadyPure(e);
-            const bool hole_bit = hole_mask >> slot & 1;
+            const bool hole_bit = sched.isHole(ref);
             const bool hole_pure = holeClassPure(e);
             ++oracleChecks;
             if (bit != pure || hole_bit != hole_pure) {
@@ -906,13 +912,14 @@ OooCore::verifyWakeupOracle()
                              "hole=%d/%d\n",
                              static_cast<unsigned long long>(now),
                              static_cast<unsigned long long>(seq), s,
-                             slot, static_cast<int>(bit),
+                             static_cast<unsigned>(ref.slot),
+                             static_cast<int>(bit),
                              static_cast<int>(pure),
                              static_cast<int>(hole_bit),
                              static_cast<int>(hole_pure));
                 std::abort();
             }
-        }
+        });
     }
 }
 
@@ -1286,7 +1293,12 @@ OooCore::doDispatch()
         e.predNextPc =
             fe.fi.stalledJmp ? ~std::uint64_t{0} : fe.fi.predNextPc;
         e.fetchStalledJmp = fe.fi.stalledJmp;
-        e.snapshot = fe.fi.snapshot;
+        if (fe.fi.isCtrl) {
+            // Fetch queued one snapshot per control instruction, in
+            // order; it moves beside the ROB entry until retirement.
+            robSnaps[rob.slotOf(seq)] = frontSnaps.front();
+            frontSnaps.pop_front();
+        }
         e.isMemLoad = isLoad(inst.op);
         e.isMemStore = isStore(inst.op);
         e.isHalt = inst.op == Opcode::HALT;
@@ -1391,7 +1403,7 @@ OooCore::doFetch()
     if (frontPipe.size() + config.fetchWidth > frontPipeCap)
         return;
     fetchBuf.clear();
-    fetch.fetchCycle(now, fetchBuf);
+    fetch.fetchCycle(now, fetchBuf, frontSnaps);
     for (const FetchedInst &fi : fetchBuf) {
         frontPipe.push_back(FrontEntry{fi, now});
         ++coreStats.fetched;

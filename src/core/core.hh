@@ -255,6 +255,7 @@ class OooCore
 
     bool readyToIssue(std::uint64_t seq, unsigned sched);
     bool operandScan(RobEntry &e);
+    void publishStoreAddr(RobEntry &e);
     bool loadMayIssue(std::uint64_t seq, const RobEntry &e);
     void issueInst(std::uint64_t seq);
     bool tryBatchRbIssue(RobEntry &e);
@@ -296,6 +297,12 @@ class OooCore
     std::vector<std::uint8_t> producerSched;
 
     StaticRing<FrontEntry> frontPipe;
+    //! Repair snapshots of the control instructions in frontPipe, in
+    //! order (fetch takes one per control instruction only).
+    StaticRing<BpSnapshot> frontSnaps;
+    //! Per ROB slot (Rob::slotOf): repair snapshot of an in-flight
+    //! control instruction, moved here from frontSnaps at dispatch.
+    std::vector<BpSnapshot> robSnaps;
     std::vector<PendingFlush> pendingFlushes;
     //! Reused fetch landing buffer (capacity retained across cycles).
     std::vector<FetchedInst> fetchBuf;
@@ -385,7 +392,7 @@ class OooCore
     //! empty).
     std::vector<std::int32_t> regWaiterHead;
     std::int32_t waiterFree = -1; //!< free-list head into waiterPool
-    //! Per (scheduler, slot): producers still unknown (not yet issued).
+    //! Per ROB slot: producers still unknown (not yet issued).
     std::vector<std::uint8_t> slotPendingOps;
     bool useWakeup = false; //!< wakeup array active (vs polled debug path)
 

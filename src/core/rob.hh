@@ -13,12 +13,12 @@
 #ifndef RBSIM_CORE_ROB_HH
 #define RBSIM_CORE_ROB_HH
 
+#include <array>
 #include <bit>
 #include <cassert>
 #include <vector>
 
 #include "common/types.hh"
-#include "frontend/branch_pred.hh"
 #include "isa/inst.hh"
 #include "rb/rbnum.hh"
 
@@ -70,7 +70,6 @@ struct RobEntry
     bool actualTaken = false;
     std::uint64_t actualNextPc = 0;
     bool mispredicted = false;
-    BpSnapshot snapshot;           //!< predictor repair state
 
     // Memory.
     bool isMemLoad = false;
@@ -104,6 +103,11 @@ struct RobEntry
     //! trace::srcRbForm set when it arrived in redundant binary.
     std::array<std::uint8_t, 3> srcBypass{0xff, 0xff, 0xff};
 };
+
+// Dispatch zero-fills one entry per dispatched instruction, most of
+// them later squashed; branch repair state lives beside the ROB
+// (OooCore::robSnaps), for control instructions only.
+static_assert(sizeof(RobEntry) <= 224, "keep RobEntry small");
 
 /** The reorder buffer. */
 class Rob
@@ -150,6 +154,17 @@ class Rob
         assert(contains(seq));
         return slots[seq & mask];
     }
+
+    /** Ring slots (a power of two >= the capacity). */
+    std::size_t slotCount() const { return slots.size(); }
+
+    /** Ring slot of a sequence number: side arrays of slotCount()
+     * entries index per-instruction state by it. */
+    std::size_t slotOf(std::uint64_t seq) const { return seq & mask; }
+
+    /** Sequence number of the head (oldest) entry; every in-flight seq
+     * lies in [headSequence(), headSequence() + size()). */
+    std::uint64_t headSequence() const { return headSeq; }
 
     /** Entry at the head (oldest). */
     RobEntry &

@@ -1,21 +1,30 @@
 #include "core/scheduler.hh"
 
+#include <algorithm>
+
 namespace rbsim
 {
 
 SchedulerBank::SchedulerBank(unsigned num_schedulers, unsigned entries_per,
-                             unsigned select_width)
-    : banks(num_schedulers), entriesPer(entries_per),
-      selectWidth(select_width)
+                             unsigned select_width, unsigned rob_entries)
+    : seqs(std::bit_ceil(rob_entries ? rob_entries : 1u), 0),
+      gens(seqs.size(), 0), counts(num_schedulers, 0),
+      wordsPer(static_cast<unsigned>((seqs.size() + 63) / 64)),
+      slotMask(static_cast<unsigned>(seqs.size() - 1)),
+      entriesPer(entries_per), selectWidth(select_width)
 {
-    for (Bank &b : banks) {
-        if (wakeupCapable()) {
-            b.seqs.resize(entries_per, 0);
-            b.gens.resize(entries_per, 0);
-        } else {
-            b.queue.reserve(entries_per);
-        }
-    }
+    words.resize(static_cast<std::size_t>(num_schedulers) * wordsPer);
+}
+
+void
+SchedulerBank::reset()
+{
+    std::fill(words.begin(), words.end(), Words{});
+    std::fill(seqs.begin(), seqs.end(), 0);
+    std::fill(gens.begin(), gens.end(), 0);
+    std::fill(counts.begin(), counts.end(), 0);
+    rrIndex = 0;
+    steerCount = 0;
 }
 
 void
@@ -25,56 +34,43 @@ SchedulerBank::advanceSteering()
     // round-robin manner (paper section 5.1).
     if (++steerCount == 2) {
         steerCount = 0;
-        rrIndex = (rrIndex + 1) % banks.size();
+        rrIndex = (rrIndex + 1) % counts.size();
     }
-}
-
-bool
-SchedulerBank::hasSpace(unsigned s) const
-{
-    assert(s < banks.size());
-    return occupancyOf(s) < entriesPer;
 }
 
 SchedulerBank::SlotRef
 SchedulerBank::insert(unsigned s, std::uint64_t seq)
 {
     assert(hasSpace(s));
-    Bank &b = banks[s];
-    if (!wakeupCapable()) {
-        assert(b.queue.empty() || b.queue.back() < seq);
-        b.queue.push_back(seq);
-        return SlotRef{static_cast<std::uint16_t>(s), 0xffff};
+    const SlotRef ref{static_cast<std::uint16_t>(s),
+                      static_cast<std::uint16_t>(seq & slotMask)};
+#ifndef NDEBUG
+    for (unsigned o = 0; o < counts.size(); ++o) {
+        assert(!isValid(SlotRef{static_cast<std::uint16_t>(o), ref.slot}) &&
+               "two live entries share a ROB slot");
     }
-    const std::uint64_t cap =
-        entriesPer == 64 ? ~std::uint64_t{0}
-                         : (std::uint64_t{1} << entriesPer) - 1;
-    const unsigned slot =
-        static_cast<unsigned>(std::countr_zero(~b.valid & cap));
-    assert(slot < entriesPer);
-    b.valid |= std::uint64_t{1} << slot;
-    b.seqs[slot] = seq;
-    ++b.gens[slot];
-    return SlotRef{static_cast<std::uint16_t>(s),
-                   static_cast<std::uint16_t>(slot)};
+#endif
+    setBit(wordOf(ref).valid, ref.slot, true);
+    seqs[ref.slot] = seq;
+    ++gens[ref.slot];
+    ++counts[s];
+    return ref;
 }
 
 void
 SchedulerBank::squashAfter(std::uint64_t seq)
 {
-    for (Bank &b : banks) {
-        if (!wakeupCapable()) {
-            b.queue.erase(
-                std::remove_if(b.queue.begin(), b.queue.end(),
-                               [seq](std::uint64_t e) { return e > seq; }),
-                b.queue.end());
-            continue;
-        }
-        for (std::uint64_t m = b.valid; m; m &= m - 1) {
-            const unsigned slot =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (b.seqs[slot] > seq)
-                removeSlot(b, slot);
+    for (unsigned s = 0; s < counts.size(); ++s) {
+        for (unsigned wi = 0; wi < wordsPer; ++wi) {
+            for (std::uint64_t m = words[s * wordsPer + wi].valid; m;
+                 m &= m - 1) {
+                const unsigned slot =
+                    wi * 64 + static_cast<unsigned>(std::countr_zero(m));
+                if (seqs[slot] > seq) {
+                    removeSlot(SlotRef{static_cast<std::uint16_t>(s),
+                                       static_cast<std::uint16_t>(slot)});
+                }
+            }
         }
     }
     // A flush that emptied the whole window restarts steering at
@@ -90,18 +86,9 @@ std::size_t
 SchedulerBank::occupancy() const
 {
     std::size_t n = 0;
-    for (std::size_t s = 0; s < banks.size(); ++s)
-        n += occupancyOf(static_cast<unsigned>(s));
+    for (const unsigned c : counts)
+        n += c;
     return n;
-}
-
-std::size_t
-SchedulerBank::occupancyOf(unsigned s) const
-{
-    const Bank &b = banks[s];
-    return wakeupCapable()
-               ? static_cast<std::size_t>(std::popcount(b.valid))
-               : b.queue.size();
 }
 
 } // namespace rbsim

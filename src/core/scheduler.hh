@@ -7,8 +7,10 @@
  * (2 x 64 for the 4-wide machine, 4 x 32 for the 8-wide machine). Pairs
  * of consecutive instructions are steered round-robin at dispatch.
  *
- * Each scheduler keeps fixed entry slots and three per-slot bit masks,
- * the in-simulator image of Figure 8's latched RESOURCE AVAILABLE bits:
+ * Every scheduler entry is also a ROB entry, so entries are addressed by
+ * their ROB slot (seq mod W, W = bit_ceil(robEntries)) and each
+ * scheduler keeps three W-bit masks over those slots, the in-simulator
+ * image of Figure 8's latched RESOURCE AVAILABLE bits:
  *
  *  - `ready`: every operand is obtainable this cycle. Maintained by the
  *    core via availability events broadcast when producers are selected
@@ -16,15 +18,17 @@
  *    availability holes), not recomputed by polling.
  *  - `hole`: the entry is blocked *only* by availability holes this
  *    cycle (drives the hole-wait accounting without a per-entry poll).
- *  - `storeScan`: an unrecorded-address store whose base register's
- *    producer is known; it wants early address generation when scanned.
+ *  - `storeScan`: an unrecorded-address store; it wants early address
+ *    generation when scanned.
  *
- * Select is then an oldest-first scan over the union of the masks: up
+ * Live seqs lie in [head, head + robEntries), so walking the slots from
+ * the ROB head's slot upward, wrapping once, visits entries oldest
+ * first — no sort. Select is that walk over the union of the masks: up
  * to `select_width` ready entries issue, non-ready attention entries get
  * their per-cycle side effects (hole statistics, early store AGEN). The
- * legacy per-entry polling loop is kept as `selectCycle` — it is the
- * debug/oracle path and the fallback when a scheduler holds more than 64
- * entries (masks are one `uint64_t` wide).
+ * per-entry polling loop is kept as `selectCycle`, the debug/oracle
+ * path; it walks the valid mask in the same order. A per-scheduler
+ * occupancy count enforces `entries_per`.
  *
  * Both select paths take their callbacks as template parameters so the
  * readiness/issue code of OooCore inlines into the scan (no
@@ -34,7 +38,6 @@
 #ifndef RBSIM_CORE_SCHEDULER_HH
 #define RBSIM_CORE_SCHEDULER_HH
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -49,7 +52,7 @@ namespace rbsim
 class SchedulerBank
 {
   public:
-    /** A (scheduler, slot) coordinate of an inserted entry. */
+    /** A (scheduler, ROB slot) coordinate of an inserted entry. */
     struct SlotRef
     {
         std::uint16_t sched = 0;
@@ -60,9 +63,11 @@ class SchedulerBank
      * @param num_schedulers scheduler count
      * @param entries_per capacity of each scheduler
      * @param select_width instructions each scheduler picks per cycle
+     * @param rob_entries ROB capacity; entries are addressed by ROB slot
+     *        and live seqs must lie within one ROB window
      */
     SchedulerBank(unsigned num_schedulers, unsigned entries_per,
-                  unsigned select_width = 2);
+                  unsigned select_width, unsigned rob_entries);
 
     /** Scheduler the next dispatch group goes to (round-robin pairs). */
     unsigned steerTarget() const { return rrIndex; }
@@ -71,30 +76,24 @@ class SchedulerBank
     void advanceSteering();
 
     /** Can scheduler s accept another entry? */
-    bool hasSpace(unsigned s) const;
+    bool
+    hasSpace(unsigned s) const
+    {
+        assert(s < counts.size());
+        return counts[s] < entriesPer;
+    }
 
     /**
-     * Insert an instruction (by sequence number) into scheduler s.
+     * Insert an instruction (by sequence number) into scheduler s. Its
+     * slot is the ROB slot of `seq`, which no other entry may hold.
      * @return the slot the wakeup masks address it by
      */
     SlotRef insert(unsigned s, std::uint64_t seq);
 
-    /** Back to construction state in place: masks, slot seqs and reuse
-     * generations cleared (a reset core re-issues identical (ref, gen)
-     * pairs for determinism), fallback queues emptied with capacity
-     * kept, steering restarted at scheduler 0. */
-    void
-    reset()
-    {
-        for (Bank &b : banks) {
-            std::fill(b.seqs.begin(), b.seqs.end(), 0);
-            std::fill(b.gens.begin(), b.gens.end(), 0);
-            b.queue.clear();
-            b.valid = b.ready = b.hole = b.storeScan = 0;
-        }
-        rrIndex = 0;
-        steerCount = 0;
-    }
+    /** Back to construction state in place: masks, slot seqs, counts and
+     * reuse generations cleared (a reset core re-issues identical (ref,
+     * gen) pairs for determinism), steering restarted at scheduler 0. */
+    void reset();
 
     /** Remove every entry younger than seq (squash). A squash that
      * empties every scheduler also resets the steering state, so
@@ -106,18 +105,14 @@ class SchedulerBank
     std::size_t occupancy() const;
 
     /** Occupancy of one scheduler. */
-    std::size_t occupancyOf(unsigned s) const;
+    std::size_t occupancyOf(unsigned s) const { return counts[s]; }
 
     /** Number of schedulers. */
     unsigned numSchedulers() const
-    { return static_cast<unsigned>(banks.size()); }
+    { return static_cast<unsigned>(counts.size()); }
 
     /** Entries each scheduler can hold. */
     unsigned capacityPer() const { return entriesPer; }
-
-    /** True when the bitset wakeup array is usable (<= 64 slots per
-     * scheduler); otherwise only the polled path works. */
-    bool wakeupCapable() const { return entriesPer <= 64; }
 
     // ------------------------------------------------- wakeup array
 
@@ -125,29 +120,28 @@ class SchedulerBank
     void
     setReady(SlotRef r, bool on)
     {
-        setBit(banks[r.sched].ready, r.slot, on);
+        setBit(wordOf(r).ready, r.slot, on);
     }
 
     /** Latch/clear the blocked-only-by-holes bit of a slot. */
     void
     setHole(SlotRef r, bool on)
     {
-        setBit(banks[r.sched].hole, r.slot, on);
+        setBit(wordOf(r).hole, r.slot, on);
     }
 
     /** Latch/clear the wants-early-store-AGEN bit of a slot. */
     void
     setStoreScan(SlotRef r, bool on)
     {
-        setBit(banks[r.sched].storeScan, r.slot, on);
+        setBit(wordOf(r).storeScan, r.slot, on);
     }
 
     /** Is the slot's ready bit set? */
-    bool
-    isReady(SlotRef r) const
-    {
-        return banks[r.sched].ready >> r.slot & 1;
-    }
+    bool isReady(SlotRef r) const { return wordOf(r).ready >> bitOf(r) & 1; }
+
+    /** Is the slot's hole bit set? */
+    bool isHole(SlotRef r) const { return wordOf(r).hole >> bitOf(r) & 1; }
 
     /** Does the slot currently hold this sequence number?
      *
@@ -161,50 +155,53 @@ class SchedulerBank
     bool
     holds(SlotRef r, std::uint64_t seq) const
     {
-        const Bank &b = banks[r.sched];
-        return (b.valid >> r.slot & 1) && b.seqs[r.slot] == seq;
+        return isValid(r) && seqs[r.slot] == seq;
     }
 
     /** Generation of a slot; bumped on every insert, so a (ref, gen)
      * pair names one occupancy of the slot. */
-    std::uint32_t
-    genOf(SlotRef r) const
-    {
-        return banks[r.sched].gens[r.slot];
-    }
+    std::uint32_t genOf(SlotRef r) const { return gens[r.slot]; }
 
     /** Is the occupancy named by (ref, gen) still live (not issued, not
      * squashed, slot not reused)? */
     bool
     live(SlotRef r, std::uint32_t gen) const
     {
-        const Bank &b = banks[r.sched];
-        return (b.valid >> r.slot & 1) && b.gens[r.slot] == gen;
+        return isValid(r) && gens[r.slot] == gen;
     }
-
-    /** Ready mask of one scheduler (tests, oracle). */
-    std::uint64_t readyMaskOf(unsigned s) const { return banks[s].ready; }
-
-    /** Hole mask of one scheduler (tests, oracle). */
-    std::uint64_t holeMaskOf(unsigned s) const { return banks[s].hole; }
-
-    /** Valid mask of one scheduler (tests, oracle). */
-    std::uint64_t validMaskOf(unsigned s) const { return banks[s].valid; }
 
     /** Sequence number held by a slot (must be valid). */
     std::uint64_t
-    seqAt(unsigned s, unsigned slot) const
+    seqAt(SlotRef r) const
     {
-        assert(banks[s].valid >> slot & 1);
-        return banks[s].seqs[slot];
+        assert(isValid(r));
+        return seqs[r.slot];
+    }
+
+    /** Call `fn(ref, seq)` for every entry of scheduler s, in slot
+     * order (tests, oracle). */
+    template <class Fn>
+    void
+    forEachEntry(unsigned s, Fn &&fn) const
+    {
+        for (unsigned wi = 0; wi < wordsPer; ++wi) {
+            for (std::uint64_t m = words[s * wordsPer + wi].valid; m;
+                 m &= m - 1) {
+                const unsigned slot =
+                    wi * 64 + static_cast<unsigned>(std::countr_zero(m));
+                fn(SlotRef{static_cast<std::uint16_t>(s),
+                           static_cast<std::uint16_t>(slot)},
+                   seqs[slot]);
+            }
+        }
     }
 
     /** Any ready bit set across all schedulers? */
     bool
     anyReady() const
     {
-        for (const Bank &b : banks)
-            if (b.ready)
+        for (const Words &w : words)
+            if (w.ready)
                 return true;
         return false;
     }
@@ -213,72 +210,53 @@ class SchedulerBank
     bool
     anyAttention() const
     {
-        for (const Bank &b : banks)
-            if (b.hole | b.storeScan)
+        for (const Words &w : words)
+            if (w.hole | w.storeScan)
                 return true;
         return false;
     }
 
     /**
      * Event-driven select cycle: for each scheduler, walk the union of
-     * the ready/hole/storeScan masks oldest-first. Ready entries are
-     * offered to `try_issue(seq, scheduler)`: a true return issues and
-     * removes the entry (counting against select_width); false (a load
-     * failing memory disambiguation) leaves it latched. Non-ready
-     * attention entries get `attend(seq, scheduler, slot)` for their
-     * per-cycle side effects. The walk stops once the select ports are
-     * exhausted, exactly like the polled scan.
+     * the ready/hole/storeScan masks oldest-first, starting at the slot
+     * of `head` (the ROB head's seq). Ready entries are offered to
+     * `try_issue(seq, scheduler)`: a true return issues and removes the
+     * entry (counting against select_width); false (a load failing
+     * memory disambiguation) leaves it latched. Non-ready attention
+     * entries get `attend(seq, scheduler, slot)` for their per-cycle
+     * side effects. The walk stops once the select ports are exhausted,
+     * exactly like the polled scan.
      */
     template <class TryIssue, class Attend>
     void
-    selectWakeup(TryIssue &&try_issue, Attend &&attend)
+    selectWakeup(std::uint64_t head, TryIssue &&try_issue, Attend &&attend)
     {
-        assert(wakeupCapable());
-        for (unsigned s = 0; s < banks.size(); ++s) {
-            Bank &b = banks[s];
-            const std::uint64_t work = b.ready | b.hole | b.storeScan;
-            if (!work)
-                continue;
-            // Age-order the work set; seqs grow monotonically with age.
-            struct Ent
-            {
-                std::uint64_t seq;
-                std::uint8_t slot;
-            };
-            Ent ents[64];
-            unsigned n = 0;
-            for (std::uint64_t m = work; m; m &= m - 1) {
-                const unsigned slot =
-                    static_cast<unsigned>(std::countr_zero(m));
-                ents[n++] = Ent{b.seqs[slot],
-                                static_cast<std::uint8_t>(slot)};
-            }
-            std::sort(ents, ents + n,
-                      [](const Ent &a, const Ent &e) {
-                          return a.seq < e.seq;
-                      });
+        for (unsigned s = 0; s < counts.size(); ++s) {
             unsigned picked = 0;
-            for (unsigned i = 0; i < n && picked < selectWidth; ++i) {
-                const unsigned slot = ents[i].slot;
-                if (b.ready >> slot & 1) {
-                    if (try_issue(ents[i].seq, s)) {
-                        removeSlot(b, slot);
-                        ++picked;
+            walkFrom(
+                s, head,
+                [](const Words &w) { return w.ready | w.hole | w.storeScan; },
+                [&](unsigned slot) {
+                    const SlotRef ref{static_cast<std::uint16_t>(s),
+                                      static_cast<std::uint16_t>(slot)};
+                    if (isReady(ref)) {
+                        if (try_issue(seqs[slot], s)) {
+                            removeSlot(ref);
+                            ++picked;
+                        }
+                    } else {
+                        attend(seqs[slot], s, ref);
                     }
-                } else {
-                    attend(ents[i].seq, s,
-                           SlotRef{static_cast<std::uint16_t>(s),
-                                   static_cast<std::uint16_t>(slot)});
-                }
-            }
+                    return picked < selectWidth;
+                });
         }
     }
 
     // ------------------------------------------------- polled select
 
     /**
-     * Legacy polled select cycle: for each scheduler, scan entries
-     * oldest-first and pick up to select_width for which
+     * Polled select cycle: for each scheduler, scan entries oldest-first
+     * from the slot of `head` and pick up to select_width for which
      * `ready(seq, scheduler)` holds; picked entries are removed and
      * reported via `issue`. Once the select ports are exhausted the rest
      * are not evaluated. This is the Figure 8 *oracle*: readiness is
@@ -286,96 +264,107 @@ class SchedulerBank
      */
     template <class Ready, class Issue>
     void
-    selectCycle(Ready &&ready, Issue &&issue)
+    selectCycle(std::uint64_t head, Ready &&ready, Issue &&issue)
     {
-        for (unsigned s = 0; s < banks.size(); ++s) {
-            Bank &b = banks[s];
-            if (!wakeupCapable()) {
-                selectQueue(b, s, ready, issue);
-                continue;
-            }
-            struct Ent
-            {
-                std::uint64_t seq;
-                std::uint8_t slot;
-            };
-            Ent ents[64];
-            unsigned n = 0;
-            for (std::uint64_t m = b.valid; m; m &= m - 1) {
-                const unsigned slot =
-                    static_cast<unsigned>(std::countr_zero(m));
-                ents[n++] = Ent{b.seqs[slot],
-                                static_cast<std::uint8_t>(slot)};
-            }
-            std::sort(ents, ents + n,
-                      [](const Ent &a, const Ent &e) {
-                          return a.seq < e.seq;
-                      });
+        for (unsigned s = 0; s < counts.size(); ++s) {
             unsigned picked = 0;
-            for (unsigned i = 0; i < n && picked < selectWidth; ++i) {
-                if (ready(ents[i].seq, s)) {
-                    issue(ents[i].seq, s);
-                    removeSlot(b, ents[i].slot);
-                    ++picked;
-                }
-            }
+            walkFrom(
+                s, head, [](const Words &w) { return w.valid; },
+                [&](unsigned slot) {
+                    const std::uint64_t seq = seqs[slot];
+                    if (ready(seq, s)) {
+                        issue(seq, s);
+                        removeSlot(SlotRef{static_cast<std::uint16_t>(s),
+                                           static_cast<std::uint16_t>(
+                                               slot)});
+                        ++picked;
+                    }
+                    return picked < selectWidth;
+                });
         }
     }
 
   private:
-    struct Bank
+    /** One 64-slot word of a scheduler's masks. */
+    struct Words
     {
-        std::vector<std::uint64_t> seqs; //!< per-slot seq (wakeup mode)
-        std::vector<std::uint32_t> gens; //!< per-slot reuse generation
-        std::vector<std::uint64_t> queue; //!< age-ordered (fallback mode)
         std::uint64_t valid = 0;
         std::uint64_t ready = 0;
         std::uint64_t hole = 0;
         std::uint64_t storeScan = 0;
     };
 
+    static unsigned bitOf(SlotRef r) { return r.slot & 63u; }
+
+    Words &
+    wordOf(SlotRef r)
+    {
+        return words[r.sched * wordsPer + (r.slot >> 6)];
+    }
+    const Words &
+    wordOf(SlotRef r) const
+    {
+        return words[r.sched * wordsPer + (r.slot >> 6)];
+    }
+
+    bool isValid(SlotRef r) const { return wordOf(r).valid >> bitOf(r) & 1; }
+
     static void
     setBit(std::uint64_t &mask, unsigned slot, bool on)
     {
         if (on)
-            mask |= std::uint64_t{1} << slot;
+            mask |= std::uint64_t{1} << (slot & 63u);
         else
-            mask &= ~(std::uint64_t{1} << slot);
+            mask &= ~(std::uint64_t{1} << (slot & 63u));
     }
 
     void
-    removeSlot(Bank &b, unsigned slot)
+    removeSlot(SlotRef r)
     {
-        const std::uint64_t clear = ~(std::uint64_t{1} << slot);
-        b.valid &= clear;
-        b.ready &= clear;
-        b.hole &= clear;
-        b.storeScan &= clear;
+        Words &w = wordOf(r);
+        const std::uint64_t clear = ~(std::uint64_t{1} << bitOf(r));
+        w.valid &= clear;
+        w.ready &= clear;
+        w.hole &= clear;
+        w.storeScan &= clear;
+        --counts[r.sched];
     }
 
-    /** Old contiguous-queue scan for > 64-entry schedulers. */
-    template <class Ready, class Issue>
+    /**
+     * Visit the set bits of `pick(word)` over scheduler s's words oldest
+     * first: from the slot of `head` up to the top, then from slot 0 up
+     * to it. `visit(slot)` returns false to stop. A word is read when
+     * the walk reaches it; visits only change their own slot's bits.
+     */
+    template <class Pick, class Visit>
     void
-    selectQueue(Bank &b, unsigned s, Ready &&ready, Issue &&issue)
+    walkFrom(unsigned s, std::uint64_t head, Pick &&pick, Visit &&visit)
     {
-        auto &q = b.queue;
-        unsigned picked = 0;
-        std::size_t out = 0;
-        std::size_t i = 0;
-        for (; i < q.size() && picked < selectWidth; ++i) {
-            if (ready(q[i], s)) {
-                issue(q[i], s);
-                ++picked;
-            } else {
-                q[out++] = q[i];
+        const Words *w = &words[s * wordsPer];
+        const unsigned start = static_cast<unsigned>(head) & slotMask;
+        const unsigned first = start >> 6;
+        const std::uint64_t upper = ~std::uint64_t{0} << (start & 63u);
+        for (unsigned k = 0; k <= wordsPer; ++k) {
+            const unsigned wi = (first + k) & (wordsPer - 1);
+            std::uint64_t m = pick(w[wi]);
+            if (k == 0)
+                m &= upper;
+            else if (k == wordsPer)
+                m &= ~upper;
+            for (; m; m &= m - 1) {
+                if (!visit(wi * 64 +
+                           static_cast<unsigned>(std::countr_zero(m))))
+                    return;
             }
         }
-        for (; i < q.size(); ++i)
-            q[out++] = q[i];
-        q.resize(out);
     }
 
-    std::vector<Bank> banks;
+    std::vector<Words> words;        //!< scheduler-major, wordsPer each
+    std::vector<std::uint64_t> seqs; //!< per ROB slot: occupant's seq
+    std::vector<std::uint32_t> gens; //!< per ROB slot: reuse generation
+    std::vector<unsigned> counts;    //!< per scheduler: occupancy
+    unsigned wordsPer;
+    unsigned slotMask;
     unsigned entriesPer;
     unsigned selectWidth;
     unsigned rrIndex = 0;

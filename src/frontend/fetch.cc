@@ -21,7 +21,8 @@ FetchEngine::redirect(std::uint64_t pc_index, Cycle now)
 }
 
 unsigned
-FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out)
+FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out,
+                        StaticRing<BpSnapshot> &snaps)
 {
     unsigned fetched = 0;
     if (stopped || now < resumeCycle)
@@ -71,13 +72,14 @@ FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out)
         }
 
         // Control instruction: capture repair state, predict, follow.
-        f.snapshot.globalHistory = predictor.globalHistory();
-        ras.save(f.snapshot);
+        BpSnapshot &snap = snaps.push_back_slot();
+        snap.globalHistory = predictor.globalHistory();
+        ras.save(snap);
+        snap.indices = BpIndices{};
 
         const Inst &inst = f.inst;
         if (isCondBranch(inst.op)) {
-            f.predTaken = predictor.predict(f.pcIndex,
-                                            &f.snapshot.indices);
+            f.predTaken = predictor.predict(f.pcIndex, &snap.indices);
             predictor.speculate(f.pcIndex, f.predTaken);
             f.predNextPc = f.predTaken
                 ? static_cast<std::uint64_t>(

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "common/ring.hh"
 #include "frontend/branch_pred.hh"
 #include "isa/program.hh"
 #include "mem/hierarchy.hh"
@@ -22,17 +23,24 @@
 namespace rbsim
 {
 
-/** One fetched instruction with its prediction state. */
+/** One fetched instruction with its prediction state. A control
+ * instruction's predictor repair state travels separately, as a
+ * BpSnapshot in the snapshot ring fetchCycle() fills. */
 struct FetchedInst
 {
     std::uint64_t pcIndex = 0;
     Inst inst;
+    std::uint64_t predNextPc = 0;
     bool isCtrl = false;
     bool predTaken = false;
-    std::uint64_t predNextPc = 0;
     bool stalledJmp = false;  //!< no predicted target; fetch stalled
-    BpSnapshot snapshot;      //!< predictor state before this branch
 };
+
+// Every fetched instruction is copied into the fetch buffer and then
+// the front pipe, and about two thirds of them are squashed; the
+// 152-byte BpSnapshot of a control instruction therefore travels
+// separately, and no other instruction carries one.
+static_assert(sizeof(FetchedInst) <= 64, "keep FetchedInst small");
 
 /** The fetch engine. */
 class FetchEngine
@@ -64,10 +72,14 @@ class FetchEngine
     /**
      * Fetch one cycle's worth of instructions, appending to the
      * caller-owned `out` (not cleared here; the core reuses one buffer
-     * across cycles so the hot path never allocates).
+     * across cycles so the hot path never allocates). Each control
+     * instruction also appends, in fetch order, the predictor state from
+     * just before it was predicted to `snaps`; no other instruction
+     * does. `snaps` must have room for fetchWidth more entries.
      * @return the number of instructions appended (may be 0)
      */
-    unsigned fetchCycle(Cycle now, std::vector<FetchedInst> &out);
+    unsigned fetchCycle(Cycle now, std::vector<FetchedInst> &out,
+                        StaticRing<BpSnapshot> &snaps);
 
     /** Redirect after a branch resolution or squash. */
     void redirect(std::uint64_t pc_index, Cycle now);

@@ -49,6 +49,25 @@ asU64Field(const Json &v, const std::string &key)
     return v.asU64();
 }
 
+/**
+ * A structural machine size: an integer in [lo, hi]. The upper bounds
+ * sit well above every committed machine (ROB 256, 640 physical
+ * registers, 16-wide) yet keep the core's construction-time storage
+ * bounded and every scheduler slot addressable by SlotRef's 16-bit
+ * fields. Out-of-range sizes would trip a core assertion and take the
+ * whole server down, so they are a bad request instead.
+ */
+unsigned
+asSizeField(const Json &v, const std::string &key, std::uint64_t lo,
+            std::uint64_t hi)
+{
+    const std::uint64_t n = asU64Field(v, key);
+    if (n < lo || n > hi)
+        bad("\"" + key + "\" must be in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "]");
+    return static_cast<unsigned>(n);
+}
+
 bool
 asBoolField(const Json &v, const std::string &key)
 {
@@ -371,35 +390,37 @@ configFromJson(const Json &j)
         } else if (key == "label") {
             cfg.label = asStringField(v, key);
         } else if (key == "num_schedulers") {
-            cfg.numSchedulers = static_cast<unsigned>(asU64Field(v, key));
+            cfg.numSchedulers = asSizeField(v, key, 1, 64);
         } else if (key == "sched_entries") {
-            cfg.schedEntries = static_cast<unsigned>(asU64Field(v, key));
+            cfg.schedEntries = asSizeField(v, key, 1, 4096);
         } else if (key == "select_width") {
-            cfg.selectWidth = static_cast<unsigned>(asU64Field(v, key));
+            cfg.selectWidth = asSizeField(v, key, 1, 64);
         } else if (key == "num_clusters") {
             cfg.numClusters = static_cast<unsigned>(asU64Field(v, key));
         } else if (key == "cross_cluster_delay") {
             cfg.crossClusterDelay =
                 static_cast<unsigned>(asU64Field(v, key));
         } else if (key == "fetch_width") {
-            cfg.fetchWidth = static_cast<unsigned>(asU64Field(v, key));
+            cfg.fetchWidth = asSizeField(v, key, 1, 64);
         } else if (key == "fetch_blocks") {
             cfg.fetchBlocks = static_cast<unsigned>(asU64Field(v, key));
         } else if (key == "rename_width") {
-            cfg.renameWidth = static_cast<unsigned>(asU64Field(v, key));
+            cfg.renameWidth = asSizeField(v, key, 1, 64);
         } else if (key == "retire_width") {
-            cfg.retireWidth = static_cast<unsigned>(asU64Field(v, key));
+            cfg.retireWidth = asSizeField(v, key, 1, 64);
         } else if (key == "rob_entries") {
-            cfg.robEntries = static_cast<unsigned>(asU64Field(v, key));
+            cfg.robEntries = asSizeField(v, key, 1, 4096);
         } else if (key == "lsq_entries") {
-            cfg.lsqEntries = static_cast<unsigned>(asU64Field(v, key));
+            cfg.lsqEntries = asSizeField(v, key, 1, 4096);
         } else if (key == "phys_regs") {
-            cfg.physRegs = static_cast<unsigned>(asU64Field(v, key));
+            // The rename table needs a free register beyond the 32
+            // architectural ones.
+            cfg.physRegs = asSizeField(v, key, numArchRegs + 1, 8192);
         } else if (key == "fetch_decode_depth") {
-            cfg.fetchDecodeDepth =
-                static_cast<unsigned>(asU64Field(v, key));
+            // Depths size the front pipe (fetch_width per stage).
+            cfg.fetchDecodeDepth = asSizeField(v, key, 0, 64);
         } else if (key == "rename_depth") {
-            cfg.renameDepth = static_cast<unsigned>(asU64Field(v, key));
+            cfg.renameDepth = asSizeField(v, key, 0, 64);
         } else if (key == "rf_read_depth") {
             cfg.rfReadDepth = static_cast<unsigned>(asU64Field(v, key));
         } else if (key == "num_bypass_levels") {

@@ -5,7 +5,8 @@ Exercised through the CLI (subprocess), matching how CI calls it. The
 cases that matter historically: a zero-IPC cell (deadlock-aborted run)
 used to either raise ZeroDivisionError from hmean() or be silently
 "skipped" with exit 0; both must now be a reported exit-2 failure
-naming the offending cell.
+naming the offending cell. --exact must refuse anything but the same
+simulations: an IPC rise, a moved counter, a missing cell.
 """
 
 import json
@@ -217,6 +218,67 @@ class BenchDiffTest(unittest.TestCase):
         r = self.run_diff(old, new)
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
         self.assertNotIn("Traceback", r.stderr)
+
+    def stats_dump(self, cells):
+        """cells: (machine, workload, ipc, holeWaitCycles)."""
+        doc = dump([(m, w, ipc) for m, w, ipc, _ in cells])
+        for jc, (_, _, ipc, holes) in zip(doc["cells"], cells):
+            jc["stats"] = {
+                "counters": {"core.cycles": 1000,
+                             "core.holeWaitCycles": holes},
+                "formulas": {"core.ipc": ipc},
+                "vectors": {"core.holeWait": [holes, 0]},
+            }
+        return doc
+
+    def test_exact_equal_dumps_pass(self):
+        doc = self.stats_dump([("Baseline", "go", 0.9, 0),
+                               ("RB-limited", "go", 1.1, 7)])
+        r = self.run_diff(doc, doc, "--exact")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("exact — 2 cells", r.stdout)
+
+    def test_exact_fails_on_ipc_rise(self):
+        """An IPC rise passes the hmean gate at --threshold 0 but is not
+        the same simulation."""
+        old = self.stats_dump([("Baseline", "go", 0.9, 0)])
+        new = self.stats_dump([("Baseline", "go", 0.95, 0)])
+        r = self.run_diff(old, new, "--threshold", "0")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        r = self.run_diff(old, new, "--threshold", "0", "--exact")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("'Baseline'", r.stdout)
+        self.assertIn("ipc 0.9 -> 0.95", r.stdout)
+
+    def test_exact_fails_on_moved_counter_with_equal_ipc(self):
+        old = self.stats_dump([("RB-limited", "li", 1.2, 40),
+                               ("RB-limited", "go", 1.1, 7)])
+        new = self.stats_dump([("RB-limited", "li", 1.2, 40),
+                               ("RB-limited", "go", 1.1, 8)])
+        r = self.run_diff(old, new, "--exact")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("workload='go'", r.stdout)
+        self.assertIn("stat counters/core.holeWaitCycles 7 -> 8",
+                      r.stdout)
+
+    def test_exact_fails_on_missing_cell(self):
+        old = self.stats_dump([("Ideal", "gcc", 2.0, 0),
+                               ("Ideal", "li", 2.1, 0)])
+        new = self.stats_dump([("Ideal", "gcc", 2.0, 0)])
+        r = self.run_diff(old, new, "--exact")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("workload='li'", r.stdout)
+        self.assertIn("missing from the new dump", r.stdout)
+        r = self.run_diff(new, old, "--exact")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("missing from the old dump", r.stdout)
+
+    def test_exact_skips_ci_cells(self):
+        """Sampled cells keep their statistical gate under --exact."""
+        old = self.ci_dump([("RB-full", "compress", 1.50, 0.10)])
+        new = self.ci_dump([("RB-full", "compress", 1.45, 0.10)])
+        r = self.run_diff(old, new, "--exact")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
     def test_ipc_regression_wins_over_speed_gate_pass(self):
         old = dump([("Baseline", "espresso", 1.5)], sim_khz=100.0)

@@ -126,7 +126,7 @@ TEST(Scoreboard, BypassCaseClassification)
 
 TEST(Scheduler, RoundRobinPairSteering)
 {
-    SchedulerBank bank(4, 32);
+    SchedulerBank bank(4, 32, 2, 128);
     std::vector<unsigned> targets;
     for (int i = 0; i < 8; ++i) {
         targets.push_back(bank.steerTarget());
@@ -139,11 +139,11 @@ TEST(Scheduler, RoundRobinPairSteering)
 
 TEST(Scheduler, SelectsOldestFirstUpToWidth)
 {
-    SchedulerBank bank(1, 8, 2);
+    SchedulerBank bank(1, 8, 2, 16);
     for (std::uint64_t s = 1; s <= 5; ++s)
         bank.insert(0, s);
     std::vector<std::uint64_t> issued;
-    bank.selectCycle([](std::uint64_t, unsigned) { return true; },
+    bank.selectCycle(1, [](std::uint64_t, unsigned) { return true; },
                      [&issued](std::uint64_t s, unsigned) {
                          issued.push_back(s);
                      });
@@ -153,12 +153,12 @@ TEST(Scheduler, SelectsOldestFirstUpToWidth)
 
 TEST(Scheduler, SkipsNotReadyEntries)
 {
-    SchedulerBank bank(1, 8, 2);
+    SchedulerBank bank(1, 8, 2, 16);
     for (std::uint64_t s = 1; s <= 4; ++s)
         bank.insert(0, s);
     std::vector<std::uint64_t> issued;
     bank.selectCycle(
-        [](std::uint64_t s, unsigned) { return s % 2 == 0; },
+        1, [](std::uint64_t s, unsigned) { return s % 2 == 0; },
         [&issued](std::uint64_t s, unsigned) { issued.push_back(s); });
     EXPECT_EQ(issued, (std::vector<std::uint64_t>{2, 4}));
     EXPECT_EQ(bank.occupancyOf(0), 2u);
@@ -166,7 +166,7 @@ TEST(Scheduler, SkipsNotReadyEntries)
 
 TEST(Scheduler, SquashRemovesYoungEntries)
 {
-    SchedulerBank bank(2, 8);
+    SchedulerBank bank(2, 8, 2, 16);
     bank.insert(0, 1);
     bank.insert(1, 2);
     bank.insert(0, 3);
@@ -177,7 +177,7 @@ TEST(Scheduler, SquashRemovesYoungEntries)
 
 TEST(Scheduler, CapacityPerScheduler)
 {
-    SchedulerBank bank(2, 2);
+    SchedulerBank bank(2, 2, 2, 8);
     bank.insert(0, 1);
     bank.insert(0, 2);
     EXPECT_FALSE(bank.hasSpace(0));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the fetch engine: width/block limits, prediction at
- * fetch, HALT/JMP parking, redirect, and statistics utilities.
+ * fetch, HALT/JMP parking, redirect, per-control-instruction repair
+ * snapshots, and statistics utilities.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +21,15 @@ struct FetchRig
 {
     explicit FetchRig(const Program &p)
         : prog(p), cfg(MachineConfig::make(MachineKind::Ideal, 8)),
-          mem(cfg), fetch(cfg, prog, mem)
+          mem(cfg), fetch(cfg, prog, mem), snaps(256)
     {}
+
+    /** One fetch cycle; snapshots accumulate in `snaps`. */
+    unsigned
+    fetchCycle(Cycle now, std::vector<FetchedInst> &out)
+    {
+        return fetch.fetchCycle(now, out, snaps);
+    }
 
     /** Advance until the engine delivers something (icache warmup). */
     std::vector<FetchedInst>
@@ -29,7 +37,7 @@ struct FetchRig
     {
         for (int tries = 0; tries < 300; ++tries) {
             std::vector<FetchedInst> got;
-            fetch.fetchCycle(now, got);
+            fetchCycle(now, got);
             ++now;
             if (!got.empty())
                 return got;
@@ -43,6 +51,7 @@ struct FetchRig
     MachineConfig cfg;
     MemHierarchy mem;
     FetchEngine fetch;
+    StaticRing<BpSnapshot> snaps;
 };
 
 TEST(Fetch, DeliversUpToEightStraightLine)
@@ -113,7 +122,7 @@ TEST(Fetch, ParksOnHalt)
     EXPECT_EQ(got[1].inst.op, Opcode::HALT);
     EXPECT_TRUE(rig.fetch.parked());
     std::vector<FetchedInst> more;
-    EXPECT_EQ(rig.fetch.fetchCycle(now, more), 0u);
+    EXPECT_EQ(rig.fetchCycle(now, more), 0u);
     EXPECT_TRUE(more.empty());
 }
 
@@ -147,31 +156,77 @@ TEST(Fetch, UnpredictableJmpStalls)
     EXPECT_TRUE(rig.fetch.parked());
 }
 
-TEST(Fetch, CondBranchSnapshotsPredictorState)
+TEST(Fetch, ControlInstructionsSnapshotPredictorState)
 {
+    // Two calls around a conditional branch, straight-line so every
+    // prediction leads to the same next instruction.
     FetchRig rig(assemble(R"(
-            ldiq r1, 5
-        top:
-            subq r1, #1, r1
-            bne r1, top
+            .entry main
+        f:  nop
+            ret r26
+        main:
+            ldiq r1, 1
+            bsr r26, f
+            beq r1, next
+        next:
+            bsr r26, f
             halt
     )"));
     Cycle now = 0;
     std::vector<FetchedInst> all;
-    for (int i = 0; i < 400 && all.size() < 6; ++i) {
-        rig.fetch.fetchCycle(now, all);
-        ++now;
-    }
-    bool saw_branch = false;
-    for (const auto &f : all) {
+    for (int i = 0; i < 400 && !rig.fetch.parked(); ++i)
+        rig.fetchCycle(now++, all);
+    ASSERT_TRUE(rig.fetch.parked());
+    ASSERT_EQ(all.back().inst.op, Opcode::HALT);
+
+    // Exactly one snapshot per control instruction, in fetch order, each
+    // holding the state from just before that instruction: replay the
+    // fetch stream on a shadow predictor and RAS.
+    HybridPredictor shadow;
+    Ras shadow_ras;
+    std::vector<BpSnapshot> bsr_snaps;
+    std::size_t next = 0;
+    for (const FetchedInst &f : all) {
+        EXPECT_EQ(f.isCtrl, isControl(f.inst.op));
+        if (!f.isCtrl)
+            continue;
+        ASSERT_LT(next, rig.snaps.size()) << "pc " << f.pcIndex;
+        const BpSnapshot &got = rig.snaps[next++];
+        BpSnapshot want;
+        want.globalHistory = shadow.globalHistory();
+        shadow_ras.save(want);
+        EXPECT_EQ(got.globalHistory, want.globalHistory) << f.pcIndex;
+        EXPECT_EQ(got.rasTop, want.rasTop) << f.pcIndex;
+        EXPECT_EQ(got.ras, want.ras) << f.pcIndex;
         if (isCondBranch(f.inst.op)) {
-            saw_branch = true;
-            // Snapshot captured (history may legitimately be 0 early; at
-            // least the structure is present and indices latched).
-            EXPECT_EQ(f.inst.op, Opcode::BNE);
+            BpIndices idx;
+            EXPECT_EQ(shadow.predict(f.pcIndex, &idx), f.predTaken);
+            EXPECT_EQ(got.indices.gidx, idx.gidx);
+            EXPECT_EQ(got.indices.lidx, idx.lidx);
+            EXPECT_EQ(got.indices.cidx, idx.cidx);
+            shadow.speculate(f.pcIndex, f.predTaken);
+        } else if (f.inst.op == Opcode::BSR) {
+            bsr_snaps.push_back(got);
+            shadow_ras.push(rig.prog.byteAddrOf(f.pcIndex + 1));
+        } else if (f.inst.op == Opcode::JMP) {
+            shadow_ras.pop();
         }
     }
-    EXPECT_TRUE(saw_branch);
+    // No snapshot for any other instruction: bsr, ret, beq, bsr, ret.
+    EXPECT_EQ(next, 5u);
+    EXPECT_EQ(rig.snaps.size(), next);
+
+    // The second bsr's snapshot is the state before it pushed: the top
+    // is back where the first return left it, the slot above still
+    // holds the first call's return address, and the history holds the
+    // beq's predicted direction.
+    ASSERT_EQ(bsr_snaps.size(), 2u);
+    const std::uint64_t first_bsr = rig.prog.entry + 1;
+    EXPECT_EQ(bsr_snaps[1].rasTop, bsr_snaps[0].rasTop);
+    EXPECT_EQ(bsr_snaps[1].ras[(bsr_snaps[1].rasTop + 1) % 16],
+              rig.prog.byteAddrOf(first_bsr + 1));
+    EXPECT_EQ(bsr_snaps[1].globalHistory & 1,
+              all[4].predTaken ? 1u : 0u);
 }
 
 TEST(Stats, Means)

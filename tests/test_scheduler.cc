@@ -1,11 +1,12 @@
 /**
  * @file
- * Scheduler-bank and wakeup-array tests: oldest-first select, width
+ * Scheduler-bank and wakeup-array tests: oldest-first select from the
+ * ROB head's slot (including across the wrap of the slot space), width
  * exhaustion, squash, steering round-robin with reset-on-empty, the
  * randomized wakeup-vs-polled select agreement, and whole-machine
  * statistic bit-identity between the bitset wakeup array and the polled
- * debug path (including the per-cycle oracle cross-check mode and the
- * retirement-progress watchdog).
+ * debug path (including the per-cycle oracle cross-check mode, a
+ * monolithic 128-entry scheduler, and the retirement-progress watchdog).
  */
 
 #include <gtest/gtest.h>
@@ -31,27 +32,82 @@ namespace
 
 TEST(Scheduler, SelectsOldestFirstAcrossSlotOrder)
 {
-    SchedulerBank bank(1, 8, 2);
-    // Insert, remove, reinsert so slot order diverges from age order.
-    bank.insert(0, 1);
-    bank.insert(0, 2);
-    bank.insert(0, 3);
-    bank.squashAfter(2); // frees slot of seq 3
-    bank.insert(0, 4);   // reuses the lowest free slot
-    bank.insert(0, 5);
+    // An 8-slot ROB whose head seq 6 sits in slot 6: seqs 8..10 wrap
+    // into slots 0..2, so slot order (8, 9, 10, 6, 7) is not age order.
+    SchedulerBank bank(1, 8, 2, 8);
+    for (std::uint64_t seq = 6; seq <= 10; ++seq)
+        bank.insert(0, seq);
 
     std::vector<std::uint64_t> issued;
     bank.selectCycle(
-        [](std::uint64_t, unsigned) { return true; },
+        6, [](std::uint64_t, unsigned) { return true; },
         [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
-    ASSERT_EQ(issued.size(), 2u);
-    EXPECT_EQ(issued[0], 1u);
-    EXPECT_EQ(issued[1], 2u);
+    EXPECT_EQ(issued, (std::vector<std::uint64_t>{6, 7}));
+
+    // With the head now at 8 (6 and 7 retired), the low slots come first.
+    issued.clear();
+    bank.selectCycle(
+        8, [](std::uint64_t, unsigned) { return true; },
+        [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
+    EXPECT_EQ(issued, (std::vector<std::uint64_t>{8, 9}));
+}
+
+TEST(Scheduler, WakeupSelectAndSquashAcrossTheWindowWrap)
+{
+    // A 128-entry ROB (two mask words): the head sits in slot 125 and
+    // the younger entries wrap into slots 0..3. Both schedulers must
+    // still issue oldest-first, and a squash cutting inside the wrapped
+    // part removes exactly the younger entries.
+    SchedulerBank bank(2, 64, 2, 128);
+    const std::uint64_t head = 3 * 128 + 125;
+    std::map<std::uint64_t, SchedulerBank::SlotRef> refs;
+    for (std::uint64_t seq = head; seq < head + 7; ++seq)
+        refs[seq] = bank.insert(static_cast<unsigned>(seq % 2), seq);
+    EXPECT_EQ(refs[head].slot, 125u);
+    EXPECT_EQ(refs[head + 3].slot, 0u);
+    EXPECT_EQ(refs[head + 6].slot, 3u);
+
+    // Everything ready except the head: attention visits come in age
+    // order too (the head is hole-blocked).
+    for (const auto &[seq, ref] : refs)
+        bank.setReady(ref, seq != head);
+    bank.setHole(refs[head], true);
+    std::vector<std::uint64_t> issued;
+    std::vector<std::uint64_t> attended;
+    bank.selectWakeup(
+        head,
+        [&issued](std::uint64_t seq, unsigned) {
+            issued.push_back(seq);
+            return true;
+        },
+        [&attended](std::uint64_t seq, unsigned, SchedulerBank::SlotRef) {
+            attended.push_back(seq);
+        });
+    // Scheduler 0 (even seqs) takes head+1 (slot 126), then wraps to
+    // head+3 (slot 0). Scheduler 1 attends the head (slot 125), then
+    // takes head+2 (slot 127) and wraps to head+4 (slot 1).
+    EXPECT_EQ(attended, (std::vector<std::uint64_t>{head}));
+    EXPECT_EQ(issued, (std::vector<std::uint64_t>{head + 1, head + 3,
+                                                  head + 2, head + 4}));
+    EXPECT_EQ(bank.occupancy(), 3u); // head, head+5, head+6
+
+    // Squash after head+5 (slot 2): only head+6 (slot 3) goes; the head
+    // in slot 125 and head+5 survive although their slots straddle it.
+    bank.squashAfter(head + 5);
+    EXPECT_EQ(bank.occupancy(), 2u);
+    EXPECT_TRUE(bank.live(refs[head], bank.genOf(refs[head])));
+    EXPECT_TRUE(bank.live(refs[head + 5], bank.genOf(refs[head + 5])));
+    EXPECT_FALSE(bank.holds(refs[head + 6], head + 6));
+
+    // Squash after the head: the wrapped entry goes, the head stays.
+    bank.squashAfter(head);
+    EXPECT_EQ(bank.occupancy(), 1u);
+    EXPECT_TRUE(bank.holds(refs[head], head));
 }
 
 TEST(Scheduler, SelectWidthExhaustionStopsTheScan)
 {
-    SchedulerBank bank(1, 16, 2);
+    SchedulerBank bank(1, 16, 2, 16);
     for (std::uint64_t s = 1; s <= 6; ++s)
         bank.insert(0, s);
     // Seqs 1 and 2 are not ready; 3..6 are. Width 2 must pick 3 and 4,
@@ -59,6 +115,7 @@ TEST(Scheduler, SelectWidthExhaustionStopsTheScan)
     std::vector<std::uint64_t> polled;
     std::vector<std::uint64_t> issued;
     bank.selectCycle(
+        1,
         [&polled](std::uint64_t seq, unsigned) {
             polled.push_back(seq);
             return seq >= 3;
@@ -71,7 +128,7 @@ TEST(Scheduler, SelectWidthExhaustionStopsTheScan)
 
 TEST(Scheduler, SquashAfterRemovesYoungerEntriesOnly)
 {
-    SchedulerBank bank(2, 8, 2);
+    SchedulerBank bank(2, 8, 2, 16);
     bank.insert(0, 10);
     bank.insert(0, 12);
     bank.insert(1, 11);
@@ -83,7 +140,7 @@ TEST(Scheduler, SquashAfterRemovesYoungerEntriesOnly)
 
     std::vector<std::uint64_t> issued;
     bank.selectCycle(
-        [](std::uint64_t, unsigned) { return true; },
+        10, [](std::uint64_t, unsigned) { return true; },
         [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
     std::sort(issued.begin(), issued.end());
     EXPECT_EQ(issued, (std::vector<std::uint64_t>{10, 11}));
@@ -91,7 +148,7 @@ TEST(Scheduler, SquashAfterRemovesYoungerEntriesOnly)
 
 TEST(Scheduler, SteeringRoundRobinByPairs)
 {
-    SchedulerBank bank(4, 8, 2);
+    SchedulerBank bank(4, 8, 2, 32);
     std::vector<unsigned> targets;
     for (unsigned i = 0; i < 10; ++i) {
         targets.push_back(bank.steerTarget());
@@ -103,7 +160,7 @@ TEST(Scheduler, SteeringRoundRobinByPairs)
 
 TEST(Scheduler, SquashToEmptyResetsSteering)
 {
-    SchedulerBank bank(4, 8, 2);
+    SchedulerBank bank(4, 8, 2, 32);
     bank.insert(0, 1);
     // Advance steering mid-pair and onto scheduler 1.
     bank.advanceSteering();
@@ -127,14 +184,14 @@ TEST(Scheduler, SquashToEmptyResetsSteering)
 
 TEST(Scheduler, WakeupSlotRefsValidateAgainstReuse)
 {
-    SchedulerBank bank(1, 8, 2);
+    SchedulerBank bank(1, 8, 2, 8);
     const auto r1 = bank.insert(0, 1);
     const auto g1 = bank.genOf(r1);
     EXPECT_TRUE(bank.holds(r1, 1));
     EXPECT_TRUE(bank.live(r1, g1));
     bank.squashAfter(0);
     EXPECT_FALSE(bank.live(r1, g1));
-    const auto r2 = bank.insert(0, 2); // reuses slot 0
+    const auto r2 = bank.insert(0, 9); // one ROB lap later: slot 1 again
     EXPECT_EQ(r2.slot, r1.slot);
     EXPECT_FALSE(bank.live(r1, g1)); // old generation stays dead
     EXPECT_TRUE(bank.live(r2, bank.genOf(r2)));
@@ -148,7 +205,7 @@ TEST(Scheduler, SeqCheckAcceptsRecycledSlotButGenCheckDoesNot)
     // dispatched right after a squash reuses both the freed slot AND
     // the squashed occupant's seq. A seq-based check cannot tell the
     // two occupancies apart; the generation counter can.
-    SchedulerBank bank(1, 8, 2);
+    SchedulerBank bank(1, 8, 2, 8);
     const auto r1 = bank.insert(0, 7);
     const auto g1 = bank.genOf(r1);
     bank.squashAfter(6);               // seq 7 squashed, slot freed
@@ -168,29 +225,40 @@ TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
 {
     // Drive two identical banks — one via latched ready bits, one via a
     // per-entry readiness poll — through randomized insert/ready/squash
-    // traffic and require identical issue streams every cycle.
+    // traffic and require identical issue streams every cycle, equal to
+    // an oldest-first reference pick. Traffic stays inside one ROB
+    // window: a lagging head (the oldest unretired seq) bounds the
+    // youngest seq, and runs last long enough to wrap the slot space.
     std::mt19937_64 rng(7);
     for (unsigned trial = 0; trial < 50; ++trial) {
         const unsigned entries = 1 + static_cast<unsigned>(rng() % 32);
         const unsigned width = 1 + static_cast<unsigned>(rng() % 3);
-        SchedulerBank wake(2, entries, width);
-        SchedulerBank poll(2, entries, width);
+        const unsigned rob = 2 * entries + static_cast<unsigned>(rng() % 64);
+        SchedulerBank wake(2, entries, width, rob);
+        SchedulerBank poll(2, entries, width, rob);
         std::uint64_t next_seq = 1;
-        // seq -> (readyFrom cycle); slot refs for the wakeup bank.
+        std::uint64_t head = 1;
+        // seq -> (readyFrom cycle, scheduler); slot refs for the wakeup
+        // bank.
         std::map<std::uint64_t, Cycle> ready_from;
+        std::map<std::uint64_t, unsigned> sched_of;
         std::map<std::uint64_t, SchedulerBank::SlotRef> refs;
         std::set<std::uint64_t> live;
 
-        for (Cycle t = 0; t < 40; ++t) {
+        for (Cycle t = 0; t < 200; ++t) {
+            // Retire lazily: the head may trail the oldest live entry.
+            if (rng() % 2)
+                head = live.empty() ? next_seq : *live.begin();
             // Random inserts.
             for (unsigned k = 0; k < rng() % 4; ++k) {
                 const unsigned s = static_cast<unsigned>(rng() % 2);
-                if (!wake.hasSpace(s))
+                if (!wake.hasSpace(s) || next_seq >= head + rob)
                     continue;
                 const std::uint64_t seq = next_seq++;
                 const auto ref = wake.insert(s, seq);
                 poll.insert(s, seq);
                 refs[seq] = ref;
+                sched_of[seq] = s;
                 ready_from[seq] = t + 1 + rng() % 6;
                 live.insert(seq);
             }
@@ -205,31 +273,47 @@ TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
                     l = live.erase(l);
             }
             // Latch ready bits that became due this cycle.
-            for (const std::uint64_t seq : live) {
-                if (ready_from[seq] <= t)
+            std::vector<std::uint64_t> expect;
+            for (unsigned s : {0u, 1u}) {
+                unsigned picked = 0;
+                for (const std::uint64_t seq : live) {
+                    if (ready_from[seq] > t || sched_of[seq] != s)
+                        continue;
                     wake.setReady(refs[seq], true);
+                    if (picked < width) {
+                        expect.push_back(seq);
+                        ++picked;
+                    }
+                }
             }
             std::vector<std::uint64_t> from_wake;
             std::vector<std::uint64_t> from_poll;
             wake.selectWakeup(
+                head,
                 [&from_wake](std::uint64_t seq, unsigned) {
                     from_wake.push_back(seq);
                     return true;
                 },
                 [](std::uint64_t, unsigned, SchedulerBank::SlotRef) {});
             poll.selectCycle(
+                head,
                 [&](std::uint64_t seq, unsigned) {
                     return ready_from[seq] <= t;
                 },
                 [&from_poll](std::uint64_t seq, unsigned) {
                     from_poll.push_back(seq);
                 });
-            ASSERT_EQ(from_wake, from_poll) << "trial " << trial
-                                            << " cycle " << t;
+            ASSERT_EQ(from_wake, expect) << "trial " << trial
+                                         << " cycle " << t;
+            ASSERT_EQ(from_poll, expect) << "trial " << trial
+                                         << " cycle " << t;
             for (const std::uint64_t seq : from_wake)
                 live.erase(seq);
             ASSERT_EQ(wake.occupancy(), poll.occupancy());
+            ASSERT_EQ(wake.occupancy(), live.size());
         }
+        EXPECT_GT(next_seq, rob) << "trial " << trial
+                                 << " never wrapped the slot space";
     }
 }
 
@@ -301,23 +385,32 @@ TEST(WakeupParity, OracleModeCrossChecksEveryCycle)
     }
 }
 
-TEST(WakeupParity, OversizedSchedulerFallsBackToPolledQueue)
+TEST(WakeupParity, MonolithicSchedulerRunsOnTheWakeupArray)
 {
-    // One 128-entry scheduler exceeds the 64-bit masks: the bank must
-    // report itself wakeup-incapable and the core must run (and agree
-    // with itself) on the queue-scan path.
-    SchedulerBank big(1, 128, 8);
-    EXPECT_FALSE(big.wakeupCapable());
-
+    // One 128-entry select-4 scheduler (ablation_partition's monolithic
+    // window): its masks span the ROB's 128 slots in two words. The
+    // wakeup array must agree with the polled path stat for stat, and
+    // survive the per-cycle oracle cross-check.
     WorkloadParams wp;
     const Program prog = findWorkload("compress").build(wp);
     MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 4);
     cfg.numSchedulers = 1;
     cfg.schedEntries = 128;
     cfg.selectWidth = 4;
-    const SimResult r = simulate(cfg, prog);
-    EXPECT_TRUE(r.halted);
-    EXPECT_GT(r.ipc(), 0.0);
+    const SimResult wake = simulate(cfg, prog);
+    ASSERT_TRUE(wake.halted);
+    EXPECT_GT(wake.ipc(), 0.0);
+
+    cfg.polledScheduler = true;
+    const SimResult poll = simulate(cfg, prog);
+    EXPECT_TRUE(wake.stats == poll.stats)
+        << "wakeup ipc=" << wake.ipc() << " polled ipc=" << poll.ipc();
+
+    cfg.polledScheduler = false;
+    cfg.wakeupOracle = true;
+    const SimResult oracle = simulate(cfg, prog);
+    EXPECT_TRUE(oracle.halted);
+    EXPECT_TRUE(oracle.stats == wake.stats);
 }
 
 // ------------------------------------------------- deadlock watchdog

@@ -415,6 +415,58 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     EXPECT_EQ(ts.server.jobsOk(), 1u);
 }
 
+TEST(ServeServer, OutOfRangeMachineSizesAreBadRequests)
+{
+    // Structural sizes reach core constructors and assertions: zero
+    // schedulers or a too-small register file used to abort the whole
+    // server (exit 134) and lose every in-flight job. Each must now be a
+    // structured bad-request, after which the same server still serves.
+    TestServer ts;
+    struct Case
+    {
+        const char *field;
+        std::uint64_t value;
+    };
+    const Case cases[] = {
+        {"num_schedulers", 0}, {"num_schedulers", 65},
+        {"sched_entries", 0},  {"sched_entries", 4097},
+        {"select_width", 0},   {"select_width", 65},
+        {"rob_entries", 0},    {"rob_entries", 4097},
+        {"rob_entries", std::uint64_t{1} << 32},
+        {"lsq_entries", 0},    {"lsq_entries", 4097},
+        {"fetch_width", 0},    {"fetch_width", 65},
+        {"rename_width", 0},   {"rename_width", 65},
+        {"retire_width", 0},   {"retire_width", 65},
+        {"phys_regs", 8},      {"phys_regs", 32},
+        {"phys_regs", 8193},   {"phys_regs", 65536},
+        {"fetch_decode_depth", 65}, {"rename_depth", 65},
+    };
+    unsigned n = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.field) + "=" + std::to_string(c.value));
+        const std::string id = std::to_string(n++);
+        expectError(ts.roundTrip(R"({"id":"bad)" + id +
+                                 R"(","workload":"compress","config":)"
+                                 R"({"kind":"Baseline",")" +
+                                 c.field + "\":" +
+                                 std::to_string(c.value) + "}}"),
+                    "bad-request");
+        const auto ok = ts.roundTrip(R"({"id":"ok)" + id +
+                                     R"(","workload":"compress",)"
+                                     R"("machine":"base","max_insts":2000})");
+        ASSERT_EQ(ok.size(), 1u);
+        EXPECT_TRUE(ok[0].find("ok")->asBool());
+    }
+
+    // The committed machines' largest sizes stay accepted.
+    const auto big = ts.roundTrip(
+        R"({"id":"w16","workload":"compress","max_insts":2000,)"
+        R"("config":{"kind":"Ideal","width":16,"rob_entries":256,)"
+        R"("phys_regs":640,"num_schedulers":8,"sched_entries":32}})");
+    ASSERT_EQ(big.size(), 1u);
+    EXPECT_TRUE(big[0].find("ok")->asBool());
+}
+
 TEST(ServeServer, OversizedProgramsRejected)
 {
     serve::Server::Options opts = TestServer::makeOpts();
