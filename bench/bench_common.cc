@@ -33,7 +33,7 @@ usageDie(const char *prog, const char *why)
                  "%s: %s\n"
                  "usage: %s [--json <path>] [--scale <n>] "
                  "[--machines <label,label,...>] "
-                 "[--scheduler wakeup|polled|oracle] "
+                 "[--scheduler wakeup|oracle] "
                  "[--trace <prefix>] [--trace-last <n>] [--profile] "
                  "[--server <host:port>]\n",
                  prog, why, prog);
@@ -54,7 +54,6 @@ std::string g_server;
 MachineConfig
 applyScheduler(MachineConfig cfg)
 {
-    cfg.polledScheduler = g_scheduler == "polled";
     cfg.wakeupOracle = g_scheduler == "oracle";
     return cfg;
 }
@@ -105,10 +104,8 @@ parseBenchArgs(int &argc, char **argv)
                 usageDie(argv[0], "--machines needs at least one label");
         } else if (std::strcmp(arg, "--scheduler") == 0) {
             opts.scheduler = value("--scheduler");
-            if (opts.scheduler != "wakeup" &&
-                opts.scheduler != "polled" && opts.scheduler != "oracle")
-                usageDie(argv[0],
-                         "--scheduler must be wakeup, polled or oracle");
+            if (opts.scheduler != "wakeup" && opts.scheduler != "oracle")
+                usageDie(argv[0], "--scheduler must be wakeup or oracle");
             g_scheduler = opts.scheduler;
         } else if (std::strcmp(arg, "--trace") == 0) {
             opts.tracePrefix = value("--trace");

@@ -54,11 +54,11 @@ double cellIpc(const Cell &cell);
  *   --scale <n>       workload scale factor (default 1)
  *   --machines <csv>  comma-separated machine labels to keep
  *                     (e.g. "Baseline,RB-full"); default all
- *   --scheduler <m>   scheduler select mechanism: "wakeup" (default,
- *                     event-driven bitset array), "polled" (the original
- *                     per-cycle operand scan), or "oracle" (wakeup with
- *                     the polled model co-simulated every cycle as a
- *                     cross-check)
+ *   --scheduler <m>   "wakeup" (default: the event-driven bitset array
+ *                     with idle-cycle skipping) or "oracle" (the same
+ *                     array stepped every cycle, each latched wakeup
+ *                     bit checked against its predicate; a mismatch
+ *                     fails the cell)
  *   --trace <prefix>  write an O3PipeView pipeline trace per sweep cell
  *                     to "<prefix>.<machine>.<workload>.trace" (load in
  *                     Konata); slow — meant for single-cell grids
@@ -108,7 +108,7 @@ filterMachines(std::vector<MachineConfig> configs,
  * through one of these so all dumps share one schema:
  *
  *   { "schema": "rbsim-bench-1", "bench": ..., "scale": ...,
- *     "scheduler": "wakeup"|"polled"|"oracle",
+ *     "scheduler": "wakeup"|"oracle",
  *     "machines": [...],
  *     "cells": [ {machine, workload, ipc, host_ms, sim_khz,
  *                 stats:{counters,formulas,vectors}} ],

@@ -104,10 +104,8 @@ main(int argc, char **argv)
 
     std::vector<MachineConfig> configs =
         filterMachines(paperMachines(4), opts);
-    for (MachineConfig &cfg : configs) {
-        cfg.polledScheduler = opts.scheduler == "polled";
+    for (MachineConfig &cfg : configs)
         cfg.wakeupOracle = opts.scheduler == "oracle";
-    }
 
     std::vector<WorkloadInfo> suiteList = suiteWorkloads(suite);
     std::vector<WorkloadInfo> workloads;

@@ -135,7 +135,7 @@ def main():
     ap.add_argument("--grid", choices=["fig12"], default="fig12")
     ap.add_argument("--scale", type=int, default=1)
     ap.add_argument("--scheduler", default="wakeup",
-                    choices=["wakeup", "polled", "oracle"])
+                    choices=["wakeup", "oracle"])
     ap.add_argument("--workers", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=2,
                     help="grid submissions over one session (default 2)")

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/bitutil.hh"
@@ -37,8 +36,7 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
       rbBatchEnabled(cfg.kind == MachineKind::RbFull ||
                      cfg.kind == MachineKind::RbLimited),
       regWaiterHead(cfg.physRegs, -1),
-      slotPendingOps(rob.slotCount(), 0),
-      useWakeup(!cfg.polledScheduler)
+      slotPendingOps(rob.slotCount(), 0)
 {
     execBatchRefs.reserve(execBatch.capacity());
     commitMem.loadProgram(prog);
@@ -187,7 +185,9 @@ OooCore::run(Cycle max_cycles, std::uint64_t max_insts)
         if (fetch.parked() && frontPipe.empty() && rob.empty() &&
             pendingFlushes.empty()) {
             haltRetired = true;
-        } else if (useWakeup && config.idleSkip) {
+        } else if (!config.wakeupOracle) {
+            // Oracle mode steps every cycle, so comparing its snapshot
+            // with a plain run's also checks the idle skip.
             maybeSkipIdle(max_cycles, last_progress);
         }
     }
@@ -287,7 +287,7 @@ OooCore::maybeSkipIdle(Cycle max_cycles, Cycle last_progress)
     // deadlock: fast-forward straight into the watchdog window. Either
     // way, never overrun the watchdog or the caller's cycle budget, so
     // aborted and budget-capped runs report the same cycle counts as a
-    // cycle-by-cycle (polled) simulation.
+    // cycle-by-cycle (oracle-mode) simulation.
     target = std::min(target, last_progress + config.deadlockCycles - 1);
     target = std::min(target, max_cycles);
     if (target <= now)
@@ -480,24 +480,22 @@ OooCore::flushAfter(const RobEntry &branch)
     });
     sched.squashAfter(branch.seq);
     lsq.squashAfter(branch.seq);
-    if (useWakeup) {
-        // Squashed consumers' waiter records are now dead (their slot
-        // generation no longer matches); unlink them back onto the free
-        // list so a hot mispredict loop cannot exhaust the pool. Stale
-        // heap events are cheaper to drain lazily (generation-guarded,
-        // time-bounded).
-        for (std::int32_t &head : regWaiterHead) {
-            std::int32_t *link = &head;
-            while (*link != -1) {
-                WaiterNode &n = waiterPool[*link];
-                if (sched.live(n.ref, n.gen)) {
-                    link = &n.next;
-                } else {
-                    const std::int32_t dead = *link;
-                    *link = n.next;
-                    n.next = waiterFree;
-                    waiterFree = dead;
-                }
+    // Squashed consumers' waiter records are now dead (their slot
+    // generation no longer matches); unlink them back onto the free list
+    // so a hot mispredict loop cannot exhaust the pool. Stale heap
+    // events are cheaper to drain lazily (generation-guarded,
+    // time-bounded).
+    for (std::int32_t &head : regWaiterHead) {
+        std::int32_t *link = &head;
+        while (*link != -1) {
+            WaiterNode &n = waiterPool[*link];
+            if (sched.live(n.ref, n.gen)) {
+                link = &n.next;
+            } else {
+                const std::int32_t dead = *link;
+                *link = n.next;
+                n.next = waiterFree;
+                waiterFree = dead;
             }
         }
     }
@@ -619,36 +617,6 @@ OooCore::doRetire()
 
 // --------------------------------------------------------------- select
 
-bool
-OooCore::operandScan(RobEntry &e)
-{
-    bool failed = false;
-    bool all_failing_are_holes = true;
-    for (unsigned i = 0; i < e.numSrcs; ++i) {
-        const ProdAvail &p = scoreboard.of(e.src[i].reg);
-        if (operandAvail(config, p, e.src[i].needsTc, e.cluster, now))
-            continue;
-        failed = true;
-        // Is this operand in a *hole* (was available earlier, will be
-        // again later) rather than simply not produced yet?
-        if (p.rfTc == neverCycle ||
-            now <= firstAvail(config, p, e.src[i].needsTc, e.cluster,
-                              p.early)) {
-            all_failing_are_holes = false;
-        }
-    }
-    if (failed) {
-        if (e.isMemStore && !e.storeAddrRecorded)
-            publishStoreAddr(e);
-        if (all_failing_are_holes) {
-            ++coreStats.holeWaitCycles;
-            ++e.holeWait;
-        }
-        return false;
-    }
-    return true;
-}
-
 void
 OooCore::publishStoreAddr(RobEntry &e)
 {
@@ -689,27 +657,13 @@ OooCore::loadMayIssue(std::uint64_t seq, const RobEntry &e)
 }
 
 bool
-OooCore::readyToIssue(std::uint64_t seq, unsigned scheduler)
-{
-    (void)scheduler;
-    RobEntry &e = rob.get(seq);
-    if (now <= e.dispatchCycle)
-        return false;
-    if (!operandScan(e))
-        return false;
-    if (e.isMemLoad)
-        return loadMayIssue(seq, e);
-    return true;
-}
-
-bool
 OooCore::tryIssueWakeup(std::uint64_t seq)
 {
     RobEntry &e = rob.get(seq);
     assert(now > e.dispatchCycle);
     // The ready bit already certifies every operand; loads still pass
-    // memory disambiguation per scan, exactly like the polled path (the
-    // LSQ search counters tick identically).
+    // memory disambiguation on every offer (the LSQ search counters
+    // tick once per offer).
     if (e.isMemLoad && !loadMayIssue(seq, e))
         return false;
     issueInst(seq);
@@ -719,11 +673,11 @@ OooCore::tryIssueWakeup(std::uint64_t seq)
 void
 OooCore::attendEntry(std::uint64_t seq, SchedulerBank::SlotRef ref)
 {
-    // Per-cycle side effects of scanning a non-ready entry, as the
-    // polled operandScan has them. The hole bit is the polled hole
-    // classification (oracle mode checks it every cycle), and a
-    // non-ready entry has a failing operand, so a store still without
-    // an address only needs its base register checked.
+    // Per-cycle side effects of scanning a non-ready entry. The hole bit
+    // is the pure hole classification (holeClassPure; oracle mode checks
+    // it every cycle), and a non-ready entry has a failing operand, so a
+    // store still without an address only needs its base register
+    // checked.
     RobEntry &e = rob.get(seq);
     assert(now > e.dispatchCycle);
     if (sched.isHole(ref)) {
@@ -739,28 +693,17 @@ OooCore::attendEntry(std::uint64_t seq, SchedulerBank::SlotRef ref)
 void
 OooCore::doSelect()
 {
+    drainWakeupEvents();
+    if (config.wakeupOracle)
+        verifyWakeupOracle();
     // Scheduler entries are ROB entries: the walk from the ROB head's
     // slot is oldest-first.
-    const std::uint64_t head = rob.headSequence();
-    if (!useWakeup) {
-        sched.selectCycle(
-            head,
-            [this](std::uint64_t seq, unsigned s) {
-                return readyToIssue(seq, s);
-            },
-            [this](std::uint64_t seq, unsigned) { issueInst(seq); });
-    } else {
-        drainWakeupEvents();
-        if (config.wakeupOracle)
-            verifyWakeupOracle();
-        sched.selectWakeup(
-            head,
-            [this](std::uint64_t seq, unsigned) {
-                return tryIssueWakeup(seq);
-            },
-            [this](std::uint64_t seq, unsigned,
-                   SchedulerBank::SlotRef ref) { attendEntry(seq, ref); });
-    }
+    sched.selectWakeup(
+        rob.headSequence(),
+        [this](std::uint64_t seq, unsigned) { return tryIssueWakeup(seq); },
+        [this](std::uint64_t seq, unsigned, SchedulerBank::SlotRef ref) {
+            attendEntry(seq, ref);
+        });
     // All RB ALU ops selected this cycle evaluate in one kernel call.
     flushExecBatch();
 }
@@ -821,8 +764,6 @@ void
 OooCore::produceAndWake(PhysReg r, const ProdAvail &p)
 {
     scoreboard.produce(r, p);
-    if (!useWakeup)
-        return;
     // Walk the register's waiter list, arming consumers whose last
     // unknown producer this is, and return every node to the free list.
     // List order is insertion-reversed, which is behavior-neutral: armed
@@ -853,7 +794,7 @@ OooCore::armWakeup(const RobEntry &e, SchedulerBank::SlotRef ref)
     // (no bits); from fmax to the end of the last availability hole
     // (stable) not-ready means hole-blocked; from stable on it stays
     // ready until selected.
-    const Cycle start = now + 1; // polled readiness needs now > dispatch
+    const Cycle start = now + 1; // readiness needs now > dispatch
     Cycle fmax = 0;
     Cycle stable = 0;
     for (unsigned i = 0; i < e.numSrcs; ++i) {
@@ -896,29 +837,39 @@ OooCore::armWakeup(const RobEntry &e, SchedulerBank::SlotRef ref)
 void
 OooCore::verifyWakeupOracle()
 {
+    // Every latched bit against the predicate it caches: ready and hole
+    // against the scoreboard, storeScan against the store's address
+    // state. Together they make the select walk visit exactly the
+    // entries that have a per-cycle effect.
     for (unsigned s = 0; s < sched.numSchedulers(); ++s) {
         sched.forEachEntry(s, [&](SchedulerBank::SlotRef ref,
                                   std::uint64_t seq) {
             const RobEntry &e = rob.get(seq);
-            const bool bit = sched.isReady(ref);
-            const bool pure = operandsReadyPure(e);
+            const bool ready_bit = sched.isReady(ref);
+            const bool ready_pure = operandsReadyPure(e);
             const bool hole_bit = sched.isHole(ref);
             const bool hole_pure = holeClassPure(e);
+            const bool scan_bit = sched.isStoreScan(ref);
+            const bool scan_pure = e.isMemStore && !e.storeAddrRecorded;
             ++oracleChecks;
-            if (bit != pure || hole_bit != hole_pure) {
-                std::fprintf(stderr,
-                             "rbsim: wakeup oracle mismatch: cycle=%llu "
-                             "seq=%llu sched=%u slot=%u ready=%d/%d "
-                             "hole=%d/%d\n",
-                             static_cast<unsigned long long>(now),
-                             static_cast<unsigned long long>(seq), s,
-                             static_cast<unsigned>(ref.slot),
-                             static_cast<int>(bit),
-                             static_cast<int>(pure),
-                             static_cast<int>(hole_bit),
-                             static_cast<int>(hole_pure));
-                std::abort();
-            }
+            if (ready_bit == ready_pure && hole_bit == hole_pure &&
+                scan_bit == scan_pure)
+                return;
+            char msg[192];
+            std::snprintf(msg, sizeof(msg),
+                          "wakeup oracle mismatch: cycle=%llu seq=%llu "
+                          "sched=%u slot=%u ready=%d/%d hole=%d/%d "
+                          "storeScan=%d/%d",
+                          static_cast<unsigned long long>(now),
+                          static_cast<unsigned long long>(seq), s,
+                          static_cast<unsigned>(ref.slot),
+                          static_cast<int>(ready_bit),
+                          static_cast<int>(ready_pure),
+                          static_cast<int>(hole_bit),
+                          static_cast<int>(hole_pure),
+                          static_cast<int>(scan_bit),
+                          static_cast<int>(scan_pure));
+            throw WakeupOracleMismatch(msg);
         });
     }
 }
@@ -1335,8 +1286,7 @@ OooCore::doDispatch()
             lsq.insert(seq, e.isMemStore);
         const SchedulerBank::SlotRef ref = sched.insert(target, seq);
         sched.advanceSteering();
-        if (useWakeup)
-            armDispatch(e, ref);
+        armDispatch(e, ref);
         if (tracer)
             tracer->onDispatch(e);
 

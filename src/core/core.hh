@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "common/hostprof.hh"
@@ -34,6 +35,14 @@ namespace rbsim
 {
 
 struct ArchCheckpoint;
+
+/** Thrown in oracle mode (MachineConfig::wakeupOracle) when a latched
+ * wakeup bit disagrees with the pure predicate it caches. */
+class WakeupOracleMismatch : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Everything the core counts. */
 struct CoreStats
@@ -206,11 +215,12 @@ class OooCore
     bool deadlocked() const { return coreStats.deadlockAborts != 0; }
 
     /** Cycles fast-forwarded by idle skipping (host-perf telemetry; not
-     * a registered statistic so polled and wakeup snapshots compare
-     * equal). */
+     * a registered statistic so stepped oracle-mode and idle-skipping
+     * snapshots compare equal). Always 0 in oracle mode. */
     Cycle idleSkippedCycles() const { return idleSkipped; }
 
-    /** Wakeup-bit vs polled-oracle comparisons performed (oracle mode). */
+    /** Per-entry wakeup-bit vs pure-predicate checks performed (oracle
+     * mode). */
     std::uint64_t wakeupOracleChecks() const { return oracleChecks; }
 
     /** Statistics. */
@@ -253,8 +263,6 @@ class OooCore
     unsigned pickScheduler(const Inst &inst, bool commit = true);
     void doFetch();
 
-    bool readyToIssue(std::uint64_t seq, unsigned sched);
-    bool operandScan(RobEntry &e);
     void publishStoreAddr(RobEntry &e);
     bool loadMayIssue(std::uint64_t seq, const RobEntry &e);
     void issueInst(std::uint64_t seq);
@@ -394,10 +402,9 @@ class OooCore
     std::int32_t waiterFree = -1; //!< free-list head into waiterPool
     //! Per ROB slot: producers still unknown (not yet issued).
     std::vector<std::uint8_t> slotPendingOps;
-    bool useWakeup = false; //!< wakeup array active (vs polled debug path)
 
     // Host-perf telemetry; deliberately NOT registered statistics, so
-    // polled and wakeup StatSnapshots stay bit-identical.
+    // oracle-mode and plain StatSnapshots stay bit-identical.
     Cycle idleSkipped = 0;
     std::uint64_t oracleChecks = 0;
 

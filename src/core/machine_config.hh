@@ -111,15 +111,13 @@ struct MachineConfig
     bool holeAwareScheduling = true;  //!< section 4.3 wakeup; ablation knob
     Steering steering = Steering::RoundRobinPairs;
 
-    // Host-simulation knobs (no effect on simulated behavior; the
-    // polled scheduler and the wakeup array produce bit-identical
-    // statistics — CI enforces it via scripts/bench_diff.py).
-    bool polledScheduler = false; //!< debug: per-cycle readiness polling
-                                  //!< instead of the bitset wakeup array
-    bool wakeupOracle = false;    //!< cross-check wakeup bits against the
-                                  //!< polled readiness oracle every cycle
-    bool idleSkip = true;         //!< fast-forward provably idle cycles
-                                  //!< (stats stay cycle-exact)
+    // Host-simulation knob (no effect on simulated behavior; oracle and
+    // plain runs produce bit-identical statistics — CI enforces it via
+    // scripts/bench_diff.py --exact).
+    bool wakeupOracle = false;    //!< step every cycle (no idle skip) and
+                                  //!< check every latched wakeup bit
+                                  //!< against its pure predicate; throws
+                                  //!< WakeupOracleMismatch on divergence
     Cycle deadlockCycles = 100000; //!< abort a run after this many cycles
                                    //!< without retirement progress
 

@@ -25,14 +25,12 @@
  * the ROB head's slot upward, wrapping once, visits entries oldest
  * first — no sort. Select is that walk over the union of the masks: up
  * to `select_width` ready entries issue, non-ready attention entries get
- * their per-cycle side effects (hole statistics, early store AGEN). The
- * per-entry polling loop is kept as `selectCycle`, the debug/oracle
- * path; it walks the valid mask in the same order. A per-scheduler
- * occupancy count enforces `entries_per`.
+ * their per-cycle side effects (hole statistics, early store AGEN). A
+ * per-scheduler occupancy count enforces `entries_per`.
  *
- * Both select paths take their callbacks as template parameters so the
- * readiness/issue code of OooCore inlines into the scan (no
- * `std::function` allocation or indirect calls on the hot path).
+ * Select takes its callbacks as template parameters so the issue code
+ * of OooCore inlines into the scan (no `std::function` allocation or
+ * indirect calls on the hot path).
  */
 
 #ifndef RBSIM_CORE_SCHEDULER_HH
@@ -143,6 +141,13 @@ class SchedulerBank
     /** Is the slot's hole bit set? */
     bool isHole(SlotRef r) const { return wordOf(r).hole >> bitOf(r) & 1; }
 
+    /** Is the slot's wants-early-store-AGEN bit set? */
+    bool
+    isStoreScan(SlotRef r) const
+    {
+        return wordOf(r).storeScan >> bitOf(r) & 1;
+    }
+
     /** Does the slot currently hold this sequence number?
      *
      * Debug assertions ONLY — never use this to validate a queued
@@ -224,8 +229,7 @@ class SchedulerBank
      * entry (counting against select_width); false (a load failing
      * memory disambiguation) leaves it latched. Non-ready attention
      * entries get `attend(seq, scheduler, slot)` for their per-cycle
-     * side effects. The walk stops once the select ports are exhausted,
-     * exactly like the polled scan.
+     * side effects. The walk stops once the select ports are exhausted.
      */
     template <class TryIssue, class Attend>
     void
@@ -246,38 +250,6 @@ class SchedulerBank
                         }
                     } else {
                         attend(seqs[slot], s, ref);
-                    }
-                    return picked < selectWidth;
-                });
-        }
-    }
-
-    // ------------------------------------------------- polled select
-
-    /**
-     * Polled select cycle: for each scheduler, scan entries oldest-first
-     * from the slot of `head` and pick up to select_width for which
-     * `ready(seq, scheduler)` holds; picked entries are removed and
-     * reported via `issue`. Once the select ports are exhausted the rest
-     * are not evaluated. This is the Figure 8 *oracle*: readiness is
-     * recomputed from scratch per entry per cycle.
-     */
-    template <class Ready, class Issue>
-    void
-    selectCycle(std::uint64_t head, Ready &&ready, Issue &&issue)
-    {
-        for (unsigned s = 0; s < counts.size(); ++s) {
-            unsigned picked = 0;
-            walkFrom(
-                s, head, [](const Words &w) { return w.valid; },
-                [&](unsigned slot) {
-                    const std::uint64_t seq = seqs[slot];
-                    if (ready(seq, s)) {
-                        issue(seq, s);
-                        removeSlot(SlotRef{static_cast<std::uint16_t>(s),
-                                           static_cast<std::uint16_t>(
-                                               slot)});
-                        ++picked;
                     }
                     return picked < selectWidth;
                 });

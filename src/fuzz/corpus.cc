@@ -72,7 +72,6 @@ configToJson(const MachineConfig &cfg)
     j["bypassMask"] = Json(static_cast<unsigned>(cfg.bypassLevelMask));
     j["holeAware"] = Json(cfg.holeAwareScheduling);
     j["steering"] = Json(steeringName(cfg.steering));
-    j["polled"] = Json(cfg.polledScheduler);
     j["label"] = Json(cfg.label);
     return j.dump();
 }
@@ -81,21 +80,39 @@ MachineConfig
 configFromJson(const std::string &text)
 {
     const Json j = Json::parse(text);
+    // A config line from another build fails this repro alone, never
+    // an assertion that ends the whole replay batch.
+    if (!j.isObject())
+        throw std::invalid_argument("config must be a JSON object");
+    for (const auto &[key, v] : j.items()) {
+        if (key != "kind" && key != "width" && key != "bypassMask" &&
+            key != "holeAware" && key != "steering" && key != "label")
+            throw std::invalid_argument("unknown config key '" + key +
+                                        "'");
+    }
     auto str = [&j](const char *key, const std::string &dflt) {
         const Json *v = j.find(key);
         return v ? v->asString() : dflt;
     };
 
     const MachineKind kind = kindFromName(str("kind", "Ideal"));
-    const unsigned width = j.find("width")
-        ? static_cast<unsigned>(j.find("width")->asU64()) : 8;
-    MachineConfig cfg = MachineConfig::make(kind, width);
-    if (const Json *v = j.find("bypassMask"))
+    const std::uint64_t width =
+        j.find("width") ? j.find("width")->asU64() : 8;
+    if (width != 4 && width != 8 && width != 16)
+        throw std::invalid_argument("config width " +
+                                    std::to_string(width) +
+                                    " is not 4, 8, or 16");
+    MachineConfig cfg =
+        MachineConfig::make(kind, static_cast<unsigned>(width));
+    if (const Json *v = j.find("bypassMask")) {
+        if (v->asU64() > 0b111)
+            throw std::invalid_argument("config bypassMask " +
+                                        std::to_string(v->asU64()) +
+                                        " is above 7");
         cfg.bypassLevelMask = static_cast<std::uint8_t>(v->asU64());
+    }
     if (const Json *v = j.find("holeAware"))
         cfg.holeAwareScheduling = v->asBool();
-    if (const Json *v = j.find("polled"))
-        cfg.polledScheduler = v->asBool();
     cfg.steering = steeringFromName(str("steering", "rr-pairs"));
     cfg.label = str("label", cfg.label);
     return cfg;
@@ -257,6 +274,16 @@ replayRepro(const ReproFile &repro, Plant plant, const TraceSpec &spec)
     }
     return oracle.runSeed(repro.seed,
                           repro.valueIters ? repro.valueIters : 4096);
+}
+
+OracleResult
+replayReproFile(const std::string &path, Plant plant, const TraceSpec &spec)
+{
+    try {
+        return replayRepro(loadRepro(path), plant, spec);
+    } catch (const std::exception &e) {
+        return {true, e.what()};
+    }
 }
 
 } // namespace rbsim::fuzz

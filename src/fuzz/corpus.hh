@@ -53,13 +53,13 @@ struct ReproFile
 };
 
 /** Compact one-line JSON for the configuration fields the fuzzer varies
- * (kind, width, bypass mask, hole-aware wakeup, steering, scheduler
- * implementation, label). */
+ * (kind, width, bypass mask, hole-aware wakeup, steering, label). */
 std::string configToJson(const MachineConfig &cfg);
 
 /** Rebuild a configuration from configToJson output: MachineConfig::make
  * plus the recorded overrides. Throws JsonError / invalid_argument on
- * malformed input. */
+ * malformed input, including an unknown key, a width other than 4, 8
+ * or 16, and a bypass mask above 7. */
 MachineConfig configFromJson(const std::string &text);
 
 /** Render a repro as an assemblable file with metadata comments. */
@@ -95,6 +95,16 @@ std::vector<std::string> listCorpus(const std::string &dir);
 OracleResult replayRepro(const ReproFile &repro,
                          Plant plant = Plant::None,
                          const TraceSpec &spec = {});
+
+/**
+ * Load and replay one repro file (loadRepro + replayRepro). Never
+ * throws: an unreadable or malformed file — including a config line
+ * this build rejects — is a failed result carrying the diagnostic, so a
+ * replay batch goes on to its next file.
+ */
+OracleResult replayReproFile(const std::string &path,
+                             Plant plant = Plant::None,
+                             const TraceSpec &spec = {});
 
 } // namespace rbsim::fuzz
 

@@ -96,14 +96,9 @@ replayFiles(const std::vector<std::string> &files, Plant plant,
             spec.ringLast = traceLast;
             spec.ringPath = path + ".trace";
         }
-        OracleResult r;
-        try {
-            r = replayRepro(loadRepro(path), plant, spec);
-        } catch (const std::exception &e) {
-            // An unreadable or malformed repro fails that file only;
-            // the remaining replays still run.
-            r = {true, e.what()};
-        }
+        // An unreadable or malformed repro fails that file only; the
+        // remaining replays still run.
+        const OracleResult r = replayReproFile(path, plant, spec);
         if (!json) {
             std::cout << (r.failed ? "FAIL " : "ok   ") << path;
             if (r.failed)

@@ -338,38 +338,41 @@ class SchedOracle : public Oracle
     {
         if (configs.empty())
             return {true, "sched oracle needs one config"};
-        MachineConfig wake = configs.front();
-        wake.polledScheduler = false;
+        // The reference steps every cycle and checks every latched
+        // wakeup bit against its predicate; the plain run idle-skips.
+        MachineConfig checked = configs.front();
+        checked.wakeupOracle = true;
+        MachineConfig plain = configs.front();
+        plain.wakeupOracle = false;
         if (plant == Plant::SchedBypassWiden)
-            wake.bypassLevelMask = 0b111; // the silently widened network
-        MachineConfig poll = configs.front();
-        poll.polledScheduler = true;
+            plain.bypassLevelMask = 0b111; // the silently widened network
 
-        // Trace the wakeup-side run: that is the side under test, and
-        // its ring is what a divergence needs to explain.
-        TraceRun tr(traceSpec, wake, prog);
+        // Trace the checked run: an oracle mismatch stops it mid-cycle,
+        // and its ring shows what was in flight at the divergence.
+        TraceRun tr(traceSpec, checked, prog);
         SimOptions opts;
         opts.maxCycles = fuzzMaxCycles;
         opts.tracer = tr.get();
         SimOptions popts = opts;
         popts.tracer = nullptr;
         try {
-            const SimResult w = simulate(wake, prog, opts);
-            const SimResult p = simulate(poll, prog, popts);
-            if (w.halted != p.halted) {
+            const SimResult c = simulate(checked, prog, opts);
+            const SimResult p = simulate(plain, prog, popts);
+            if (c.halted != p.halted) {
                 return {true, configs.front().label +
-                            ": halt disagreement (wakeup=" +
-                            std::to_string(w.halted) + " polled=" +
+                            ": halt disagreement (oracle=" +
+                            std::to_string(c.halted) + " plain=" +
                             std::to_string(p.halted) + ")" +
                             tr.noteFailure()};
             }
-            const std::string diff = snapshotDiff(w.stats, p.stats);
+            const std::string diff = snapshotDiff(c.stats, p.stats);
             if (!diff.empty()) {
                 return {true, configs.front().label +
                             ": snapshot divergence — " + diff +
                             tr.noteFailure()};
             }
-        } catch (const CosimMismatch &e) {
+        } catch (const std::runtime_error &e) {
+            // CosimMismatch or WakeupOracleMismatch.
             return {true, configs.front().label + ": " + e.what() +
                         tr.noteFailure()};
         }

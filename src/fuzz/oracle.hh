@@ -8,8 +8,10 @@
  *                 configs, plus cross-machine agreement of the final
  *                 architectural memory (every machine must compute the
  *                 same program state).
- *  - "sched":     bit-identical StatSnapshot parity of the event-driven
- *                 wakeup-array scheduler against the polled scheduler.
+ *  - "sched":     the wakeup-array scheduler in oracle mode (stepped
+ *                 every cycle, every latched wakeup bit checked against
+ *                 its predicate) against a plain idle-skipping run:
+ *                 no oracle mismatch and bit-identical StatSnapshots.
  *  - "rbalu":     redundant binary add/sub/scaled-add/shift against a
  *                 __int128 two's-complement reference, including the
  *                 section 3.5 overflow flag and the section 3.6
@@ -47,8 +49,8 @@ enum class Plant : unsigned char
 {
     None,
     /** The "sched" oracle silently widens the bypass-level mask on the
-     * wakeup-side run only — the two runs simulate different machines
-     * and their snapshots must diverge. */
+     * plain run only — the two runs simulate different machines and
+     * their snapshots must diverge. */
     SchedBypassWiden,
     /** The "cosim" oracle is replaced by a fake that fails exactly when
      * the program contains both a MULQ and an STQ — a deterministic

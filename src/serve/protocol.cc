@@ -54,8 +54,9 @@ asU64Field(const Json &v, const std::string &key)
  * sit well above every committed machine (ROB 256, 640 physical
  * registers, 16-wide) yet keep the core's construction-time storage
  * bounded and every scheduler slot addressable by SlotRef's 16-bit
- * fields. Out-of-range sizes would trip a core assertion and take the
- * whole server down, so they are a bad request instead.
+ * fields; the bypass fields stay within the 8-bit level mask. Out-of-
+ * range values would trip a core assertion (or shift past a word) and
+ * take the whole server down, so they are a bad request instead.
  */
 unsigned
 asSizeField(const Json &v, const std::string &key, std::uint64_t lo,
@@ -287,23 +288,18 @@ requestConfig(const JobRequest &req)
         cfg = MachineConfig::make(kind, req.width);
     }
 
-    // The scheduler knobs ride on top of whichever machine was named;
-    // both produce bit-identical statistics (CI pins it), so the result
-    // cache treats them as distinct keys only because the host-speed
-    // numbers differ.
+    // The scheduler mode rides on top of whichever machine was named;
+    // both modes produce bit-identical statistics (CI pins it), so the
+    // result cache treats them as distinct keys only because the
+    // host-speed numbers differ.
     if (req.scheduler == "wakeup") {
-        cfg.polledScheduler = false;
-        cfg.wakeupOracle = false;
-    } else if (req.scheduler == "polled") {
-        cfg.polledScheduler = true;
         cfg.wakeupOracle = false;
     } else if (req.scheduler == "oracle") {
-        cfg.polledScheduler = false;
         cfg.wakeupOracle = true;
     } else {
         throw RequestError(ErrorCode::UnknownScheduler,
                            "unknown scheduler \"" + req.scheduler +
-                               "\" (want wakeup, polled, or oracle)");
+                               "\" (want wakeup or oracle)");
     }
     return cfg;
 }
@@ -336,9 +332,7 @@ configToJson(const MachineConfig &cfg)
     j["has_rb_regfile"] = Json(cfg.hasRbRegfile);
     j["hole_aware_scheduling"] = Json(cfg.holeAwareScheduling);
     j["steering"] = Json(steeringName(cfg.steering));
-    j["polled_scheduler"] = Json(cfg.polledScheduler);
     j["wakeup_oracle"] = Json(cfg.wakeupOracle);
-    j["idle_skip"] = Json(cfg.idleSkip);
     j["deadlock_cycles"] = Json(std::uint64_t{cfg.deadlockCycles});
     j["il1"] = cacheToJson(cfg.il1);
     j["dl1"] = cacheToJson(cfg.dl1);
@@ -424,11 +418,11 @@ configFromJson(const Json &j)
         } else if (key == "rf_read_depth") {
             cfg.rfReadDepth = static_cast<unsigned>(asU64Field(v, key));
         } else if (key == "num_bypass_levels") {
-            cfg.numBypassLevels =
-                static_cast<unsigned>(asU64Field(v, key));
+            // Level k is bit k-1 of the 8-bit level mask.
+            cfg.numBypassLevels = asSizeField(v, key, 1, 8);
         } else if (key == "bypass_level_mask") {
             cfg.bypassLevelMask =
-                static_cast<std::uint8_t>(asU64Field(v, key));
+                static_cast<std::uint8_t>(asSizeField(v, key, 0, 255));
         } else if (key == "rb_limited_bypass") {
             cfg.rbLimitedBypass = asBoolField(v, key);
         } else if (key == "has_rb_regfile") {
@@ -437,12 +431,8 @@ configFromJson(const Json &j)
             cfg.holeAwareScheduling = asBoolField(v, key);
         } else if (key == "steering") {
             cfg.steering = steeringFromName(asStringField(v, key));
-        } else if (key == "polled_scheduler") {
-            cfg.polledScheduler = asBoolField(v, key);
         } else if (key == "wakeup_oracle") {
             cfg.wakeupOracle = asBoolField(v, key);
-        } else if (key == "idle_skip") {
-            cfg.idleSkip = asBoolField(v, key);
         } else if (key == "deadlock_cycles") {
             cfg.deadlockCycles = asU64Field(v, key);
         } else if (key == "il1") {

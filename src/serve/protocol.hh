@@ -42,12 +42,12 @@ enum class ErrorCode
     BadRequest,       //!< well-formed JSON, invalid shape/fields
     UnknownMachine,   //!< machine label/alias not recognized
     UnknownWorkload,  //!< workload name not registered
-    UnknownScheduler, //!< scheduler not wakeup/polled/oracle
+    UnknownScheduler, //!< scheduler not wakeup/oracle
     BadProgram,       //!< assembly failed to assemble
     OversizedProgram, //!< program exceeds the server's instruction cap
     DuplicateId,      //!< request id already used this session
     DuplicateInFlight, //!< identical job already executing
-    SimFailed,        //!< run threw (cosim mismatch)
+    SimFailed,        //!< run threw (cosim or wakeup-oracle mismatch)
     SimAborted,       //!< run stopped without HALT (watchdog deadlock or
                       //!< cycle budget); record carries the diagnostics
 };
@@ -70,7 +70,7 @@ struct JobRequest
     unsigned width = 4;
     Json config; //!< full MachineConfig (null when machine/width used)
 
-    std::string scheduler = "wakeup"; //!< wakeup | polled | oracle
+    std::string scheduler = "wakeup"; //!< wakeup | oracle
     Cycle maxCycles = 100'000'000;
     bool cosim = true;
     //! "max_insts": retired-instruction budget (0 = run to HALT). A

@@ -10,6 +10,27 @@
 namespace rbsim
 {
 
+namespace
+{
+
+/** Trace label for the in-flight records of a run that threw; call only
+ * from inside a handler (it rethrows the exception being handled). */
+const char *
+thrownCause()
+{
+    try {
+        throw;
+    } catch (const CosimMismatch &) {
+        return "cosim-mismatch";
+    } catch (const WakeupOracleMismatch &) {
+        return "oracle-mismatch";
+    } catch (...) {
+        return "sim-exception";
+    }
+}
+
+} // namespace
+
 std::string
 SimOptions::resultKey() const
 {
@@ -100,11 +121,12 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
         }
         out.instLimited = core.instLimitHit();
     } catch (...) {
-        // Cosim mismatch mid-retire: capture the pipeline tail before
-        // the exception reaches the caller, and detach the borrowed
-        // tracer/profiler so a reused instance cannot dangle into them.
+        // Cosim or wakeup-oracle mismatch mid-cycle: capture the
+        // pipeline tail before the exception reaches the caller, and
+        // detach the borrowed tracer/profiler so a reused instance
+        // cannot dangle into them.
         if (opts.tracer) {
-            core.traceInFlight("cosim-mismatch");
+            core.traceInFlight(thrownCause());
             opts.tracer->finish();
         }
         core.attachTracer(nullptr);

@@ -90,8 +90,9 @@ struct SimOptions
     bool cosim = true; //!< lockstep-verify against the reference model
     //! Optional pipeline tracer (borrowed; must outlive the call).
     //! simulate() attaches it, reports stranded in-flight instructions
-    //! when the run does not drain cleanly (cosim mismatch, watchdog
-    //! abort, cycle budget), and finishes it — even when it rethrows.
+    //! when the run does not drain cleanly (cosim or wakeup-oracle
+    //! mismatch, watchdog abort, cycle budget), and finishes it — even
+    //! when it rethrows.
     trace::Tracer *tracer = nullptr;
     //! Optional host-time per-stage profiler (borrowed; must outlive the
     //! call). simulate() attaches it to the core and fills its
@@ -145,7 +146,8 @@ class Simulator
 
     /**
      * Reset in place and run `prog` to completion.
-     * Throws CosimMismatch if verification fails (cosim enabled).
+     * Throws CosimMismatch if verification fails (cosim enabled) and
+     * WakeupOracleMismatch if the oracle check fails (oracle mode).
      */
     SimResult run(const Program &prog,
                   const SimOptions &opts = SimOptions{});
@@ -190,7 +192,7 @@ class Simulator
 /**
  * Run `prog` to completion on `cfg` (one-shot convenience: constructs a
  * Simulator and runs once, so both paths share one implementation).
- * Throws CosimMismatch if verification fails (cosim enabled).
+ * Throws like Simulator::run().
  */
 SimResult simulate(const MachineConfig &cfg, const Program &prog,
                    const SimOptions &opts = SimOptions{});

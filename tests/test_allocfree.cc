@@ -86,13 +86,6 @@ TEST(AllocFree, WakeupSchedulerSteadyState)
         MachineConfig::make(MachineKind::RbFull, 8));
 }
 
-TEST(AllocFree, PolledSchedulerSteadyState)
-{
-    MachineConfig cfg = MachineConfig::make(MachineKind::Baseline, 4);
-    cfg.polledScheduler = true;
-    expectZeroSteadyStateAllocs(cfg);
-}
-
 TEST(AllocFree, RbBatchPushRunClearAllocatesNothing)
 {
     // The SoA batch the execute stage reuses every cycle: capacity is

@@ -9,7 +9,7 @@
  *  - a checkpoint captured mid-program resumes on a fresh core and runs
  *    to completion under cosim lockstep — bit-exactness against the
  *    reference model on every retired instruction — across the Figure 12
- *    machine grid with both the wakeup and the polled scheduler;
+ *    machine grid, plain and in wakeup-oracle mode;
  *  - Simulator::checkpoint() captures a detailed run stopped mid-flight
  *    (occupied ROB/LSQ, possibly wrapped) and the chain keeps absolute
  *    dynamic-stream positions.
@@ -38,16 +38,16 @@ testProgram(const char *workload = "compress")
     return findWorkload(workload).build(wp);
 }
 
-/** The Figure 12 machines (4-wide) with the scheduler knob applied. */
+/** The Figure 12 machines (4-wide) with the scheduler mode applied. */
 std::vector<MachineConfig>
-fig12Grid(bool polled)
+fig12Grid(bool oracle)
 {
     std::vector<MachineConfig> grid;
     for (MachineKind kind :
          {MachineKind::Baseline, MachineKind::RbLimited,
           MachineKind::RbFull, MachineKind::Ideal}) {
         MachineConfig cfg = MachineConfig::make(kind, 4);
-        cfg.polledScheduler = polled;
+        cfg.wakeupOracle = oracle;
         grid.push_back(cfg);
     }
     return grid;
@@ -219,13 +219,14 @@ TEST(FastForwardEngine, CaptureAfterHaltThrows)
  * The acceptance check: a checkpoint captured mid-program must resume
  * on a fresh core and run to HALT with co-simulation verifying every
  * retired register write, memory write, and control transfer against
- * the reference model — on every Figure 12 machine, both schedulers.
+ * the reference model — on every Figure 12 machine, plain and with the
+ * per-cycle wakeup oracle.
  */
 void
-expectResumeLockstep(bool polled)
+expectResumeLockstep(bool oracle)
 {
     const Program prog = testProgram();
-    for (const MachineConfig &cfg : fig12Grid(polled)) {
+    for (const MachineConfig &cfg : fig12Grid(oracle)) {
         auto ck = std::make_shared<ArchCheckpoint>(
             captureAt(cfg, prog, 4000));
         SimOptions opts;
@@ -234,7 +235,7 @@ expectResumeLockstep(bool polled)
         const SimResult res = simulate(cfg, prog, opts); // throws on
                                                          // divergence
         EXPECT_TRUE(res.halted)
-            << cfg.label << (polled ? " (polled)" : " (wakeup)");
+            << cfg.label << (oracle ? " (oracle)" : " (plain)");
         EXPECT_GT(res.counter("cosim.checked"), 0u) << cfg.label;
     }
 }
@@ -244,7 +245,7 @@ TEST(CheckpointResume, Fig12GridWakeupLockstep)
     expectResumeLockstep(false);
 }
 
-TEST(CheckpointResume, Fig12GridPolledLockstep)
+TEST(CheckpointResume, Fig12GridOracleLockstep)
 {
     expectResumeLockstep(true);
 }

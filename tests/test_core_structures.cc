@@ -137,30 +137,28 @@ TEST(Scheduler, RoundRobinPairSteering)
     EXPECT_EQ(bank.steerTarget(), 0u); // wraps
 }
 
-TEST(Scheduler, SelectsOldestFirstUpToWidth)
-{
-    SchedulerBank bank(1, 8, 2, 16);
-    for (std::uint64_t s = 1; s <= 5; ++s)
-        bank.insert(0, s);
-    std::vector<std::uint64_t> issued;
-    bank.selectCycle(1, [](std::uint64_t, unsigned) { return true; },
-                     [&issued](std::uint64_t s, unsigned) {
-                         issued.push_back(s);
-                     });
-    EXPECT_EQ(issued, (std::vector<std::uint64_t>{1, 2}));
-    EXPECT_EQ(bank.occupancyOf(0), 3u);
-}
-
 TEST(Scheduler, SkipsNotReadyEntries)
 {
+    // Only latched bits are visited: the odd seqs have neither a ready
+    // nor an attention bit, so select neither offers nor attends them.
     SchedulerBank bank(1, 8, 2, 16);
-    for (std::uint64_t s = 1; s <= 4; ++s)
-        bank.insert(0, s);
+    for (std::uint64_t s = 1; s <= 4; ++s) {
+        const SchedulerBank::SlotRef ref = bank.insert(0, s);
+        bank.setReady(ref, s % 2 == 0);
+    }
     std::vector<std::uint64_t> issued;
-    bank.selectCycle(
-        1, [](std::uint64_t s, unsigned) { return s % 2 == 0; },
-        [&issued](std::uint64_t s, unsigned) { issued.push_back(s); });
+    bool attended = false;
+    bank.selectWakeup(
+        1,
+        [&issued](std::uint64_t s, unsigned) {
+            issued.push_back(s);
+            return true;
+        },
+        [&attended](std::uint64_t, unsigned, SchedulerBank::SlotRef) {
+            attended = true;
+        });
     EXPECT_EQ(issued, (std::vector<std::uint64_t>{2, 4}));
+    EXPECT_FALSE(attended);
     EXPECT_EQ(bank.occupancyOf(0), 2u);
 }
 

@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <sstream>
+
 #include "fuzz/corpus.hh"
 
 #ifndef RBSIM_CORPUS_DIR
@@ -49,6 +53,52 @@ TEST(Corpus, UnknownOracleReplayFailsWithDiagnostic)
     // The diagnostic lists what this build does support.
     EXPECT_NE(r.detail.find("cosim"), std::string::npos) << r.detail;
     EXPECT_NE(r.detail.find("sched"), std::string::npos) << r.detail;
+}
+
+TEST(Corpus, BadConfigReproFailsAloneWithDiagnostic)
+{
+    // A config line this build rejects — a width the machine factory
+    // would assert on, a bypass mask wider than three levels, a key it
+    // does not know — fails that one file with a diagnostic, and the
+    // files after it in the replay batch still run.
+    const std::string good =
+        std::string(RBSIM_CORPUS_DIR) + "/sched-bypass-widen-min.repro";
+    std::ostringstream text;
+    text << std::ifstream(good).rdbuf();
+    const std::string honest = R"("width":8,"bypassMask":4,)";
+    ASSERT_NE(text.str().find(honest), std::string::npos);
+
+    struct Bad
+    {
+        const char *fields;
+        const char *diagnostic;
+    };
+    const Bad bads[] = {
+        {R"("width":0,"bypassMask":4,)", "width 0"},
+        {R"("width":6,"bypassMask":4,)", "width 6"},
+        {R"("width":8,"bypassMask":263,)", "bypassMask 263"},
+        {R"("width":8,"bypassMask":4,"polled":false,)", "'polled'"},
+    };
+    std::vector<std::string> batch;
+    for (std::size_t i = 0; i < std::size(bads); ++i) {
+        std::string t = text.str();
+        t.replace(t.find(honest), honest.size(), bads[i].fields);
+        const std::string path = ::testing::TempDir() + "bad-config-" +
+                                 std::to_string(i) + ".repro";
+        std::ofstream(path) << t;
+        batch.push_back(path);
+        batch.push_back(good);
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const OracleResult r = replayReproFile(batch[i]);
+        if (i % 2) {
+            EXPECT_FALSE(r.failed) << batch[i] << ": " << r.detail;
+            continue;
+        }
+        EXPECT_TRUE(r.failed) << batch[i];
+        EXPECT_NE(r.detail.find(bads[i / 2].diagnostic), std::string::npos)
+            << r.detail;
+    }
 }
 
 TEST(Corpus, IsCommittedAndNonTrivial)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "common/json.hh"
 #include "fuzz/corpus.hh"
@@ -388,6 +389,21 @@ TEST(FuzzCorpus, ConfigJsonRoundTrip)
     EXPECT_EQ(back.holeAwareScheduling, cfg.holeAwareScheduling);
     EXPECT_EQ(back.steering, cfg.steering);
     EXPECT_EQ(back.label, cfg.label);
+
+    // Lines this build cannot honor are rejected with an exception, not
+    // a factory assertion: a width outside 4/8/16, a bypass mask wider
+    // than the three levels, a key this build does not know, a
+    // non-object.
+    for (const char *bad :
+         {R"({"kind":"Baseline","width":0})",
+          R"({"kind":"Baseline","width":6})",
+          R"({"kind":"Ideal","width":4,"bypassMask":8})",
+          R"({"kind":"Ideal","width":4,"bypassMask":263})",
+          R"({"kind":"Baseline","width":4,"polled":false})",
+          R"({"kind":"Baseline","width":4,"frobnicate":1})",
+          R"([4])"}) {
+        EXPECT_THROW(configFromJson(bad), std::invalid_argument) << bad;
+    }
 }
 
 TEST(FuzzCorpus, ReproRoundTripAndReplay)

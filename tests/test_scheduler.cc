@@ -3,10 +3,11 @@
  * Scheduler-bank and wakeup-array tests: oldest-first select from the
  * ROB head's slot (including across the wrap of the slot space), width
  * exhaustion, squash, steering round-robin with reset-on-empty, the
- * randomized wakeup-vs-polled select agreement, and whole-machine
- * statistic bit-identity between the bitset wakeup array and the polled
- * debug path (including the per-cycle oracle cross-check mode, a
- * monolithic 128-entry scheduler, and the retirement-progress watchdog).
+ * randomized select against an oldest-first reference, and
+ * whole-machine statistic bit-identity between oracle mode (stepped
+ * every cycle, every latched wakeup bit checked against its predicate)
+ * and plain idle-skipping runs (including a monolithic 128-entry
+ * scheduler and the retirement-progress watchdog).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <set>
 #include <vector>
 
+#include "core/core.hh"
 #include "core/machine_config.hh"
 #include "core/scheduler.hh"
 #include "isa/builder.hh"
@@ -28,29 +30,7 @@ namespace rbsim
 namespace
 {
 
-// ------------------------------------------------------ polled select
-
-TEST(Scheduler, SelectsOldestFirstAcrossSlotOrder)
-{
-    // An 8-slot ROB whose head seq 6 sits in slot 6: seqs 8..10 wrap
-    // into slots 0..2, so slot order (8, 9, 10, 6, 7) is not age order.
-    SchedulerBank bank(1, 8, 2, 8);
-    for (std::uint64_t seq = 6; seq <= 10; ++seq)
-        bank.insert(0, seq);
-
-    std::vector<std::uint64_t> issued;
-    bank.selectCycle(
-        6, [](std::uint64_t, unsigned) { return true; },
-        [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
-    EXPECT_EQ(issued, (std::vector<std::uint64_t>{6, 7}));
-
-    // With the head now at 8 (6 and 7 retired), the low slots come first.
-    issued.clear();
-    bank.selectCycle(
-        8, [](std::uint64_t, unsigned) { return true; },
-        [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
-    EXPECT_EQ(issued, (std::vector<std::uint64_t>{8, 9}));
-}
+// --------------------------------------------- select and steering
 
 TEST(Scheduler, WakeupSelectAndSquashAcrossTheWindowWrap)
 {
@@ -108,42 +88,31 @@ TEST(Scheduler, WakeupSelectAndSquashAcrossTheWindowWrap)
 TEST(Scheduler, SelectWidthExhaustionStopsTheScan)
 {
     SchedulerBank bank(1, 16, 2, 16);
-    for (std::uint64_t s = 1; s <= 6; ++s)
-        bank.insert(0, s);
-    // Seqs 1 and 2 are not ready; 3..6 are. Width 2 must pick 3 and 4,
-    // and must not even evaluate entries after the cut.
-    std::vector<std::uint64_t> polled;
-    std::vector<std::uint64_t> issued;
-    bank.selectCycle(
+    std::map<std::uint64_t, SchedulerBank::SlotRef> refs;
+    for (std::uint64_t s = 1; s <= 7; ++s)
+        refs[s] = bank.insert(0, s);
+    // Seqs 1 and 2 are hole-blocked, 3..6 ready, 7 hole-blocked again.
+    // Width 2 must pick 3 and 4, and must not even visit entries after
+    // the cut: neither the ready 5 and 6 nor the attention entry 7.
+    for (std::uint64_t s = 1; s <= 7; ++s) {
+        const bool ready = s >= 3 && s <= 6;
+        bank.setReady(refs[s], ready);
+        bank.setHole(refs[s], !ready);
+    }
+    std::vector<std::uint64_t> offered;
+    std::vector<std::uint64_t> attended;
+    bank.selectWakeup(
         1,
-        [&polled](std::uint64_t seq, unsigned) {
-            polled.push_back(seq);
-            return seq >= 3;
+        [&offered](std::uint64_t seq, unsigned) {
+            offered.push_back(seq);
+            return true;
         },
-        [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
-    EXPECT_EQ(issued, (std::vector<std::uint64_t>{3, 4}));
-    EXPECT_EQ(polled, (std::vector<std::uint64_t>{1, 2, 3, 4}));
-    EXPECT_EQ(bank.occupancy(), 4u);
-}
-
-TEST(Scheduler, SquashAfterRemovesYoungerEntriesOnly)
-{
-    SchedulerBank bank(2, 8, 2, 16);
-    bank.insert(0, 10);
-    bank.insert(0, 12);
-    bank.insert(1, 11);
-    bank.insert(1, 13);
-    bank.squashAfter(11);
-    EXPECT_EQ(bank.occupancy(), 2u);
-    EXPECT_EQ(bank.occupancyOf(0), 1u);
-    EXPECT_EQ(bank.occupancyOf(1), 1u);
-
-    std::vector<std::uint64_t> issued;
-    bank.selectCycle(
-        10, [](std::uint64_t, unsigned) { return true; },
-        [&issued](std::uint64_t seq, unsigned) { issued.push_back(seq); });
-    std::sort(issued.begin(), issued.end());
-    EXPECT_EQ(issued, (std::vector<std::uint64_t>{10, 11}));
+        [&attended](std::uint64_t seq, unsigned, SchedulerBank::SlotRef) {
+            attended.push_back(seq);
+        });
+    EXPECT_EQ(offered, (std::vector<std::uint64_t>{3, 4}));
+    EXPECT_EQ(attended, (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(bank.occupancy(), 5u);
 }
 
 TEST(Scheduler, SteeringRoundRobinByPairs)
@@ -221,25 +190,23 @@ TEST(Scheduler, SeqCheckAcceptsRecycledSlotButGenCheckDoesNot)
     EXPECT_NE(bank.genOf(r2), g1);
 }
 
-TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
+TEST(Scheduler, WakeupSelectMatchesOldestFirstOnRandomizedSchedules)
 {
-    // Drive two identical banks — one via latched ready bits, one via a
-    // per-entry readiness poll — through randomized insert/ready/squash
-    // traffic and require identical issue streams every cycle, equal to
-    // an oldest-first reference pick. Traffic stays inside one ROB
-    // window: a lagging head (the oldest unretired seq) bounds the
-    // youngest seq, and runs last long enough to wrap the slot space.
+    // Drive a bank via latched ready bits through randomized
+    // insert/ready/squash traffic and require its issue stream every
+    // cycle to equal an oldest-first reference pick. Traffic stays
+    // inside one ROB window: a lagging head (the oldest unretired seq)
+    // bounds the youngest seq, and runs last long enough to wrap the
+    // slot space.
     std::mt19937_64 rng(7);
     for (unsigned trial = 0; trial < 50; ++trial) {
         const unsigned entries = 1 + static_cast<unsigned>(rng() % 32);
         const unsigned width = 1 + static_cast<unsigned>(rng() % 3);
         const unsigned rob = 2 * entries + static_cast<unsigned>(rng() % 64);
         SchedulerBank wake(2, entries, width, rob);
-        SchedulerBank poll(2, entries, width, rob);
         std::uint64_t next_seq = 1;
         std::uint64_t head = 1;
-        // seq -> (readyFrom cycle, scheduler); slot refs for the wakeup
-        // bank.
+        // seq -> (readyFrom cycle, scheduler); slot refs.
         std::map<std::uint64_t, Cycle> ready_from;
         std::map<std::uint64_t, unsigned> sched_of;
         std::map<std::uint64_t, SchedulerBank::SlotRef> refs;
@@ -256,7 +223,6 @@ TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
                     continue;
                 const std::uint64_t seq = next_seq++;
                 const auto ref = wake.insert(s, seq);
-                poll.insert(s, seq);
                 refs[seq] = ref;
                 sched_of[seq] = s;
                 ready_from[seq] = t + 1 + rng() % 6;
@@ -268,7 +234,6 @@ TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
                 std::advance(it, rng() % live.size());
                 const std::uint64_t cut = *it;
                 wake.squashAfter(cut);
-                poll.squashAfter(cut);
                 for (auto l = live.upper_bound(cut); l != live.end();)
                     l = live.erase(l);
             }
@@ -287,7 +252,6 @@ TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
                 }
             }
             std::vector<std::uint64_t> from_wake;
-            std::vector<std::uint64_t> from_poll;
             wake.selectWakeup(
                 head,
                 [&from_wake](std::uint64_t seq, unsigned) {
@@ -295,21 +259,10 @@ TEST(Scheduler, WakeupSelectMatchesPolledOnRandomizedSchedules)
                     return true;
                 },
                 [](std::uint64_t, unsigned, SchedulerBank::SlotRef) {});
-            poll.selectCycle(
-                head,
-                [&](std::uint64_t seq, unsigned) {
-                    return ready_from[seq] <= t;
-                },
-                [&from_poll](std::uint64_t seq, unsigned) {
-                    from_poll.push_back(seq);
-                });
             ASSERT_EQ(from_wake, expect) << "trial " << trial
-                                         << " cycle " << t;
-            ASSERT_EQ(from_poll, expect) << "trial " << trial
                                          << " cycle " << t;
             for (const std::uint64_t seq : from_wake)
                 live.erase(seq);
-            ASSERT_EQ(wake.occupancy(), poll.occupancy());
             ASSERT_EQ(wake.occupancy(), live.size());
         }
         EXPECT_GT(next_seq, rob) << "trial " << trial
@@ -330,87 +283,80 @@ parityMachines(unsigned width)
     };
 }
 
-TEST(WakeupParity, StatSnapshotsBitIdenticalToPolledPath)
+TEST(WakeupParity, OracleAndPlainStatSnapshotsBitIdentical)
 {
-    // The acceptance bar of the rewrite: on every machine model, the
-    // wakeup array and the per-cycle polled oracle produce the same
-    // StatSnapshot, bit for bit — same IPC, same hole-wait accounting,
-    // same LSQ search counts, same everything registered.
+    // On every machine model, oracle mode (stepped every cycle, every
+    // ready/hole/storeScan bit checked against its predicate) and a
+    // plain idle-skipping run produce the same StatSnapshot, bit for
+    // bit — same IPC, same hole-wait accounting, same LSQ search counts,
+    // same everything registered. The stepped run also checks the idle
+    // skip: a skipped cycle that was not idle shows up as a difference.
     WorkloadParams wp;
     for (const char *name : {"mcf", "compress", "vortex"}) {
         const Program prog = findWorkload(name).build(wp);
         for (unsigned width : {4u, 8u}) {
             for (MachineConfig cfg : parityMachines(width)) {
-                cfg.polledScheduler = false;
-                const SimResult wake = simulate(cfg, prog);
-                cfg.polledScheduler = true;
-                const SimResult poll = simulate(cfg, prog);
-                ASSERT_TRUE(wake.halted);
-                ASSERT_TRUE(poll.halted);
-                EXPECT_TRUE(wake.stats == poll.stats)
+                cfg.wakeupOracle = false;
+                const SimResult plain = simulate(cfg, prog);
+                cfg.wakeupOracle = true;
+                const SimResult checked = simulate(cfg, prog);
+                ASSERT_TRUE(plain.halted);
+                ASSERT_TRUE(checked.halted);
+                EXPECT_TRUE(plain.stats == checked.stats)
                     << cfg.label << " x " << name << " w" << width
-                    << ": wakeup ipc=" << wake.ipc()
-                    << " polled ipc=" << poll.ipc();
+                    << ": plain ipc=" << plain.ipc()
+                    << " oracle ipc=" << checked.ipc();
             }
         }
     }
 }
 
-TEST(WakeupParity, IdleSkipIsStatNeutral)
-{
-    WorkloadParams wp;
-    const Program prog = findWorkload("mcf").build(wp);
-    MachineConfig cfg = MachineConfig::make(MachineKind::RbLimited, 8);
-    cfg.idleSkip = true;
-    const SimResult skipped = simulate(cfg, prog);
-    cfg.idleSkip = false;
-    const SimResult stepped = simulate(cfg, prog);
-    EXPECT_TRUE(skipped.stats == stepped.stats);
-}
-
 TEST(WakeupParity, OracleModeCrossChecksEveryCycle)
 {
-    // config.wakeupOracle recomputes every valid entry's readiness and
-    // hole class from the scoreboard each cycle and aborts on any
-    // divergence from the latched bits; surviving a full co-simulated
-    // run is the pass condition.
+    // Driven on the core directly, so the host telemetry is visible:
+    // oracle mode checks entries and never skips a cycle, a plain run
+    // of the same memory-bound program skips idle stretches, and both
+    // simulate the same number of cycles.
     WorkloadParams wp;
-    const Program prog = findWorkload("ijpeg").build(wp);
-    for (MachineKind kind :
-         {MachineKind::RbLimited, MachineKind::Ideal}) {
-        MachineConfig cfg = MachineConfig::make(kind, 8);
-        cfg.wakeupOracle = true;
-        const SimResult r = simulate(cfg, prog);
-        EXPECT_TRUE(r.halted) << cfg.label;
-    }
+    const Program prog = findWorkload("mcf").build(wp);
+    MachineConfig checked_cfg =
+        MachineConfig::make(MachineKind::RbLimited, 8);
+    checked_cfg.wakeupOracle = true;
+    OooCore checked(checked_cfg, prog);
+    ASSERT_TRUE(checked.run(100'000'000));
+    EXPECT_GT(checked.wakeupOracleChecks(), 0u);
+    EXPECT_EQ(checked.idleSkippedCycles(), 0u);
+
+    const MachineConfig plain_cfg =
+        MachineConfig::make(MachineKind::RbLimited, 8);
+    OooCore plain(plain_cfg, prog);
+    ASSERT_TRUE(plain.run(100'000'000));
+    EXPECT_EQ(plain.wakeupOracleChecks(), 0u);
+    EXPECT_GT(plain.idleSkippedCycles(), 0u);
+    EXPECT_EQ(plain.stats().cycles, checked.stats().cycles);
 }
 
 TEST(WakeupParity, MonolithicSchedulerRunsOnTheWakeupArray)
 {
     // One 128-entry select-4 scheduler (ablation_partition's monolithic
-    // window): its masks span the ROB's 128 slots in two words. The
-    // wakeup array must agree with the polled path stat for stat, and
-    // survive the per-cycle oracle cross-check.
+    // window): its masks span the ROB's 128 slots in two words. It must
+    // survive the per-cycle oracle check and match the plain run stat
+    // for stat.
     WorkloadParams wp;
     const Program prog = findWorkload("compress").build(wp);
     MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 4);
     cfg.numSchedulers = 1;
     cfg.schedEntries = 128;
     cfg.selectWidth = 4;
-    const SimResult wake = simulate(cfg, prog);
-    ASSERT_TRUE(wake.halted);
-    EXPECT_GT(wake.ipc(), 0.0);
+    const SimResult plain = simulate(cfg, prog);
+    ASSERT_TRUE(plain.halted);
+    EXPECT_GT(plain.ipc(), 0.0);
 
-    cfg.polledScheduler = true;
-    const SimResult poll = simulate(cfg, prog);
-    EXPECT_TRUE(wake.stats == poll.stats)
-        << "wakeup ipc=" << wake.ipc() << " polled ipc=" << poll.ipc();
-
-    cfg.polledScheduler = false;
     cfg.wakeupOracle = true;
     const SimResult oracle = simulate(cfg, prog);
     EXPECT_TRUE(oracle.halted);
-    EXPECT_TRUE(oracle.stats == wake.stats);
+    EXPECT_TRUE(oracle.stats == plain.stats)
+        << "plain ipc=" << plain.ipc() << " oracle ipc=" << oracle.ipc();
 }
 
 // ------------------------------------------------- deadlock watchdog
@@ -432,15 +378,17 @@ TEST(Watchdog, AbortsRunsWithoutRetirementProgress)
     MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 4);
     cfg.deadlockCycles = 40;
     cfg.memLatency = 400;
-    for (bool polled : {false, true}) {
-        cfg.polledScheduler = polled;
+    // The plain run skips idle cycles straight into the watchdog
+    // window; oracle mode steps there, and both must abort alike.
+    for (bool oracle : {false, true}) {
+        cfg.wakeupOracle = oracle;
         const SimResult r = simulate(cfg, prog);
-        EXPECT_FALSE(r.halted) << (polled ? "polled" : "wakeup");
+        EXPECT_FALSE(r.halted) << (oracle ? "oracle" : "plain");
         EXPECT_EQ(r.counter("core.deadlockAborts"), 1u);
     }
     // A sane window lets the same program finish.
     cfg.deadlockCycles = 100000;
-    cfg.polledScheduler = false;
+    cfg.wakeupOracle = false;
     const SimResult ok = simulate(cfg, prog);
     EXPECT_TRUE(ok.halted);
     EXPECT_EQ(ok.counter("core.deadlockAborts"), 0u);

@@ -5,7 +5,7 @@
  *    single-instruction sensitivity);
  *  - the reset-in-place determinism contract — a warm, reused Simulator
  *    produces StatSnapshots bit-identical to a fresh one across the
- *    Figure 12 grid under both the wakeup and the polled scheduler;
+ *    Figure 12 grid;
  *  - SimService result caching, in-batch coalescing, and the
  *    zero-steady-state-allocation serving window (this binary links
  *    rbsim-allochook);
@@ -90,18 +90,15 @@ TEST(ProgramHash, SingleInstructionMutationChangesHash)
 
 // ----------------------------------------------- reset-in-place parity
 
-/** The Figure 12 machines (4-wide), with the scheduler knob applied. */
+/** The Figure 12 machines (4-wide). */
 std::vector<MachineConfig>
-bench_grid(bool polled)
+bench_grid()
 {
     std::vector<MachineConfig> grid;
     for (MachineKind kind :
          {MachineKind::Baseline, MachineKind::RbLimited,
-          MachineKind::RbFull, MachineKind::Ideal}) {
-        MachineConfig cfg = MachineConfig::make(kind, 4);
-        cfg.polledScheduler = polled;
-        grid.push_back(cfg);
-    }
+          MachineKind::RbFull, MachineKind::Ideal})
+        grid.push_back(MachineConfig::make(kind, 4));
     return grid;
 }
 
@@ -111,11 +108,10 @@ bench_grid(bool polled)
  * a *different* program than the last), and every result must be
  * bit-identical to a freshly constructed Simulator's.
  */
-void
-expectResetParity(bool polled)
+TEST(SimulatorReset, Fig12GridWakeupParity)
 {
     const std::vector<WorkloadInfo> suite = suiteWorkloads("spec95");
-    for (MachineConfig cfg : bench_grid(polled)) {
+    for (const MachineConfig &cfg : bench_grid()) {
         Simulator reused(cfg);
         for (const WorkloadInfo &wl : suite) {
             WorkloadParams wp;
@@ -123,17 +119,12 @@ expectResetParity(bool polled)
             const SimResult warm = reused.run(prog);
             const SimResult fresh = simulate(cfg, prog);
             EXPECT_EQ(warm.stats, fresh.stats)
-                << cfg.label << "/" << wl.name
-                << (polled ? " (polled)" : " (wakeup)");
+                << cfg.label << "/" << wl.name;
             EXPECT_EQ(warm.halted, fresh.halted);
         }
         EXPECT_EQ(reused.runsCompleted(), suite.size());
     }
 }
-
-TEST(SimulatorReset, Fig12GridWakeupParity) { expectResetParity(false); }
-
-TEST(SimulatorReset, Fig12GridPolledParity) { expectResetParity(true); }
 
 // ------------------------------------------------------------ service
 
@@ -308,7 +299,7 @@ TEST(ServeProtocol, RequestParsing)
 {
     const serve::JobRequest req = serve::parseRequest(std::string(
         R"({"id":"j1","workload":"gcc","scale":2,"machine":"rblim",)"
-        R"("width":8,"scheduler":"polled","max_cycles":1000,)"
+        R"("width":8,"scheduler":"oracle","max_cycles":1000,)"
         R"("cosim":false,"stats":["core.ipc"]})"));
     EXPECT_EQ(req.id, "j1");
     EXPECT_EQ(req.workload, "gcc");
@@ -320,8 +311,7 @@ TEST(ServeProtocol, RequestParsing)
     const MachineConfig cfg = serve::requestConfig(req);
     EXPECT_EQ(cfg.kind, MachineKind::RbLimited);
     EXPECT_EQ(cfg.width, 8u);
-    EXPECT_TRUE(cfg.polledScheduler);
-    EXPECT_FALSE(cfg.wakeupOracle);
+    EXPECT_TRUE(cfg.wakeupOracle);
 }
 
 // ------------------------------------------------- server edge cases
@@ -386,9 +376,13 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     expectError(ts.roundTrip(R"({"id":"e2","workload":"doom",)"
                              R"("machine":"base"})"),
                 "unknown-workload");
-    expectError(ts.roundTrip(R"({"id":"e3","workload":"compress",)"
-                             R"("machine":"base","scheduler":"psychic"})"),
-                "unknown-scheduler");
+    // "polled" names no scheduler of this build.
+    for (const char *sched : {"psychic", "polled"}) {
+        expectError(ts.roundTrip(R"({"id":"e3","workload":"compress",)"
+                                 R"("machine":"base","scheduler":")" +
+                                 std::string(sched) + "\"}"),
+                    "unknown-scheduler");
+    }
     // Shape errors: missing id, program+workload both, neither machine
     // nor config, unknown key.
     expectError(ts.roundTrip(R"({"workload":"compress","machine":"base"})"),
@@ -401,6 +395,13 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     expectError(ts.roundTrip(R"({"id":"e6","workload":"compress",)"
                              R"("machine":"base","frobnicate":1})"),
                 "bad-request");
+    // Host knobs this build does not have are unknown config keys.
+    for (const char *key : {"polled_scheduler", "idle_skip"}) {
+        expectError(ts.roundTrip(R"({"id":"e8","workload":"compress",)"
+                                 R"("config":{"kind":"Baseline",")" +
+                                 std::string(key) + "\":false}}"),
+                    "bad-request");
+    }
     expectError(ts.roundTrip(R"({"id":"e7","program":"not assembly",)"
                              R"("machine":"base"})"),
                 "bad-program");
@@ -440,6 +441,11 @@ TEST(ServeServer, OutOfRangeMachineSizesAreBadRequests)
         {"phys_regs", 8},      {"phys_regs", 32},
         {"phys_regs", 8193},   {"phys_regs", 65536},
         {"fetch_decode_depth", 65}, {"rename_depth", 65},
+        // Bypass level k is bit k-1 of an 8-bit mask; levels past 32
+        // would shift a 32-bit word out of range.
+        {"num_bypass_levels", 0}, {"num_bypass_levels", 9},
+        {"num_bypass_levels", 33},
+        {"bypass_level_mask", 256}, {"bypass_level_mask", 263},
     };
     unsigned n = 0;
     for (const Case &c : cases) {
