@@ -75,12 +75,12 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
 }
 
 void
-OooCore::reset(const Program &prog)
+OooCore::reset(const Program &prog, const ArchCheckpoint *from)
 {
+    if (from && from->pc >= prog.code.size())
+        throw std::logic_error("cannot resume a halted checkpoint");
     program = &prog;
 
-    commitMem.reset();
-    commitMem.loadProgram(prog);
     hierarchy.reset();
     fetch.reset(prog);
     rename.reset();
@@ -123,28 +123,26 @@ OooCore::reset(const Program &prog)
     instLimit = 0;
     limitHit = false;
     samCheckCounter = 0;
-}
 
-void
-OooCore::restoreArchState(const ArchCheckpoint &ck)
-{
-    if (ck.pc >= program->code.size())
-        throw std::logic_error("cannot resume a halted checkpoint");
-
-    commitMem.restorePages(ck.pages);
-    // Right after reset() the rename map is the identity, so the
-    // architectural registers land in their home physical registers.
+    if (!from) {
+        commitMem.reset();
+        commitMem.loadProgram(prog);
+        return;
+    }
+    commitMem.restorePages(from->pages);
+    // The rename map is the identity again, so the architectural
+    // registers land in their home physical registers.
     for (unsigned r = 0; r < numArchRegs; ++r) {
         if (r != zeroReg)
-            regs.writeTc(rename.lookup(r), ck.regs[r]);
+            regs.writeTc(rename.lookup(r), from->regs[r]);
     }
-    fetch.startAt(ck.pc);
-    fetch.predictor.restoreState(ck.bpred);
-    fetch.btb.restoreEntries(ck.btb);
-    fetch.ras.restore(ck.ras);
-    hierarchy.il1().restoreTags(ck.il1);
-    hierarchy.dl1().restoreTags(ck.dl1);
-    hierarchy.l2().restoreTags(ck.l2);
+    fetch.startAt(from->pc);
+    fetch.predictor.restoreState(from->bpred);
+    fetch.btb.restoreEntries(from->btb);
+    fetch.ras.restore(from->ras);
+    hierarchy.il1().restoreTags(from->il1);
+    hierarchy.dl1().restoreTags(from->dl1);
+    hierarchy.l2().restoreTags(from->l2);
 }
 
 void

@@ -138,8 +138,17 @@ class OooCore
      * produces a bit-identical StatSnapshot to a freshly constructed
      * one (tests/test_serve.cc pins both properties). The retire hook,
      * tracer, and profiler attachments are left as-is.
+     *
+     * The run starts at the program entry with its data image, or —
+     * given `from`, a checkpoint of `prog` — at that checkpoint: its
+     * pages become the committed memory directly (the data image is
+     * never built), the architectural registers land in their home
+     * physical registers, fetch starts at its PC, and the warm
+     * predictor/BTB/RAS tables and the three cache tag arrays are
+     * installed. Throws std::logic_error, before touching any state,
+     * for a checkpoint of a halted program (nothing to resume).
      */
-    void reset(const Program &prog);
+    void reset(const Program &prog, const ArchCheckpoint *from = nullptr);
 
     /** Callback invoked for every retired instruction (co-simulation). */
     void
@@ -169,16 +178,6 @@ class OooCore
      * the pipeline appears in the trace; then Tracer::finish().
      */
     void traceInFlight(const char *why);
-
-    /**
-     * Install a checkpoint's architectural + warm state on a freshly
-     * reset core (call right after reset(prog) with the same program):
-     * committed memory pages, architectural registers through the
-     * identity rename map, fetch PC, predictor/BTB/RAS tables, and the
-     * three cache tag arrays. Throws std::logic_error for a checkpoint
-     * of a halted program (nothing to resume).
-     */
-    void restoreArchState(const ArchCheckpoint &ck);
 
     /**
      * Zero every registered statistic of the core and its subcomponents

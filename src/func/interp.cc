@@ -60,7 +60,7 @@ struct RecordSink
 
 Interp::Interp(const Program &prog)
 {
-    bindProgram(prog);
+    bindProgram(prog, prog.hash());
     memory.loadProgram(prog);
     pcIndex = prog.entry;
 }

@@ -65,21 +65,32 @@ class Interp
 
     /**
      * Back to construction state, rebound to `prog` (which must outlive
-     * the interpreter). Memory is zeroed in place (resident pages kept)
-     * and the program image reloaded; the predecoded form comes from the
-     * process-wide cache — so repeated same-footprint runs allocate
-     * nothing.
+     * the interpreter; `prog_hash` is its Program::hash()): entry PC,
+     * registers zeroed. With `pages` (a checkpoint's), memory becomes
+     * those pages, shared copy-on-write, and the program's data image is
+     * never built — set the checkpoint's registers and PC next. Without,
+     * memory is zeroed in place (resident pages kept) and the data image
+     * reloaded. The predecoded form comes from the process-wide cache —
+     * so repeated same-footprint runs allocate nothing.
      */
     void
-    reset(const Program &prog)
+    reset(const Program &prog, std::uint64_t prog_hash,
+          const MemImage::PageMap *pages = nullptr)
     {
-        bindProgram(prog);
-        memory.reset();
-        memory.loadProgram(prog);
+        bindProgram(prog, prog_hash);
+        if (pages) {
+            memory.restorePages(*pages);
+        } else {
+            memory.reset();
+            memory.loadProgram(prog);
+        }
         pcIndex = prog.entry;
         steps = 0;
         isHalted = false;
     }
+
+    /** reset() from the program image, hashing `prog`. */
+    void reset(const Program &prog) { reset(prog, prog.hash()); }
 
     /** True once HALT has executed or the PC ran off the code. */
     bool halted() const { return isHalted; }
@@ -191,10 +202,10 @@ class Interp
     /** Rebind program + predecoded form and lay out the register file
      * (arch regs zeroed, literal pool filled, scratch slot). */
     void
-    bindProgram(const Program &prog)
+    bindProgram(const Program &prog, std::uint64_t prog_hash)
     {
         program = &prog;
-        dec = decodeProgram(prog);
+        dec = decodeProgram(prog, prog_hash);
         xregs.resize(dec->slotCount());
         std::fill(xregs.begin(), xregs.begin() + numArchRegs, 0);
         for (std::size_t i = 0; i < dec->pool.size(); ++i)

@@ -7,25 +7,31 @@
  * misprediction safe.
  *
  * Pages are shared_ptr-held so an architectural checkpoint can snapshot
- * the whole image by sharing the page map (copy-on-write): the first
- * write to a page shared with a live snapshot clones it. Images with no
- * outstanding snapshots behave exactly as before, including the
+ * the whole image by sharing the page map (copy-on-write). The image
+ * writes in place only the pages it *owns* — allocated or cloned by it
+ * since it last shared its map — and clones any other page on its
+ * first write. Ownership is tracked per page rather than read off the
+ * shared_ptr use count, because the holders of a shared page can be
+ * other threads (a fast-forward pass keeps writing its image while
+ * workers resume windows from its checkpoints), and seeing the count
+ * drop to 1 would not order this image's write after their last reads.
+ * Images with no outstanding snapshots own every page, including on the
  * zero-allocation reset-in-place serving path.
  *
  * A small direct-mapped translation cache (the "xlat" array) sits in
  * front of the page map so the interpreter's hot loads/stores are one
  * compare plus a raw-pointer deref instead of an unordered_map lookup
  * and a shared_ptr chase. Each entry caches the page's *data pointer*
- * directly, plus a `writable` bit recording that the page was
- * exclusively owned when the entry was filled — so a store hit touches
- * neither the map nor the control block. Correctness rests on
- * invalidating the cache at every operation that can replace a page's
- * storage or raise its use_count behind the cache's back: reset()
- * (shared pages are replaced in place), restorePages, snapshotPages
- * (sharing stales `writable`), and copy/move construction/assignment
- * (both sides). A same-image CoW clone refreshes its own entry in
- * lookupWrite, and a *peer* image cloning its copy never moves this
- * image's page, so cached read pointers stay valid across peer writes.
+ * directly, plus a `writable` bit recording that the page was owned
+ * when the entry was filled — so a store hit touches neither the map
+ * nor the control block. Correctness rests on invalidating the cache at
+ * every operation that can replace a page's storage or end its
+ * ownership behind the cache's back: reset() (unowned pages are
+ * replaced), restorePages, snapshotPages (sharing ends ownership), and
+ * copy/move construction/assignment (both sides). A same-image CoW
+ * clone refreshes its own entry in lookupWrite, and a *peer* image
+ * cloning its copy never moves this image's page, so cached read
+ * pointers stay valid across peer writes.
  */
 
 #ifndef RBSIM_FUNC_MEM_IMAGE_HH
@@ -56,9 +62,13 @@ class MemImage
     MemImage() = default;
     //! The xlat cache points into the source's map nodes; a copy gets
     //! its own nodes, so it must start cold. The pages themselves are
-    //! shared CoW-style, exactly like a snapshot — which also stales
-    //! the source's cached exclusivity, so its cache drops too.
-    MemImage(const MemImage &o) : pages(o.pages) { o.invalidateXlat(); }
+    //! shared CoW-style, exactly like a snapshot, so neither side owns
+    //! them any more.
+    MemImage(const MemImage &o) : pages(o.pages)
+    {
+        disown();
+        o.disown();
+    }
     MemImage(MemImage &&o) noexcept : pages(std::move(o.pages))
     {
         o.invalidateXlat(); // its cache points at nodes we now own
@@ -67,8 +77,8 @@ class MemImage
     operator=(const MemImage &o)
     {
         pages = o.pages;
-        invalidateXlat();
-        o.invalidateXlat(); // now shares its pages with us
+        disown();
+        o.disown(); // now shares its pages with us
         return *this;
     }
     MemImage &
@@ -162,15 +172,18 @@ class MemImage
     void
     reset()
     {
-        for (auto &[addr, page] : pages) {
-            // A page shared with a live checkpoint must not be zeroed
-            // through; replace it instead (the snapshot keeps the old
-            // bytes). With no snapshots alive this never triggers, so
-            // the warm path stays allocation-free.
-            if (page.use_count() > 1)
-                page = std::make_shared<Page>();
-            else
-                page->fill(0);
+        for (auto &[addr, slot] : pages) {
+            // A page this image does not own may still be a checkpoint's
+            // and must not be zeroed through; replace it instead (the
+            // snapshot keeps the old bytes). With no snapshots taken
+            // this never triggers, so the warm path stays
+            // allocation-free.
+            if (slot.owned) {
+                slot.page->fill(0);
+            } else {
+                slot.page = std::make_shared<Page>();
+                slot.owned = true;
+            }
         }
         // Replaced pages got fresh storage; cached data pointers to
         // them would be stale.
@@ -180,26 +193,33 @@ class MemImage
     /**
      * Share every resident page with the caller (a checkpoint). O(pages)
      * in map size, O(0) in bytes: later writes on either side clone the
-     * affected page first (see lookupWrite). Sharing stales the cached
-     * exclusivity bits, so the xlat cache is dropped.
+     * affected page first (see lookupWrite). Sharing ends this image's
+     * ownership of every page, so the xlat cache is dropped.
      */
     PageMap
     snapshotPages() const
     {
-        invalidateXlat();
-        return pages;
+        PageMap snap;
+        snap.reserve(pages.size());
+        for (const auto &[page_no, slot] : pages)
+            snap.emplace(page_no, slot.page);
+        disown();
+        return snap;
     }
 
     /**
      * Replace the whole image with a snapshot's pages, re-sharing them
      * (the inverse of snapshotPages). The first write per page after a
      * restore clones it, leaving the checkpoint intact for the next
-     * restore. Destroys the old map nodes, so the xlat cache drops cold.
+     * restore. Destroys the old map nodes, so the xlat cache drops
+     * cold.
      */
     void
     restorePages(const PageMap &snapshot)
     {
-        pages = snapshot;
+        pages.clear();
+        for (const auto &[page_no, page] : snapshot)
+            pages.emplace(page_no, Slot{page, false});
         invalidateXlat();
     }
 
@@ -214,16 +234,29 @@ class MemImage
         return static_cast<std::size_t>(addr & (pageSize - 1));
     }
 
+    /**
+     * A resident page, and whether this image owns it: allocated or
+     * cloned it since it last shared its map, so no other holder — on
+     * any thread — has ever seen it, and it may be written in place.
+     * `mutable` because sharing (snapshotPages, copy construction) ends
+     * ownership from a const image.
+     */
+    struct Slot
+    {
+        std::shared_ptr<Page> page;
+        mutable bool owned = false;
+    };
+
     //! One xlat entry: page number -> the page's raw data pointer.
     //! Absent pages are never cached (a later first-touch insert must
     //! be observed), so a hit always has live storage behind it.
-    //! `writable` caches `use_count() == 1` at fill time so the store
-    //! fast path skips both the map and the atomic probe; every
-    //! operation that can raise a page's use_count or replace its
-    //! storage without going through lookupWrite (snapshotPages,
-    //! reset, restorePages, copy/move construction/assignment)
-    //! invalidates the cache, so a stale `true` cannot survive into a
-    //! write that must clone. A stale `false` only costs the slow path.
+    //! `writable` caches Slot::owned at fill time so the store fast
+    //! path skips the map; every operation that can end ownership or
+    //! replace a page's storage without going through lookupWrite
+    //! (snapshotPages, reset, restorePages, copy/move
+    //! construction/assignment) invalidates the cache, so a stale
+    //! `true` cannot survive into a write that must clone. A stale
+    //! `false` only costs the slow path.
     struct XlatEntry
     {
         Addr pageNo = ~Addr{0};
@@ -237,6 +270,15 @@ class MemImage
     {
         for (XlatEntry &e : xlat)
             e = XlatEntry{};
+    }
+
+    /** End ownership of every page: they are about to be shared. */
+    void
+    disown() const
+    {
+        for (const auto &kv : pages)
+            kv.second.owned = false;
+        invalidateXlat();
     }
 
     /** Page data for reading (nullptr when untouched). The cache is
@@ -253,33 +295,34 @@ class MemImage
         if (it == pages.end())
             return nullptr;
         e.pageNo = page_no;
-        e.data = it->second->data();
-        e.writable = it->second.use_count() == 1;
+        e.data = it->second.page->data();
+        e.writable = it->second.owned;
         return e.data;
     }
 
-    /** Page data for writing: allocate on first touch, clone when
-     * shared with a snapshot (CoW). Cache hits are served only for
-     * pages known to be exclusively owned (see XlatEntry::writable),
-     * so the clone check can never be skipped. */
+    /** Page data for writing: allocate on first touch, clone a page
+     * this image does not own (CoW). Cache hits are served only for
+     * owned pages (see XlatEntry::writable), so the clone check can
+     * never be skipped. */
     std::uint8_t *
     lookupWrite(Addr page_no)
     {
         XlatEntry &e = xlat[page_no & (xlatSlots - 1)];
         if (e.pageNo == page_no && e.writable)
             return e.data;
-        auto &slot = pages[page_no];
-        if (!slot)
-            slot = std::make_shared<Page>();
-        else if (slot.use_count() > 1)
-            slot = std::make_shared<Page>(*slot); // break CoW sharing
+        Slot &slot = pages[page_no];
+        if (!slot.page)
+            slot.page = std::make_shared<Page>();
+        else if (!slot.owned)
+            slot.page = std::make_shared<Page>(*slot.page); // break CoW
+        slot.owned = true;
         e.pageNo = page_no;
-        e.data = slot->data();
-        e.writable = true; // just allocated, cloned, or probed == 1
+        e.data = slot.page->data();
+        e.writable = true;
         return e.data;
     }
 
-    PageMap pages;
+    std::unordered_map<Addr, Slot> pages;
     //! Direct-mapped page-translation cache; see the file comment.
     mutable std::array<XlatEntry, xlatSlots> xlat{};
 };

@@ -213,7 +213,7 @@ buildDecodedProgram(const Program &prog, std::uint64_t hash)
 } // namespace
 
 std::shared_ptr<const DecodedProgram>
-decodeProgram(const Program &prog)
+decodeProgram(const Program &prog, std::uint64_t prog_hash)
 {
     // Process-wide bounded cache. Eviction is a full clear — holders
     // keep their shared_ptrs alive, and 256 distinct programs resident
@@ -225,14 +225,13 @@ decodeProgram(const Program &prog)
         cache;
     constexpr std::size_t cacheCap = 256;
 
-    const std::uint64_t h = prog.hash();
     std::lock_guard<std::mutex> lock(mu);
-    if (const auto it = cache.find(h); it != cache.end())
+    if (const auto it = cache.find(prog_hash); it != cache.end())
         return it->second;
-    auto dp = buildDecodedProgram(prog, h);
+    auto dp = buildDecodedProgram(prog, prog_hash);
     if (cache.size() >= cacheCap)
         cache.clear();
-    cache.emplace(h, dp);
+    cache.emplace(prog_hash, dp);
     return dp;
 }
 

@@ -169,9 +169,19 @@ struct DecodedProgram
 /**
  * Lower `prog` (or fetch the cached lowering — process-wide, bounded,
  * keyed by Program::hash(); equal hashes are treated as equal programs,
- * the same contract the serve result cache relies on).
+ * the same contract the serve result cache relies on). A caller that
+ * already holds `prog_hash` == prog.hash() passes it, and the lookup
+ * hashes nothing.
  */
-std::shared_ptr<const DecodedProgram> decodeProgram(const Program &prog);
+std::shared_ptr<const DecodedProgram> decodeProgram(const Program &prog,
+                                                    std::uint64_t prog_hash);
+
+/** decodeProgram() for a program whose hash the caller does not hold. */
+inline std::shared_ptr<const DecodedProgram>
+decodeProgram(const Program &prog)
+{
+    return decodeProgram(prog, prog.hash());
+}
 
 /** True when the computed-goto loop is compiled in and the environment
  * did not pin `RBSIM_FORCE_SWITCH` (resolved once per process). */

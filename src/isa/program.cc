@@ -1,5 +1,8 @@
 #include "isa/program.hh"
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 
 namespace rbsim
 {
@@ -60,6 +63,47 @@ mixPair(Addr addr, std::uint8_t byte)
     return z ^ (z >> 31);
 }
 
+/** Calls fn(lo, hi) for every maximal range inside [first, last]
+ * (inclusive) that no range of `ranges` covers. */
+template <class Fn>
+void
+forEachGap(const std::map<Addr, Addr> &ranges, Addr first, Addr last,
+           Fn &&fn)
+{
+    Addr cursor = first;
+    auto it = ranges.upper_bound(first);
+    if (it != ranges.begin() && std::prev(it)->second >= first) {
+        if (std::prev(it)->second >= last)
+            return;
+        cursor = std::prev(it)->second + 1;
+    }
+    for (; it != ranges.end() && it->first <= last; ++it) {
+        if (it->first > cursor)
+            fn(cursor, it->first - 1);
+        if (it->second >= last)
+            return;
+        cursor = it->second + 1;
+    }
+    fn(cursor, last);
+}
+
+/** Add [first, last] (inclusive) to `ranges`, merging the ranges it
+ * overlaps or touches so they stay disjoint. */
+void
+cover(std::map<Addr, Addr> &ranges, Addr first, Addr last)
+{
+    auto next = [](Addr a) { return a == ~Addr{0} ? a : a + 1; };
+    auto it = ranges.upper_bound(first);
+    if (it != ranges.begin() && next(std::prev(it)->second) >= first)
+        --it;
+    while (it != ranges.end() && it->first <= next(last)) {
+        first = std::min(first, it->first);
+        last = std::max(last, it->second);
+        it = ranges.erase(it);
+    }
+    ranges.emplace(first, last);
+}
+
 } // namespace
 
 std::uint64_t
@@ -86,31 +130,40 @@ Program::hash() const
     // padding must not affect program identity. Segments apply in
     // order, so a later zero byte erases an earlier nonzero one.
     //
-    // The image is never materialized — hash() runs inside the serve
-    // warm window (Interp::reset keys the predecode cache with it), so
-    // it must not allocate. Instead each surviving (addr, byte) pair —
-    // nonzero, and not overwritten by a later segment — folds into an
-    // order-insensitive XOR digest, which makes the visit order (segment
-    // order here, address order before) irrelevant by construction.
+    // Each surviving (addr, byte) pair — nonzero, and not overwritten by
+    // a later segment — folds into an order-insensitive XOR digest, so
+    // the visit order does not matter. The segments are walked
+    // last-first against the union of the address ranges already
+    // walked: a segment's bytes outside that union are exactly its
+    // survivors, so every byte and every segment is visited once.
     std::uint64_t img = 0;
     std::uint64_t effective = 0;
-    for (std::size_t s = 0; s < data.size(); ++s) {
-        const DataSegment &seg = data[s];
-        for (std::size_t i = 0; i < seg.bytes.size(); ++i) {
-            if (seg.bytes[i] == 0)
-                continue;
-            const Addr a = seg.base + i;
-            bool overwritten = false;
-            for (std::size_t t = s + 1; t < data.size() && !overwritten;
-                 ++t) {
-                overwritten = a >= data[t].base &&
-                              a - data[t].base < data[t].bytes.size();
+    std::map<Addr, Addr> later; // disjoint inclusive ranges, by first
+    for (auto seg = data.rbegin(); seg != data.rend(); ++seg) {
+        const std::size_t n = seg->bytes.size();
+        if (n == 0)
+            continue;
+        auto fold = [&](Addr lo, Addr hi) {
+            for (Addr a = lo;; ++a) {
+                const std::uint8_t b = seg->bytes[a - seg->base];
+                if (b != 0) {
+                    img ^= mixPair(a, b);
+                    ++effective;
+                }
+                if (a == hi)
+                    break;
             }
-            if (overwritten)
-                continue;
-            img ^= mixPair(a, seg.bytes[i]);
-            ++effective;
-        }
+        };
+        // A segment's bytes land at base + i modulo 2^64, but a segment
+        // only ever shadowed the addresses from its base upwards, so a
+        // wrapping segment covers [base, 2^64) for the ones before it.
+        const Addr last = seg->base + (n - 1);
+        const bool wraps = last < seg->base;
+        const Addr top = wraps ? ~Addr{0} : last;
+        forEachGap(later, seg->base, top, fold);
+        if (wraps)
+            forEachGap(later, 0, last, fold);
+        cover(later, seg->base, top);
     }
     mix(h, effective);
     mix(h, img);

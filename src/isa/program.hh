@@ -27,6 +27,8 @@ struct DataSegment
 {
     Addr base = 0;
     std::vector<std::uint8_t> bytes;
+
+    bool operator==(const DataSegment &other) const = default;
 };
 
 /** A complete program image. */
@@ -76,9 +78,25 @@ struct Program
      * same image (assembler vs CodeBuilder, or a disassemble/assemble
      * round trip) hash equal, and any single-instruction or single-byte
      * mutation hashes different with overwhelming probability. The
-     * serve result cache keys on this (docs/SERVING.md).
+     * serve result cache keys on this (docs/SERVING.md). Linear in
+     * instructions, segments and data bytes.
      */
     std::uint64_t hash() const;
+
+    /**
+     * Exact content equality, the check that lets a holder of a
+     * program and its hash skip re-hashing an equal one: code, code
+     * base, entry, and the data segments as listed. Equal content means
+     * equal hash(); the converse does not hold (two segmentations of
+     * one image compare unequal, which only costs a re-hash). The
+     * `name` is not content.
+     */
+    bool
+    sameContent(const Program &other) const
+    {
+        return codeBase == other.codeBase && entry == other.entry &&
+               code == other.code && data == other.data;
+    }
 };
 
 } // namespace rbsim

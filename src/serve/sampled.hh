@@ -33,11 +33,16 @@ struct SampledOutcome
 };
 
 /**
- * Fast-forward `prog` collecting checkpoints (on the calling thread —
- * functional execution is cheap), then submit every detailed window to
- * `service` and merge as windows complete. `done` runs exactly once, on
- * whichever thread finishes the last window (synchronously for a
- * zero-window program). Window results land in the service's result
+ * Fast-forward `prog` on the calling thread and submit each detailed
+ * window to `service` as soon as its checkpoint is captured, so the
+ * workers simulate while the pass goes on; windows merge in stream
+ * order. `done` runs exactly once, after the pass has ended and every
+ * window has completed, on whichever thread gets there last: the worker
+ * finishing the last window, or the calling thread when every window
+ * was done first (a zero-window program, or all cache hits). If the
+ * pass throws (InterpError), the exception reaches the caller and
+ * `done` never runs — windows already submitted finish on the workers
+ * without touching it. Window results land in the service's result
  * cache keyed by checkpoint fingerprint, so repeating a campaign is
  * all cache hits.
  */

@@ -178,11 +178,12 @@ Server::handleLine(const std::string &line)
                       int(req.sample.cosim));
         char hash[32];
         std::snprintf(hash, sizeof(hash), "%016llx",
-                      static_cast<unsigned long long>(spec.prog.hash()));
+                      static_cast<unsigned long long>(
+                          service.programHash(spec.prog)));
         key = configKey(spec.cfg) + "|" + spec.prog.name + "|" + hash +
               regimen;
     } else {
-        key = SimService::cacheKeyFor(spec);
+        key = service.cacheKeyFor(spec);
     }
 
     {
@@ -208,9 +209,12 @@ Server::handleLine(const std::string &line)
     }
 
     if (req.sampled) {
-        // The fast-forward pass runs here on the request thread (it is
-        // the cheap part); the detailed windows land on the worker pool
-        // and the response is emitted by whichever worker finishes last.
+        // The fast-forward pass runs here on the request thread and
+        // hands each window to the worker pool as soon as its
+        // checkpoint is captured. The response is emitted once the pass
+        // has ended and every window completed, by whichever thread
+        // gets there last; a pass that throws is answered below, and
+        // then the callback never runs.
         try {
             submitSampled(service, spec.cfg, spec.prog, req.sample,
                           [this, id = req.id, key,

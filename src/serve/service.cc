@@ -18,12 +18,32 @@ SimService::SimService(const Options &opts)
       cacheCapacity(opts.cacheCapacity)
 {}
 
+std::uint64_t
+SimService::programHash(const Program &prog) const
+{
+    std::shared_ptr<const KeyedProgram> last;
+    {
+        std::lock_guard<std::mutex> lock(keyedMu);
+        last = lastKeyed;
+    }
+    if (last && last->prog.sameContent(prog))
+        return last->hash;
+    last = std::make_shared<const KeyedProgram>(
+        KeyedProgram{prog, prog.hash()});
+    const std::uint64_t h = last->hash;
+    {
+        std::lock_guard<std::mutex> lock(keyedMu);
+        lastKeyed.swap(last);
+    }
+    return h; // `last` now holds the replaced entry, freed unlocked
+}
+
 std::string
-SimService::cacheKeyFor(const JobSpec &spec)
+SimService::cacheKeyFor(const JobSpec &spec) const
 {
     char hash[24];
     std::snprintf(hash, sizeof(hash), "|%016" PRIx64 "|",
-                  spec.prog.hash());
+                  programHash(spec.prog));
     // SimOptions canonicalizes its own result-affecting fields; the key
     // tracks the struct so a new option can never alias stale results.
     return configKey(spec.cfg) + "|" + spec.prog.name + hash +

@@ -91,11 +91,22 @@ class SimService
     /**
      * The result-cache identity of a job: configKey (every MachineConfig
      * field, scheduler knobs included) + program name + Program::hash()
-     * + SimOptions::resultKey(), which canonicalizes EVERY
-     * result-affecting option field (tests/test_serve.cc guards that
-     * new SimOptions fields revisit resultKey).
+     * (through programHash()) + SimOptions::resultKey(), which
+     * canonicalizes EVERY result-affecting option field
+     * (tests/test_serve.cc guards that new SimOptions fields revisit
+     * resultKey).
      */
-    static std::string cacheKeyFor(const JobSpec &spec);
+    std::string cacheKeyFor(const JobSpec &spec) const;
+
+    /**
+     * Program::hash() of `prog`, remembered for the last program keyed:
+     * a campaign's windows, or a request keyed by the server and then
+     * submitted, carry one program, so only the first of them hashes.
+     * The remembered program is matched by exact content
+     * (Program::sameContent), never by pointer or name. Safe to call
+     * from several threads.
+     */
+    std::uint64_t programHash(const Program &prog) const;
 
     /**
      * Submit one job. `done` runs exactly once — synchronously on the
@@ -154,6 +165,16 @@ class SimService
     //! ever touched by its own worker thread — no locking on the
     //! simulation path.
     std::vector<std::map<std::string, WarmSim>> warm;
+
+    //! The last program programHash() hashed, with its hash. Replaced
+    //! whole under keyedMu and compared outside it.
+    struct KeyedProgram
+    {
+        Program prog;
+        std::uint64_t hash;
+    };
+    mutable std::mutex keyedMu;
+    mutable std::shared_ptr<const KeyedProgram> lastKeyed;
 
     // Result cache: LRU list of (key, result) with an index into it.
     mutable std::mutex cacheMu;

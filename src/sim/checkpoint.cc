@@ -15,18 +15,56 @@ namespace
 // before allocating.
 constexpr char ckptMagic[8] = {'R', 'B', 'C', 'K', '0', '0', '0', '1'};
 
+/** serialize()'s byte sink: appends to the image string. */
+struct StringSink
+{
+    std::string &out;
+
+    void byte(std::uint8_t b) { out.push_back(static_cast<char>(b)); }
+
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        out.append(static_cast<const char *>(p), n);
+    }
+};
+
+/** fingerprint()'s byte sink: folds every byte into FNV-1a, 64-bit, so
+ * the hash covers exactly the serialized bytes without building them. */
+struct FnvSink
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    byte(std::uint8_t b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        const auto *c = static_cast<const std::uint8_t *>(p);
+        for (std::size_t i = 0; i < n; ++i)
+            byte(c[i]);
+    }
+};
+
+template <class Sink>
 void
-putU64(std::string &out, std::uint64_t v)
+putU64(Sink &out, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        out.byte(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+template <class Sink>
 void
-putU32(std::string &out, std::uint32_t v)
+putU32(Sink &out, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        out.byte(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
 struct Reader
@@ -82,12 +120,13 @@ struct Reader
     }
 };
 
+template <class Sink>
 void
-putTagState(std::string &out, const CacheModel::TagState &t)
+putTagState(Sink &out, const CacheModel::TagState &t)
 {
     putU64(out, t.array.size());
     for (const CacheModel::Way &w : t.array) {
-        out.push_back(w.valid ? 1 : 0);
+        out.byte(w.valid ? 1 : 0);
         putU64(out, w.tag);
         putU64(out, w.lastUse);
     }
@@ -108,6 +147,65 @@ getTagState(Reader &r)
     return t;
 }
 
+/**
+ * The one definition of the checkpoint byte layout, written to any
+ * sink: serialize() stores it, fingerprint() hashes it.
+ */
+template <class Sink>
+void
+writeImage(Sink &out, const ArchCheckpoint &ck)
+{
+    out.bytes(ckptMagic, sizeof(ckptMagic));
+    putU64(out, ck.progHash);
+    putU64(out, ck.pc);
+    putU64(out, ck.instsExecuted);
+    for (Word w : ck.regs)
+        putU64(out, w);
+
+    // Memory pages in ascending page-number order, so two checkpoints of
+    // identical content serialize identically regardless of map history.
+    std::vector<const MemImage::PageMap::value_type *> sorted;
+    sorted.reserve(ck.pages.size());
+    for (const auto &kv : ck.pages)
+        sorted.push_back(&kv);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto *a, const auto *b) {
+                  return a->first < b->first;
+              });
+    putU64(out, sorted.size());
+    for (const auto *kv : sorted) {
+        putU64(out, kv->first);
+        out.bytes(kv->second->data(), kv->second->size());
+    }
+
+    const PredictorState &bp = ck.bpred;
+    putU32(out, bp.ghist);
+    putU64(out, bp.gshare.size());
+    out.bytes(bp.gshare.data(), bp.gshare.size());
+    putU64(out, bp.localHist.size());
+    for (std::uint16_t h : bp.localHist)
+        putU32(out, h);
+    putU64(out, bp.localPht.size());
+    out.bytes(bp.localPht.data(), bp.localPht.size());
+    putU64(out, bp.chooser.size());
+    out.bytes(bp.chooser.data(), bp.chooser.size());
+
+    putU64(out, ck.btb.size());
+    for (const Btb::Entry &e : ck.btb) {
+        out.byte(e.valid ? 1 : 0);
+        putU32(out, e.tag);
+        putU64(out, e.target);
+    }
+
+    out.byte(static_cast<std::uint8_t>(ck.ras.rasTop));
+    for (Addr a : ck.ras.ras)
+        putU64(out, a);
+
+    putTagState(out, ck.il1);
+    putTagState(out, ck.dl1);
+    putTagState(out, ck.l2);
+}
+
 } // namespace
 
 std::string
@@ -121,59 +219,8 @@ ArchCheckpoint::serialize() const
                 32 * (il1.array.size() + dl1.array.size() +
                       l2.array.size()) +
                 16 * btb.size() + 1024);
-
-    out.append(ckptMagic, sizeof(ckptMagic));
-    putU64(out, progHash);
-    putU64(out, pc);
-    putU64(out, instsExecuted);
-    for (Word w : regs)
-        putU64(out, w);
-
-    // Memory pages in ascending page-number order, so two checkpoints of
-    // identical content serialize identically regardless of map history.
-    std::vector<const MemImage::PageMap::value_type *> sorted;
-    sorted.reserve(pages.size());
-    for (const auto &kv : pages)
-        sorted.push_back(&kv);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto *a, const auto *b) {
-                  return a->first < b->first;
-              });
-    putU64(out, sorted.size());
-    for (const auto *kv : sorted) {
-        putU64(out, kv->first);
-        out.append(reinterpret_cast<const char *>(kv->second->data()),
-                   kv->second->size());
-    }
-
-    putU32(out, bpred.ghist);
-    putU64(out, bpred.gshare.size());
-    out.append(reinterpret_cast<const char *>(bpred.gshare.data()),
-               bpred.gshare.size());
-    putU64(out, bpred.localHist.size());
-    for (std::uint16_t h : bpred.localHist)
-        putU32(out, h);
-    putU64(out, bpred.localPht.size());
-    out.append(reinterpret_cast<const char *>(bpred.localPht.data()),
-               bpred.localPht.size());
-    putU64(out, bpred.chooser.size());
-    out.append(reinterpret_cast<const char *>(bpred.chooser.data()),
-               bpred.chooser.size());
-
-    putU64(out, btb.size());
-    for (const Btb::Entry &e : btb) {
-        out.push_back(e.valid ? 1 : 0);
-        putU32(out, e.tag);
-        putU64(out, e.target);
-    }
-
-    out.push_back(static_cast<char>(ras.rasTop));
-    for (Addr a : ras.ras)
-        putU64(out, a);
-
-    putTagState(out, il1);
-    putTagState(out, dl1);
-    putTagState(out, l2);
+    StringSink sink{out};
+    writeImage(sink, *this);
     return out;
 }
 
@@ -243,13 +290,9 @@ ArchCheckpoint::fingerprint() const
 {
     if (cachedFp)
         return cachedFp;
-    const std::string bytes = serialize();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    cachedFp = h ? h : 1; // reserve 0 for "not computed"
+    FnvSink sink;
+    writeImage(sink, *this);
+    cachedFp = sink.h ? sink.h : 1; // reserve 0 for "not computed"
     return cachedFp;
 }
 

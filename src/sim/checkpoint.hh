@@ -56,8 +56,9 @@ struct ArchCheckpoint
     /**
      * FNV-1a hash of the serialized form: the checkpoint's result-cache
      * identity (two checkpoints with equal fingerprints resume
-     * identically). Computed once and memoized — checkpoints are
-     * immutable after capture.
+     * identically). The serializer's bytes stream straight into the
+     * hash, so the image is never built. Computed once and memoized —
+     * checkpoints are immutable after capture.
      */
     std::uint64_t fingerprint() const;
 

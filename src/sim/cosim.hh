@@ -52,12 +52,26 @@ class CosimChecker
         : interp(prog)
     {}
 
-    /** Back to construction state, rebound to `prog`. The `checked`
-     * counter keeps its address (stat registrations stay valid). */
+    /**
+     * Back to construction state, rebound to `prog` (`prog_hash` is its
+     * Program::hash()). The reference starts at the program entry with
+     * its data image, or — given `from`, a checkpoint of `prog` — at
+     * that checkpoint's registers and PC with its pages shared directly
+     * (the data image is never built); the timing core resumes from the
+     * same checkpoint, so lockstep continues from the resume point. The
+     * `checked` counter keeps its address (stat registrations stay
+     * valid).
+     */
     void
-    reset(const Program &prog)
+    reset(const Program &prog, std::uint64_t prog_hash,
+          const ArchCheckpoint *from = nullptr)
     {
-        interp.reset(prog);
+        interp.reset(prog, prog_hash, from ? &from->pages : nullptr);
+        if (from) {
+            for (unsigned r = 0; r < numArchRegs; ++r)
+                interp.setReg(r, from->regs[r]);
+            interp.setPc(from->pc);
+        }
         count = 0;
     }
 
@@ -66,21 +80,6 @@ class CosimChecker
      * Throws CosimMismatch on any divergence.
      */
     void onRetire(const RobEntry &e);
-
-    /**
-     * Move the reference to a checkpoint's architectural state (call
-     * right after reset() with the checkpointed program): registers,
-     * memory pages, and PC. The timing core resumes from the same
-     * checkpoint, so lockstep continues from the resume point.
-     */
-    void
-    restoreArch(const ArchCheckpoint &ck)
-    {
-        interp.mem().restorePages(ck.pages);
-        for (unsigned r = 0; r < numArchRegs; ++r)
-            interp.setReg(r, ck.regs[r]);
-        interp.setPc(ck.pc);
-    }
 
     /** The reference interpreter (checkpoint capture reads the exact
      * retired architectural state from here). */

@@ -108,7 +108,7 @@ FastForward::capture(ArchCheckpoint &out) const
     if (interp.halted())
         throw std::logic_error("cannot checkpoint a halted program");
     out = ArchCheckpoint{};
-    out.progHash = program->hash();
+    out.progHash = interp.decoded().progHash; // hashed once, at binding
     out.pc = interp.pc();
     out.instsExecuted = insts;
     for (unsigned r = 0; r < numArchRegs; ++r)
@@ -125,7 +125,7 @@ FastForward::capture(ArchCheckpoint &out) const
 void
 FastForward::restore(const ArchCheckpoint &ck)
 {
-    if (ck.progHash != program->hash())
+    if (ck.progHash != interp.decoded().progHash)
         throw std::runtime_error(
             "checkpoint/program mismatch in FastForward::restore");
     interp.mem().restorePages(ck.pages);

@@ -8,19 +8,21 @@
 namespace rbsim
 {
 
-std::vector<std::shared_ptr<const ArchCheckpoint>>
-collectCheckpoints(const MachineConfig &cfg, const Program &prog,
-                   const SamplingOptions &opts, std::uint64_t *ff_insts,
-                   bool *completed)
+FastForwardEnd
+sampleCheckpoints(
+    const MachineConfig &cfg, const Program &prog,
+    const SamplingOptions &opts,
+    const std::function<void(std::shared_ptr<const ArchCheckpoint>)>
+        &on_point)
 {
-    std::vector<std::shared_ptr<const ArchCheckpoint>> points;
     FastForward ff(cfg, prog);
     ff.run(opts.skipInsts);
-    while (!ff.halted() &&
-           (opts.maxWindows == 0 || points.size() < opts.maxWindows)) {
+    for (std::uint64_t points = 0;
+         !ff.halted() && (opts.maxWindows == 0 || points < opts.maxWindows);
+         ++points) {
         auto ck = std::make_shared<ArchCheckpoint>();
         ff.capture(*ck);
-        points.push_back(std::move(ck));
+        on_point(std::move(ck));
         ff.run(opts.periodInsts);
     }
     // Run out the stream so ffInsts reports the true program length
@@ -29,11 +31,35 @@ collectCheckpoints(const MachineConfig &cfg, const Program &prog,
         while (!ff.halted())
             ff.run(1u << 20);
     }
+    return FastForwardEnd{ff.instsExecuted(), ff.halted()};
+}
+
+std::vector<std::shared_ptr<const ArchCheckpoint>>
+collectCheckpoints(const MachineConfig &cfg, const Program &prog,
+                   const SamplingOptions &opts, std::uint64_t *ff_insts,
+                   bool *completed)
+{
+    std::vector<std::shared_ptr<const ArchCheckpoint>> points;
+    const FastForwardEnd end = sampleCheckpoints(
+        cfg, prog, opts, [&points](std::shared_ptr<const ArchCheckpoint> ck) {
+            points.push_back(std::move(ck));
+        });
     if (ff_insts)
-        *ff_insts = ff.instsExecuted();
+        *ff_insts = end.ffInsts;
     if (completed)
-        *completed = ff.halted();
+        *completed = end.completed;
     return points;
+}
+
+SimOptions
+windowOptions(const SamplingOptions &opts)
+{
+    SimOptions w;
+    w.maxCycles = opts.maxCyclesPerWindow;
+    w.cosim = opts.cosim;
+    w.warmupInsts = opts.warmupInsts;
+    w.maxInsts = opts.measureInsts;
+    return w;
 }
 
 double
@@ -115,23 +141,19 @@ simulateSampled(const MachineConfig &cfg, const Program &prog,
     res.workload = prog.name;
 
     const auto t0 = std::chrono::steady_clock::now();
-    const auto points =
-        collectCheckpoints(cfg, prog, opts, &res.ffInsts, &res.completed);
-
     Simulator sim(cfg);
     SimResult window;
-    SimOptions wopts;
-    wopts.maxCycles = opts.maxCyclesPerWindow;
-    wopts.cosim = opts.cosim;
-    wopts.warmupInsts = opts.warmupInsts;
-    wopts.maxInsts = opts.measureInsts;
-    for (const auto &ck : points) {
-        wopts.startFrom = ck;
-        sim.runInto(prog, wopts, window);
-        res.windowIpc.push_back(window.ipc());
-        accumulateWindowStats(res.merged, window.stats);
-        ++res.windows;
-    }
+    SimOptions wopts = windowOptions(opts);
+    const FastForwardEnd end = sampleCheckpoints(
+        cfg, prog, opts, [&](std::shared_ptr<const ArchCheckpoint> ck) {
+            wopts.startFrom = std::move(ck);
+            sim.runInto(prog, wopts, window);
+            res.windowIpc.push_back(window.ipc());
+            accumulateWindowStats(res.merged, window.stats);
+            ++res.windows;
+        });
+    res.ffInsts = end.ffInsts;
+    res.completed = end.completed;
     finalizeMergedStats(res.merged);
     res.ipcMean = arithmeticMean(res.windowIpc);
     res.ipcCi95 = ci95HalfWidth(res.windowIpc);

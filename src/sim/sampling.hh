@@ -17,6 +17,7 @@
 #ifndef RBSIM_SIM_SAMPLING_HH
 #define RBSIM_SIM_SAMPLING_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -57,16 +58,42 @@ struct SampledResult
     StatSnapshot merged;
 };
 
+/** Where a campaign's fast-forward pass ended. */
+struct FastForwardEnd
+{
+    std::uint64_t ffInsts = 0; //!< functional instructions executed
+    bool completed = false;    //!< the functional model reached HALT
+};
+
 /**
- * One fast-forward pass over the program collecting a checkpoint at
- * every sampling point of `opts`. Optionally reports the functional
- * instruction count reached and whether the program completed.
+ * The fast-forward/capture loop behind every campaign: one functional
+ * pass over `prog` that hands the checkpoint of each sampling point of
+ * `opts` to `on_point` as soon as it is captured — in stream order, on
+ * the calling thread — so its detailed window can run while the pass
+ * goes on. Without a window cap the pass runs to the end of the
+ * program, so ffInsts is the true stream length. An exception from the
+ * pass (InterpError: a JMP to a non-code address) propagates after the
+ * points already handed out.
+ */
+FastForwardEnd sampleCheckpoints(
+    const MachineConfig &cfg, const Program &prog,
+    const SamplingOptions &opts,
+    const std::function<void(std::shared_ptr<const ArchCheckpoint>)>
+        &on_point);
+
+/**
+ * sampleCheckpoints() collected into a vector. Optionally reports the
+ * functional instruction count reached and whether the program
+ * completed.
  */
 std::vector<std::shared_ptr<const ArchCheckpoint>>
 collectCheckpoints(const MachineConfig &cfg, const Program &prog,
                    const SamplingOptions &opts,
                    std::uint64_t *ff_insts = nullptr,
                    bool *completed = nullptr);
+
+/** The options of one detailed window of `opts` (resume point unset). */
+SimOptions windowOptions(const SamplingOptions &opts);
 
 /** 95% CI half-width of the mean of `xs` (Student t for small samples;
  * 0 for fewer than two samples). */
@@ -82,9 +109,10 @@ void accumulateWindowStats(StatSnapshot &into, const StatSnapshot &win);
 void finalizeMergedStats(StatSnapshot &merged);
 
 /**
- * Run a whole sampling campaign in-process: collect checkpoints, run
- * each detailed window on one warm Simulator, merge. Throws
- * CosimMismatch if any window diverges (cosim enabled).
+ * Run a whole sampling campaign in-process: each detailed window runs
+ * on one warm Simulator as soon as its checkpoint is captured, and the
+ * windows merge in stream order. Throws CosimMismatch if any window
+ * diverges (cosim enabled).
  */
 SampledResult simulateSampled(const MachineConfig &cfg,
                               const Program &prog,

@@ -45,7 +45,7 @@ SimOptions::resultKey() const
 }
 
 Simulator::Simulator(const MachineConfig &cfg_)
-    : cfg(cfg_), core(cfg, prog), checker(prog)
+    : cfg(cfg_), progHash(prog.hash()), core(cfg, prog), checker(prog)
 {
     // The retire hook is installed once; per-run cosim enablement is a
     // flag check so switching SimOptions::cosim never reallocates the
@@ -74,24 +74,27 @@ void
 Simulator::runInto(const Program &program, const SimOptions &opts,
                    SimResult &out)
 {
-    // Copy the program into the member the core/checker are bound to.
-    // Copy-assignment reuses the existing buffers when the shapes
-    // match, which is what keeps warm repeat jobs allocation-free.
-    prog = program;
-    core.reset(prog);
-    checker.reset(prog);
-    cosimOn = opts.cosim;
-    instBase = 0;
-
-    if (opts.startFrom) {
-        const ArchCheckpoint &ck = *opts.startFrom;
-        if (ck.progHash != prog.hash())
-            throw std::invalid_argument(
-                "checkpoint/program mismatch in Simulator::runInto");
-        core.restoreArchState(ck);
-        checker.restoreArch(ck);
-        instBase = ck.instsExecuted;
+    // Bind: the core and checker point at `prog`, so a program of new
+    // content is copied in (copy-assignment reuses the buffers when the
+    // shapes match) and hashed once. Equal content keeps the copy and
+    // its hash; only the name, which is not content, is refreshed.
+    if (prog.sameContent(program)) {
+        prog.name = program.name;
+    } else {
+        prog = program;
+        progHash = prog.hash();
     }
+
+    // The one start decision: the program entry with its data image, or
+    // a checkpoint whose pages the core and the reference take directly.
+    const ArchCheckpoint *from = opts.startFrom.get();
+    if (from && from->progHash != progHash)
+        throw std::invalid_argument(
+            "checkpoint/program mismatch in Simulator::runInto");
+    core.reset(prog, from);
+    checker.reset(prog, progHash, from);
+    instBase = from ? from->instsExecuted : 0;
+    cosimOn = opts.cosim;
 
     out.machine = cfg.label;
     out.workload = prog.name;
@@ -164,7 +167,7 @@ Simulator::checkpoint(ArchCheckpoint &out) const
         throw std::logic_error("cannot checkpoint a halted program");
 
     out = ArchCheckpoint{};
-    out.progHash = prog.hash();
+    out.progHash = progHash;
     out.pc = ref.pc();
     out.instsExecuted = instBase + ref.instsExecuted();
     for (unsigned r = 0; r < numArchRegs; ++r)

@@ -12,7 +12,9 @@
  *    machine grid, plain and in wakeup-oracle mode;
  *  - Simulator::checkpoint() captures a detailed run stopped mid-flight
  *    (occupied ROB/LSQ, possibly wrapped) and the chain keeps absolute
- *    dynamic-stream positions.
+ *    dynamic-stream positions;
+ *  - the program a warm Simulator or a FastForward is bound to, and the
+ *    hash its checkpoints carry, follow content, never name or address.
  */
 
 #include <gtest/gtest.h>
@@ -139,6 +141,15 @@ TEST(CheckpointSerialize, FingerprintIdentifiesContent)
     const ArchCheckpoint c = captureAt(cfg, prog, 6000);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     EXPECT_NE(a.fingerprint(), c.fingerprint());
+
+    // The fingerprint streams the serializer's bytes into FNV-1a without
+    // building them; it must equal the hash of the image itself.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char byte : c.serialize()) {
+        h ^= byte;
+        h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(c.fingerprint(), h ? h : 1);
 }
 
 TEST(CheckpointSerialize, MalformedImagesThrow)
@@ -200,6 +211,25 @@ TEST(FastForwardEngine, RestoreRewindsToTheCapturedPoint)
     EXPECT_EQ(ff.ref().pc(), plain.pc());
     for (unsigned r = 0; r < numArchRegs; ++r)
         EXPECT_EQ(ff.ref().reg(r), plain.reg(r)) << "r" << r;
+}
+
+TEST(FastForwardEngine, ResetRebindsTheCapturedProgramHash)
+{
+    const Program prog = testProgram();
+    const Program other = testProgram("li");
+    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
+
+    FastForward ff(cfg, prog);
+    ff.run(100);
+    ArchCheckpoint ck;
+    ff.capture(ck);
+    EXPECT_EQ(ck.progHash, prog.hash());
+
+    ff.reset(other);
+    ff.run(100);
+    ff.capture(ck);
+    EXPECT_EQ(ck.progHash, other.hash());
+    EXPECT_NE(ck.progHash, prog.hash());
 }
 
 TEST(FastForwardEngine, CaptureAfterHaltThrows)
@@ -266,6 +296,59 @@ TEST(CheckpointResume, WrongProgramAndHaltedCheckpointsAreRejected)
     halted->pc = prog.code.size(); // the run-off-the-end halt state
     opts.startFrom = halted;
     EXPECT_THROW(simulate(cfg, prog, opts), std::logic_error);
+
+    // The same checks on a warm simulator already bound to `prog`: it
+    // keeps its binding for equal content only, so `other` is still
+    // rejected — and `prog` then resumes.
+    Simulator sim(cfg);
+    SimOptions whole;
+    whole.maxInsts = 500;
+    sim.run(prog, whole);
+    opts.startFrom = ck;
+    EXPECT_THROW(sim.run(other, opts), std::invalid_argument);
+    opts.startFrom = halted;
+    EXPECT_THROW(sim.run(prog, opts), std::logic_error);
+    opts.startFrom = ck;
+    const SimResult resumed = sim.run(prog, opts);
+    EXPECT_TRUE(resumed.halted);
+    EXPECT_EQ(resumed.stats, simulate(cfg, prog, opts).stats);
+}
+
+TEST(CheckpointResume, WarmSimulatorBindsByContentNotByName)
+{
+    // A' is A with one data byte changed: same name, same code, and the
+    // same Program object. A warm simulator that kept A's binding
+    // because the name or the address matched would run A's image and
+    // capture A's hash.
+    Program prog = testProgram();
+    ASSERT_FALSE(prog.data.empty());
+    ASSERT_FALSE(prog.data.front().bytes.empty());
+    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
+
+    SimOptions opts;
+    opts.maxInsts = 20'000;
+    Simulator warm(cfg);
+    warm.run(prog, opts);
+
+    std::vector<std::uint8_t> &bytes = prog.data.front().bytes;
+    bytes[bytes.size() / 2] ^= 0x5a;
+    const SimResult again = warm.run(prog, opts);
+    ASSERT_TRUE(again.instLimited);
+    Simulator fresh(cfg);
+    EXPECT_EQ(again.stats, fresh.run(prog, opts).stats);
+
+    // The stop point is a checkpoint: registers, memory and the bound
+    // hash must all be A''s, and it resumes the same on both.
+    ArchCheckpoint fromWarm;
+    ArchCheckpoint fromFresh;
+    warm.checkpoint(fromWarm);
+    fresh.checkpoint(fromFresh);
+    EXPECT_EQ(fromWarm.progHash, prog.hash());
+    EXPECT_EQ(fromWarm.serialize(), fromFresh.serialize());
+    SimOptions resume;
+    resume.startFrom = std::make_shared<ArchCheckpoint>(fromWarm);
+    EXPECT_EQ(warm.run(prog, resume).stats,
+              simulate(cfg, prog, resume).stats);
 }
 
 // ------------------------------- mid-flight detailed-run checkpoints

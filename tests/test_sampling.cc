@@ -10,14 +10,19 @@
  *    same workload agree on IPC within the sampled run's reported 95%
  *    CI, across the Figure 12 machine grid;
  *  - a campaign sharded across the SimService worker pool merges to
- *    exactly the in-process simulateSampled() numbers.
+ *    exactly the in-process simulateSampled() numbers;
+ *  - windows stream to the pool during the fast-forward pass, and a
+ *    pass that throws after windows were submitted reaches the caller
+ *    without ever running the completion callback.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "func/interp.hh"
+#include "isa/builder.hh"
 #include "serve/sampled.hh"
 #include "serve/service.hh"
 #include "sim/sampling.hh"
@@ -232,6 +237,80 @@ TEST(ShardedSampling, MergesToExactlyTheInProcessNumbers)
     ASSERT_TRUE(again.ok) << again.error;
     EXPECT_EQ(again.result.ipcMean, sharded.result.ipcMean);
     EXPECT_EQ(service.counters().jobsExecuted, executed);
+}
+
+// ------------------------------------ streaming failure contract
+
+/** ~4 * `trips` instructions of counted loop, then a JMP to a data
+ * address: the fast-forward pass throws InterpError there, after the
+ * windows of every earlier sampling point were handed out. */
+Program
+faultAfterLoop(std::int64_t trips)
+{
+    CodeBuilder cb("jmp-to-data");
+    cb.ldiq(R(1), trips);
+    const Label loop = cb.newLabel();
+    cb.bind(loop);
+    cb.opi(Opcode::ADDQ, R(2), 3, R(2));
+    cb.op3(Opcode::XOR, R(2), R(1), R(3));
+    cb.opi(Opcode::SUBQ, R(1), 1, R(1));
+    cb.branch(Opcode::BNE, R(1), loop);
+    cb.ldiq(R(4), 0x200000); // not a code address
+    cb.jmp(R(26), R(4));
+    cb.halt();
+    return cb.finish();
+}
+
+/** Windows every 2,000 instructions, each well clear of the fault. */
+SamplingOptions
+faultRegimen()
+{
+    SamplingOptions opts;
+    opts.periodInsts = 2'000;
+    opts.warmupInsts = 200;
+    opts.measureInsts = 500;
+    return opts;
+}
+
+TEST(ShardedSampling, FastForwardFaultReachesTheCallerAndDoneNeverRuns)
+{
+    const Program bad = faultAfterLoop(5'000); // 10 windows, then the JMP
+    const SamplingOptions opts = faultRegimen();
+    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
+    EXPECT_THROW(simulateSampled(cfg, bad, opts), InterpError);
+
+    // No result cache, so every window executes on a worker.
+    serve::SimService service(
+        serve::SimService::Options{/*workers=*/2, /*cacheCapacity=*/0});
+    std::atomic<int> doneRuns{0};
+    EXPECT_THROW(serve::submitSampled(service, cfg, bad, opts,
+                                      [&doneRuns](serve::SampledOutcome) {
+                                          ++doneRuns;
+                                      }),
+                 InterpError);
+    // The pass had already handed windows to the workers; they finish
+    // without reaching the abandoned callback.
+    EXPECT_GE(service.counters().cacheMisses, 2u);
+    service.wait();
+    EXPECT_GE(service.counters().jobsExecuted, 2u);
+    EXPECT_EQ(doneRuns.load(), 0);
+
+    // The blocking form rethrows the same error.
+    EXPECT_THROW(serve::runSampled(service, cfg, bad, opts), InterpError);
+    service.wait();
+
+    // The same service then runs a normal campaign to the in-process
+    // numbers.
+    const Program good = testProgram();
+    const SamplingOptions gopts = regimenFor(dynLength(good), 6);
+    const SampledResult inproc = simulateSampled(cfg, good, gopts);
+    const serve::SampledOutcome after =
+        serve::runSampled(service, cfg, good, gopts);
+    ASSERT_TRUE(after.ok) << after.error;
+    EXPECT_EQ(after.result.windows, inproc.windows);
+    EXPECT_EQ(after.result.windowIpc, inproc.windowIpc);
+    EXPECT_EQ(after.result.merged, inproc.merged);
+    EXPECT_EQ(doneRuns.load(), 0);
 }
 
 } // namespace

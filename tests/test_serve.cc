@@ -2,7 +2,8 @@
  * @file
  * The serving layer (docs/SERVING.md):
  *  - Program::hash() content identity (assemble/disassemble round-trip,
- *    single-instruction sensitivity);
+ *    single-instruction sensitivity, the effective image of many or
+ *    overlapping data segments);
  *  - the reset-in-place determinism contract — a warm, reused Simulator
  *    produces StatSnapshots bit-identical to a fresh one across the
  *    Figure 12 grid;
@@ -17,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <mutex>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -86,6 +89,83 @@ TEST(ProgramHash, SingleInstructionMutationChangesHash)
     cb.opi(Opcode::SUBQ, R(3), 1, R(4));
     cb.halt();
     EXPECT_NE(a.hash(), cb.finish().hash());
+}
+
+TEST(ProgramHash, PerLineQuadSegmentsHashLikeOneSegment)
+{
+    // The assembler makes one data segment per `.quad` line. 80k of them
+    // hash equal to the one-segment builder twin; the hash is linear in
+    // segments, so this takes milliseconds, not seconds.
+    constexpr int lines = 80'000;
+    const Addr base = 0x400000;
+    std::vector<Word> words;
+    std::string src = ".org " + std::to_string(base) + "\n";
+    for (int i = 0; i < lines; ++i) {
+        const Word w = i % 5 == 0 ? 0 : 0x100000 + 7 * Word(i);
+        words.push_back(w);
+        src += ".quad " + std::to_string(w) + "\n";
+    }
+    src += "halt\n";
+    const Program assembled = assemble(src);
+    ASSERT_EQ(assembled.data.size(), std::size_t(lines));
+
+    CodeBuilder cb("quad-twin");
+    cb.halt();
+    cb.dataWords(base, words);
+    EXPECT_EQ(assembled.hash(), cb.finish().hash());
+}
+
+/** `prog` with its data replaced by the effective image materialized in
+ * a std::map, one disjoint single-byte segment per address. */
+Program
+materializedTwin(const Program &prog)
+{
+    std::map<Addr, std::uint8_t> image;
+    for (const DataSegment &seg : prog.data) {
+        for (std::size_t i = 0; i < seg.bytes.size(); ++i)
+            image[seg.base + i] = seg.bytes[i];
+    }
+    Program twin = prog;
+    twin.data.clear();
+    for (const auto &[addr, byte] : image)
+        twin.addDataBytes(addr, {byte});
+    return twin;
+}
+
+TEST(ProgramHash, OverlappingSegmentsHashTheirEffectiveImage)
+{
+    // Later segments win byte by byte.
+    Program p = hashSubject(0);
+    p.addDataBytes(0x2000, {1, 2, 3, 4, 5, 6, 7, 8});
+    p.addDataBytes(0x2004, {9, 0, 0, 10, 11, 12}); // tail + beyond; 0s erase 6, 7
+    p.addDataBytes(0x1ffe, {13, 14, 15});           // head, from below
+    p.addDataBytes(0x2002, {0});                    // a zero erasing 3
+    p.addDataBytes(0x3000, {});
+    EXPECT_EQ(p.hash(), materializedTwin(p).hash());
+
+    // Only surviving bytes count: 3 (at 0x2002) was erased, 4 (at
+    // 0x2003) survives.
+    Program erased = p;
+    erased.data[0].bytes[2] ^= 0xff;
+    EXPECT_EQ(erased.hash(), p.hash());
+    Program survivor = p;
+    survivor.data[0].bytes[3] ^= 0xff;
+    EXPECT_NE(survivor.hash(), p.hash());
+
+    // Random stacks of overlapping segments in a small window, zeros
+    // included.
+    std::mt19937_64 rng(2002);
+    for (int trial = 0; trial < 200; ++trial) {
+        Program q = hashSubject(trial);
+        const int segs = 1 + static_cast<int>(rng() % 24);
+        for (int k = 0; k < segs; ++k) {
+            std::vector<std::uint8_t> bytes(rng() % 40);
+            for (std::uint8_t &b : bytes)
+                b = rng() % 3 == 0 ? 0 : static_cast<std::uint8_t>(rng());
+            q.addDataBytes(0x8000 + rng() % 96, std::move(bytes));
+        }
+        ASSERT_EQ(q.hash(), materializedTwin(q).hash()) << "trial " << trial;
+    }
 }
 
 // ----------------------------------------------- reset-in-place parity
@@ -638,6 +718,53 @@ TEST(ServeServer, SampledRequestShipsMeanIpcWithCi)
                     R"({"id":"s3","workload":"compress","machine":"base",)"
                     R"("sample":{"period_insts":0,"measure_insts":100}})"),
                 "bad-request");
+}
+
+TEST(ServeServer, SampledRequestWhoseFastForwardFaultsFailsOnce)
+{
+    // A counted loop, then a JMP to a data address: the fast-forward
+    // pass throws after it has handed windows to the worker.
+    CodeBuilder cb("jmp-to-data");
+    cb.ldiq(R(1), 5'000);
+    const Label loop = cb.newLabel();
+    cb.bind(loop);
+    cb.opi(Opcode::ADDQ, R(2), 3, R(2));
+    cb.opi(Opcode::SUBQ, R(1), 1, R(1));
+    cb.branch(Opcode::BNE, R(1), loop);
+    cb.ldiq(R(4), 0x200000);
+    cb.jmp(R(26), R(4));
+    cb.halt();
+
+    TestServer ts;
+    Json req = Json::object();
+    req["id"] = "fault";
+    req["program"] = disassembleProgram(cb.finish());
+    req["machine"] = "rbfull";
+    Json sample = Json::object();
+    sample["period_insts"] = 2000;
+    sample["warmup_insts"] = 200;
+    sample["measure_insts"] = 500;
+    req["sample"] = std::move(sample);
+    const auto resp = ts.roundTrip(req.dump());
+    expectError(resp, "sim-failed");
+    ASSERT_EQ(resp.size(), 1u);
+    EXPECT_NE(resp[0].find("error")->asString().find("non-code"),
+              std::string::npos);
+    EXPECT_GE(ts.server.simService().counters().jobsExecuted, 2u);
+
+    // Nothing more arrives once the windows are done, and the server
+    // still serves.
+    ts.server.drain();
+    {
+        std::lock_guard<std::mutex> lock(ts.mu);
+        EXPECT_TRUE(ts.lines.empty());
+    }
+    const auto ok = ts.roundTrip(
+        R"({"id":"after","workload":"compress","machine":"rbfull",)"
+        R"("sample":{"period_insts":4000,"warmup_insts":1000,)"
+        R"("measure_insts":2000}})");
+    ASSERT_EQ(ok.size(), 1u);
+    EXPECT_TRUE(ok[0].find("ok")->asBool());
 }
 
 } // namespace
