@@ -7,13 +7,9 @@
 #include <fstream>
 #include <memory>
 
-#include <unistd.h>
-
 #include "common/alloccount.hh"
 #include "common/stats.hh"
 #include "common/strutil.hh"
-#include "serve/client.hh"
-#include "serve/protocol.hh"
 #include "serve/service.hh"
 #include "sim/report.hh"
 #include "trace/tracer.hh"
@@ -34,8 +30,7 @@ usageDie(const char *prog, const char *why)
                  "usage: %s [--json <path>] [--scale <n>] "
                  "[--machines <label,label,...>] "
                  "[--scheduler wakeup|oracle] "
-                 "[--trace <prefix>] [--trace-last <n>] [--profile] "
-                 "[--server <host:port>]\n",
+                 "[--trace <prefix>] [--trace-last <n>] [--profile]\n",
                  prog, why, prog);
     std::exit(2);
 }
@@ -49,7 +44,6 @@ std::string g_scheduler = "wakeup";
 std::string g_trace_prefix;
 std::size_t g_trace_last = 0;
 bool g_profile = false;
-std::string g_server;
 
 MachineConfig
 applyScheduler(MachineConfig cfg)
@@ -123,20 +117,12 @@ parseBenchArgs(int &argc, char **argv)
             // Per-thread counting; harmless no-op without the allochook
             // library linked in (allocationsCounted stays false).
             alloccount::enable(true);
-        } else if (std::strcmp(arg, "--server") == 0) {
-            opts.server = value("--server");
-            g_server = opts.server;
         } else {
             argv[out++] = argv[i]; // not ours; leave for the caller
         }
     }
     argc = out;
     argv[argc] = nullptr;
-    if (!opts.server.empty() &&
-        (g_profile || !g_trace_prefix.empty() || g_trace_last)) {
-        usageDie(argv[0], "--server cannot produce host-side artifacts; "
-                          "drop --trace/--trace-last/--profile");
-    }
     return opts;
 }
 
@@ -357,113 +343,6 @@ struct Task
     const WorkloadInfo *wl;
 };
 
-/** The --server path: ship the grid to an rbsim-serve instance. */
-std::vector<Cell>
-sweepRemote(const std::vector<Task> &tasks, unsigned scale)
-{
-    std::unique_ptr<serve::Client> client;
-    try {
-        client = std::make_unique<serve::Client>(g_server);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "--server: %s\n", e.what());
-        std::exit(1);
-    }
-
-    // Ids must be unique for the server's whole session, which may span
-    // many bench invocations — prefix them with this process's identity.
-    char prefix[64];
-    std::snprintf(prefix, sizeof(prefix), "bench-%ld-",
-                  static_cast<long>(::getpid()));
-
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        Json req = Json::object();
-        req["id"] = prefix + std::to_string(i);
-        req["workload"] = tasks[i].wl->name;
-        req["scale"] = scale;
-        // The full configuration object (not just a label) so ablation
-        // grids built after parseBenchArgs survive the wire.
-        req["config"] = serve::configToJson(*tasks[i].cfg);
-        req["scheduler"] = g_scheduler;
-        client->sendLine(req.dump());
-    }
-
-    std::vector<Cell> cells(tasks.size());
-    std::vector<bool> got(tasks.size(), false);
-    std::size_t remaining = tasks.size();
-    std::string line;
-    bool failed = false;
-    while (remaining && client->readLine(line)) {
-        Json resp;
-        try {
-            resp = Json::parse(line);
-        } catch (const JsonError &e) {
-            std::fprintf(stderr, "--server: bad response: %s\n", e.what());
-            std::exit(1);
-        }
-        const Json *idField = resp.find("id");
-        std::size_t i = tasks.size();
-        if (idField && idField->isString() &&
-            idField->asString().rfind(prefix, 0) == 0) {
-            i = static_cast<std::size_t>(std::strtoul(
-                idField->asString().c_str() + std::strlen(prefix), nullptr,
-                10));
-        }
-        if (i >= tasks.size() || got[i]) {
-            std::fprintf(stderr, "--server: unexpected response id\n");
-            std::exit(1);
-        }
-        got[i] = true;
-        --remaining;
-
-        const Json *ok = resp.find("ok");
-        if (!ok || !ok->isBool() || !ok->asBool()) {
-            const Json *err = resp.find("error");
-            std::fprintf(stderr, "bench cell %s/%s failed remotely: %s\n",
-                         tasks[i].cfg->label.c_str(),
-                         tasks[i].wl->name.c_str(),
-                         err && err->isString() ? err->asString().c_str()
-                                                : "unknown error");
-            failed = true;
-            continue;
-        }
-
-        Cell &cell = cells[i];
-        cell.machine = tasks[i].cfg->label;
-        cell.workload = tasks[i].wl->name;
-        SimResult &r = cell.result;
-        r.machine = cell.machine;
-        r.workload = cell.workload;
-        if (const Json *halted = resp.find("halted"))
-            r.halted = halted->isBool() && halted->asBool();
-        if (const Json *hostMs = resp.find("host_ms"))
-            r.hostSeconds = hostMs->asDouble() / 1e3;
-        if (const Json *stats = resp.find("stats")) {
-            if (const Json *c = stats->find("counters"))
-                for (const auto &[name, v] : c->items())
-                    r.stats.counters[name] = v.asU64();
-            if (const Json *f = stats->find("formulas"))
-                for (const auto &[name, v] : f->items())
-                    r.stats.formulas[name] = v.asDouble();
-            if (const Json *vecs = stats->find("vectors")) {
-                for (const auto &[name, v] : vecs->items()) {
-                    auto &dst = r.stats.vectors[name];
-                    for (const Json &e : v.elements())
-                        dst.push_back(e.asU64());
-                }
-            }
-        }
-    }
-    if (remaining) {
-        std::fprintf(stderr,
-                     "--server: connection closed with %zu cells pending\n",
-                     remaining);
-        std::exit(1);
-    }
-    if (failed)
-        std::exit(1);
-    return cells;
-}
-
 std::vector<Cell>
 sweep(const std::vector<MachineConfig> &configs,
       const std::vector<WorkloadInfo> &workloads, unsigned scale)
@@ -473,9 +352,6 @@ sweep(const std::vector<MachineConfig> &configs,
         for (const MachineConfig &c : configs)
             tasks.push_back(Task{&c, &w});
     }
-
-    if (!g_server.empty())
-        return sweepRemote(tasks, scale);
 
     // Per-cell host-side context: tracers write files, the profiler is
     // filled on the worker thread. Pre-constructed here so the specs can

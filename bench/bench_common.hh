@@ -72,10 +72,6 @@ double cellIpc(const Cell &cell);
  *                     as a table and embedded in the JSON dump (the
  *                     allocation counter needs the rbsim-allochook
  *                     library, which the bench binaries link)
- *   --server <h:p>    submit the sweep to a running rbsim-serve instance
- *                     instead of simulating in-process (docs/SERVING.md);
- *                     incompatible with --trace/--trace-last/--profile,
- *                     whose artifacts are host-side
  */
 struct BenchOptions
 {
@@ -86,7 +82,6 @@ struct BenchOptions
     std::string tracePrefix;
     std::size_t traceLast = 0;
     bool profile = false;
-    std::string server; //!< host:port of an rbsim-serve; empty = local
 };
 
 /**
@@ -155,8 +150,7 @@ Cell throughputCell(const std::string &machine,
  * Co-simulation stays enabled: every cell is architecturally verified.
  *
  * Every sweep goes through the process-wide serve::SimService (the
- * shared WorkQueue worker pool with warm reset-in-place simulators), or
- * over the wire to an rbsim-serve instance under --server.
+ * shared WorkQueue worker pool).
  */
 std::vector<Cell> sweepSuite(const std::vector<MachineConfig> &configs,
                              const std::string &suite,
@@ -167,7 +161,7 @@ std::vector<Cell> sweepAll(const std::vector<MachineConfig> &configs,
                            unsigned scale = 1);
 
 /** Sweep an explicit workload list (e.g. generator-backed entries from
- * gen::genWorkloadInfo) through the same service/remote machinery. */
+ * gen::genWorkloadInfo) through the same service. */
 std::vector<Cell>
 sweepWorkloads(const std::vector<MachineConfig> &configs,
                const std::vector<WorkloadInfo> &workloads,

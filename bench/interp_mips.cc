@@ -27,6 +27,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ const Bench benches[] = {{"compress", false}, {"go", false},
                          {"ycsb-a", true},    {"chase-dl1", true},
                          {"branch-0.50", true}, {"rb-adversarial", true}};
 
-/** Instructions per measurement slice between halt checks / resets. */
+/** Instructions per measurement slice between halt checks / restarts. */
 constexpr std::uint64_t sliceInsts = 1u << 20;
 /** Minimum wall time per cell for a stable rate. */
 constexpr double minSeconds = 0.25;
@@ -107,13 +108,14 @@ template <typename StepFn>
 std::pair<std::uint64_t, double>
 measureStepper(const Program &prog, StepFn &&step)
 {
-    Interp interp(prog);
+    const std::uint64_t hash = prog.hash();
+    Interp interp(prog, hash);
     return measure([&] {
         std::uint64_t done = 0;
         while (done < sliceInsts) {
             if (interp.halted()) {
                 g_sink ^= interp.reg(1);
-                interp.reset(prog);
+                interp = Interp(prog, hash);
             }
             g_sink ^= step(interp).regValue;
             ++done;
@@ -147,7 +149,7 @@ measurePinned(const Program &prog)
         if (cx.halted) {
             std::fill(slots.begin(), slots.begin() + numArchRegs, 0);
             slots[dp->scratch] = 0;
-            mem.reset();
+            mem = MemImage();
             mem.loadProgram(prog);
             cx.pc = prog.entry;
             cx.steps = 0;
@@ -216,11 +218,12 @@ main(int argc, char **argv)
                  return i.step();
              }));
         cell("runfast", row.runfastMips, [&] {
-            Interp interp(prog);
+            const std::uint64_t hash = prog.hash();
+            Interp interp(prog, hash);
             return measure([&] {
                 if (interp.halted()) {
                     g_sink ^= interp.reg(1);
-                    interp.reset(prog);
+                    interp = Interp(prog, hash);
                 }
                 return interp.runFast(sliceInsts);
             });
@@ -235,11 +238,11 @@ main(int argc, char **argv)
         row.switchMips = row.runfastMips;
 #endif
         cell("fastfwd", row.fastfwdMips, [&] {
-            FastForward ff(ffCfg, prog);
+            std::optional<FastForward> ff(std::in_place, ffCfg, prog);
             return measure([&] {
-                if (ff.halted())
-                    ff.reset(prog);
-                return ff.run(sliceInsts);
+                if (ff->halted())
+                    ff.emplace(ffCfg, prog);
+                return ff->run(sliceInsts);
             });
         }());
 

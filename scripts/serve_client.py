@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """JSON-lines client for rbsim-serve (docs/SERVING.md).
 
-Boots (or connects to) a serve instance, submits a (machine, workload)
-grid, and writes the responses as an rbsim-bench-1 JSON dump that
+Boots a serve instance on stdio, submits a (machine, workload) grid, and writes the responses as an rbsim-bench-1 JSON dump that
 scripts/bench_diff.py consumes directly. Submitting the same grid twice
 over one server session exercises the result cache; --expect-cached
 asserts every response of the round was a cache hit.
@@ -14,14 +13,10 @@ Usage:
 
   # second round against the same session must be all cache hits
   (handled internally: --rounds 2 --expect-cached-round 2)
-
-  # or talk to an already-running TCP server
-  serve_client.py --connect 127.0.0.1:7774 --grid fig12 --json out.json
 """
 
 import argparse
 import json
-import socket
 import subprocess
 import sys
 
@@ -58,27 +53,6 @@ class StdioServer:
     def close(self):
         self.proc.stdin.close()
         self.proc.wait(timeout=60)
-
-
-class TcpServer:
-    """Connection to an already-running rbsim-serve --port."""
-
-    def __init__(self, host_port):
-        host, _, port = host_port.rpartition(":")
-        self.sock = socket.create_connection((host, int(port)))
-        self.rfile = self.sock.makefile("r")
-
-    def send(self, line):
-        self.sock.sendall((line + "\n").encode())
-
-    def recv(self):
-        line = self.rfile.readline()
-        if not line:
-            sys.exit("serve_client: server closed the connection")
-        return line
-
-    def close(self):
-        self.sock.close()
 
 
 def run_round(server, tag, scale, scheduler):
@@ -130,8 +104,8 @@ def to_bench_json(cells, scale, scheduler):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--serve-bin", help="spawn this rbsim-serve on stdio")
-    ap.add_argument("--connect", help="host:port of a running server")
+    ap.add_argument("--serve-bin", required=True,
+                    help="spawn this rbsim-serve on stdio")
     ap.add_argument("--grid", choices=["fig12"], default="fig12")
     ap.add_argument("--scale", type=int, default=1)
     ap.add_argument("--scheduler", default="wakeup",
@@ -146,10 +120,7 @@ def main():
                                    "dump here")
     args = ap.parse_args()
 
-    if bool(args.serve_bin) == bool(args.connect):
-        ap.error("exactly one of --serve-bin / --connect")
-    server = (StdioServer(args.serve_bin, args.workers)
-              if args.serve_bin else TcpServer(args.connect))
+    server = StdioServer(args.serve_bin, args.workers)
 
     first = None
     for rnd in range(1, args.rounds + 1):

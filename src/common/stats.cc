@@ -184,17 +184,7 @@ StatRegistry::addFormula(const std::string &name,
 StatSnapshot
 StatRegistry::snapshot() const
 {
-    StatSnapshot s;
-    snapshotInto(s);
-    return s;
-}
-
-void
-StatRegistry::snapshotInto(StatSnapshot &snap) const
-{
-    // operator[] with an existing key and assign() within capacity do
-    // not allocate, so after the first (warming) call against a given
-    // registry this is heap-quiet — the serving hot path depends on it.
+    StatSnapshot snap;
     for (const auto &[name, ref] : counterRefs)
         snap.counters[name] = *ref.v;
     for (const auto &[name, ref] : formulaRefs)
@@ -205,6 +195,7 @@ StatRegistry::snapshotInto(StatSnapshot &snap) const
         const std::vector<std::uint64_t> &raw = ref.h->raw();
         snap.vectors[name].assign(raw.begin(), raw.end());
     }
+    return snap;
 }
 
 std::string

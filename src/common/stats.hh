@@ -108,7 +108,7 @@ class Histogram
     }
 
     /** Zero every bucket in place (storage and address stay stable, so
-     * registered histogram views survive a simulator reset). */
+     * registered histogram views survive the end of a warmup leg). */
     void
     reset()
     {
@@ -198,15 +198,6 @@ class StatRegistry
 
     /** Copy every current value out. */
     StatSnapshot snapshot() const;
-
-    /**
-     * Copy every current value into an existing snapshot, updating nodes
-     * in place. After one warming call, repeat calls against the same
-     * registry perform no heap allocations (map keys already exist and
-     * vector assigns fit the established capacity) — the serving hot
-     * path takes its per-job snapshots through this.
-     */
-    void snapshotInto(StatSnapshot &snap) const;
 
     /** Deterministic "name = value" text dump of all scalars. */
     std::string format() const;

@@ -14,8 +14,9 @@
 namespace rbsim
 {
 
-OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
-    : config(cfg), program(&prog),
+OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
+                 const ArchCheckpoint *from)
+    : config(cfg), program(prog),
       hierarchy(cfg),
       fetch(cfg, prog, hierarchy),
       rename(cfg.physRegs),
@@ -38,8 +39,9 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
       regWaiterHead(cfg.physRegs, -1),
       slotPendingOps(rob.slotCount(), 0)
 {
+    if (from && from->pc >= prog.code.size())
+        throw std::logic_error("cannot resume a halted checkpoint");
     execBatchRefs.reserve(execBatch.capacity());
-    commitMem.loadProgram(prog);
     frontPipeCap =
         cfg.fetchWidth * (cfg.fetchDecodeDepth + cfg.renameDepth + 4);
     frontPipe.init(frontPipeCap);
@@ -72,66 +74,14 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog)
         wakeupEvents = decltype(wakeupEvents)(EventLater{},
                                               std::move(storage));
     }
-}
-
-void
-OooCore::reset(const Program &prog, const ArchCheckpoint *from)
-{
-    if (from && from->pc >= prog.code.size())
-        throw std::logic_error("cannot resume a halted checkpoint");
-    program = &prog;
-
-    hierarchy.reset();
-    fetch.reset(prog);
-    rename.reset();
-    regs.reset();
-    scoreboard.reset();
-    rob.reset();
-    sched.reset();
-    lsq.reset();
-    // samDl1 is stateless (pure address decode).
-
-    std::fill(producerSched.begin(), producerSched.end(), 0xff);
-    frontPipe.clear();
-    frontSnaps.clear();
-    pendingFlushes.clear();
-    fetchBuf.clear();
-    execBatch.clear();
-    execBatchRefs.clear();
-    coreStats.reset();
-
-    // Wakeup array: drain the event heap (its reserved backing store
-    // survives pops) and re-link the waiter pool free list exactly as
-    // the constructor does.
-    while (!wakeupEvents.empty())
-        wakeupEvents.pop();
-    for (std::size_t i = 0; i < waiterPool.size(); ++i) {
-        waiterPool[i].next = i + 1 < waiterPool.size()
-                                 ? static_cast<std::int32_t>(i + 1)
-                                 : -1;
-    }
-    waiterFree = waiterPool.empty() ? -1 : 0;
-    std::fill(regWaiterHead.begin(), regWaiterHead.end(), -1);
-    std::fill(slotPendingOps.begin(), slotPendingOps.end(), 0);
-
-    idleSkipped = 0;
-    oracleChecks = 0;
-    now = 0;
-    classRr = 0;
-    nextSeq = 1;
-    haltRetired = false;
-    instLimit = 0;
-    limitHit = false;
-    samCheckCounter = 0;
 
     if (!from) {
-        commitMem.reset();
         commitMem.loadProgram(prog);
         return;
     }
     commitMem.restorePages(from->pages);
-    // The rename map is the identity again, so the architectural
-    // registers land in their home physical registers.
+    // The rename map is the identity, so the architectural registers
+    // land in their home physical registers.
     for (unsigned r = 0; r < numArchRegs; ++r) {
         if (r != zeroReg)
             regs.writeTc(rename.lookup(r), from->regs[r]);
@@ -513,7 +463,7 @@ OooCore::flushAfter(const RobEntry &branch)
         if (inst.ra == zeroReg)
             fetch.ras.pop(); // the return consumed its RAS entry
         else
-            fetch.ras.push(program->byteAddrOf(branch.pcIndex + 1));
+            fetch.ras.push(program.byteAddrOf(branch.pcIndex + 1));
     }
 
     // Sequence numbers of squashed instructions are recycled so the ROB
@@ -986,7 +936,7 @@ OooCore::issueInst(std::uint64_t seq)
     ExecOut x;
     {
         StageTimer timer(profiler, HostProfiler::Exec);
-        x = executeInst(config, *program, e, regs);
+        x = executeInst(config, program, e, regs);
     }
     e.usedRbPath = x.usedRbPath;
     e.bogusCorrected = x.bogusCorrected;

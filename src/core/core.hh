@@ -98,7 +98,8 @@ struct CoreStats
 
     /** Zero everything in place, allocation-free. Every counter and
      * histogram keeps its address, so stat-registry views registered
-     * once at construction stay valid across a simulator reset. */
+     * once at construction stay valid when a warmup leg ends
+     * (OooCore::clearStats). */
     void
     reset()
     {
@@ -124,31 +125,25 @@ class OooCore
 {
   public:
     /**
-     * @param cfg machine configuration (must outlive the core)
-     * @param prog program to run (must outlive the core)
-     */
-    OooCore(const MachineConfig &cfg, const Program &prog);
-
-    /**
-     * Back to construction state in place, rebound to `prog` (which
-     * must outlive the core; the machine configuration is fixed for the
-     * core's lifetime). Every ring, pool, table, predictor, cache, and
-     * stat is re-initialized without releasing its storage, so a reset
-     * core re-running a same-footprint program allocates nothing and
-     * produces a bit-identical StatSnapshot to a freshly constructed
-     * one (tests/test_serve.cc pins both properties). The retire hook,
-     * tracer, and profiler attachments are left as-is.
-     *
-     * The run starts at the program entry with its data image, or —
+     * A core that starts at the program entry with its data image, or —
      * given `from`, a checkpoint of `prog` — at that checkpoint: its
      * pages become the committed memory directly (the data image is
      * never built), the architectural registers land in their home
      * physical registers, fetch starts at its PC, and the warm
      * predictor/BTB/RAS tables and the three cache tag arrays are
-     * installed. Throws std::logic_error, before touching any state,
-     * for a checkpoint of a halted program (nothing to resume).
+     * installed. A core runs one program once; a new run builds a new
+     * core.
+     *
+     * Throws std::logic_error for a checkpoint of a halted program
+     * (nothing to resume), and std::invalid_argument for one whose
+     * predictor, BTB or cache-tag geometry does not fit `cfg`.
+     *
+     * @param cfg machine configuration (must outlive the core)
+     * @param prog program to run (must outlive the core)
+     * @param from checkpoint of `prog` to resume from (read only here)
      */
-    void reset(const Program &prog, const ArchCheckpoint *from = nullptr);
+    OooCore(const MachineConfig &cfg, const Program &prog,
+            const ArchCheckpoint *from = nullptr);
 
     /** Callback invoked for every retired instruction (co-simulation). */
     void
@@ -191,7 +186,7 @@ class OooCore
     /**
      * Run until HALT retires, `max_cycles` elapse, or — when `max_insts`
      * is nonzero — coreStats.retired reaches `max_insts` (counted from
-     * the last reset()/clearStats(); see instLimitHit()).
+     * construction or the last clearStats(); see instLimitHit()).
      * @return true if the program halted cleanly
      */
     bool run(Cycle max_cycles, std::uint64_t max_insts = 0);
@@ -285,8 +280,7 @@ class OooCore
     void diagnoseDeadlock() const;
 
     const MachineConfig &config;
-    //! Pointer, not reference: reset(prog) rebinds it. Never null.
-    const Program *program;
+    const Program &program;
 
     MemImage commitMem;      //!< architecturally committed memory
     MemHierarchy hierarchy;

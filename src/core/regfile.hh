@@ -14,7 +14,6 @@
 #ifndef RBSIM_CORE_REGFILE_HH
 #define RBSIM_CORE_REGFILE_HH
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -31,15 +30,6 @@ class PhysRegFile
     explicit PhysRegFile(unsigned num_regs)
         : tcVals(num_regs, 0), rbVals(num_regs), hasRbVal(num_regs, 0)
     {}
-
-    /** Back to construction state: all zeros, no RB planes. The RbNum
-     * storage itself is left in place (it is dead once hasRbVal is 0). */
-    void
-    reset()
-    {
-        std::fill(tcVals.begin(), tcVals.end(), 0);
-        std::fill(hasRbVal.begin(), hasRbVal.end(), 0);
-    }
 
     /** Write a two's complement result. */
     void

@@ -4,22 +4,14 @@ namespace rbsim
 {
 
 RenameTable::RenameTable(unsigned num_phys_regs)
-    : numPhys(num_phys_regs)
 {
     assert(num_phys_regs > numArchRegs);
     rat.resize(numArchRegs);
-    freeList.reserve(num_phys_regs - numArchRegs);
-    reset();
-}
-
-void
-RenameTable::reset()
-{
     for (unsigned i = 0; i < numArchRegs; ++i)
         rat[i] = static_cast<PhysReg>(i);
-    freeList.clear();
+    freeList.reserve(num_phys_regs - numArchRegs);
     // Pop from the back; keep low registers first for readable traces.
-    for (unsigned p = numPhys; p-- > numArchRegs;)
+    for (unsigned p = num_phys_regs; p-- > numArchRegs;)
         freeList.push_back(static_cast<PhysReg>(p));
 }
 

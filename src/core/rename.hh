@@ -30,11 +30,6 @@ class RenameTable
      */
     explicit RenameTable(unsigned num_phys_regs);
 
-    /** Back to construction state: identity RAT, free list refilled in
-     * the exact constructor order (determinism: a reset core allocates
-     * the same physical registers as a fresh one). No reallocation. */
-    void reset();
-
     /** Current mapping of an architectural register. */
     PhysReg
     lookup(unsigned arch) const
@@ -64,7 +59,6 @@ class RenameTable
   private:
     std::vector<PhysReg> rat;
     std::vector<PhysReg> freeList;
-    unsigned numPhys; //!< total physical registers (reset refill bound)
 };
 
 } // namespace rbsim

@@ -123,15 +123,6 @@ class Rob
     bool empty() const { return count == 0; }
     std::size_t size() const { return count; }
 
-    /** Empty the ring in place (slots keep their storage; dead entries
-     * are overwritten on the next alloc, as after retirement). */
-    void
-    reset()
-    {
-        headSeq = 0;
-        count = 0;
-    }
-
     /** Allocate the next entry; returns a stable-until-retire reference. */
     RobEntry &
     alloc(std::uint64_t seq)

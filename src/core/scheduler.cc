@@ -1,7 +1,5 @@
 #include "core/scheduler.hh"
 
-#include <algorithm>
-
 namespace rbsim
 {
 
@@ -14,17 +12,6 @@ SchedulerBank::SchedulerBank(unsigned num_schedulers, unsigned entries_per,
       entriesPer(entries_per), selectWidth(select_width)
 {
     words.resize(static_cast<std::size_t>(num_schedulers) * wordsPer);
-}
-
-void
-SchedulerBank::reset()
-{
-    std::fill(words.begin(), words.end(), Words{});
-    std::fill(seqs.begin(), seqs.end(), 0);
-    std::fill(gens.begin(), gens.end(), 0);
-    std::fill(counts.begin(), counts.end(), 0);
-    rrIndex = 0;
-    steerCount = 0;
 }
 
 void

@@ -88,11 +88,6 @@ class SchedulerBank
      */
     SlotRef insert(unsigned s, std::uint64_t seq);
 
-    /** Back to construction state in place: masks, slot seqs, counts and
-     * reuse generations cleared (a reset core re-issues identical (ref,
-     * gen) pairs for determinism), steering restarted at scheduler 0. */
-    void reset();
-
     /** Remove every entry younger than seq (squash). A squash that
      * empties every scheduler also resets the steering state, so
      * post-flush dispatch steering restarts pair-aligned at scheduler 0

@@ -12,7 +12,6 @@
 #ifndef RBSIM_CORE_SCOREBOARD_HH
 #define RBSIM_CORE_SCOREBOARD_HH
 
-#include <algorithm>
 #include <vector>
 
 #include "core/bypass.hh"
@@ -54,13 +53,6 @@ class Scoreboard
     explicit Scoreboard(unsigned num_phys_regs)
         : avail(num_phys_regs, ProdAvail::always())
     {}
-
-    /** Back to construction state: every register always-available. */
-    void
-    reset()
-    {
-        std::fill(avail.begin(), avail.end(), ProdAvail::always());
-    }
 
     /** Record a producer's availability timeline at select. */
     void

@@ -18,10 +18,9 @@
 #ifndef RBSIM_FRONTEND_BRANCH_PRED_HH
 #define RBSIM_FRONTEND_BRANCH_PRED_HH
 
-#include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/stats.hh"
@@ -76,19 +75,6 @@ class HybridPredictor
   public:
     HybridPredictor();
 
-    /** Back to construction state in place: counter tables refilled to
-     * their initial biases, histories and stat counters zeroed. */
-    void
-    reset()
-    {
-        ghist = 0;
-        std::fill(gshareTable.begin(), gshareTable.end(), 1);
-        std::fill(localHist.begin(), localHist.end(), 0);
-        std::fill(localPht.begin(), localPht.end(), 1);
-        std::fill(chooser.begin(), chooser.end(), 2);
-        lookups = gshareChosen = localChosen = 0;
-    }
-
     /**
      * Predict the direction of a conditional branch at pc (index),
      * optionally latching the table indices used (pass them back to
@@ -134,15 +120,18 @@ class HybridPredictor
                               chooser};
     }
 
-    /** Install a saved state; stat counters are left untouched. */
+    /** Install a saved state; stat counters are left untouched. Throws
+     * std::invalid_argument, changing nothing, when a table's size
+     * differs from this predictor's. */
     void
     restoreState(const PredictorState &s)
     {
-        assert(s.gshare.size() == gshareTable.size() &&
-               s.localHist.size() == localHist.size() &&
-               s.localPht.size() == localPht.size() &&
-               s.chooser.size() == chooser.size() &&
-               "predictor state geometry mismatch");
+        if (s.gshare.size() != gshareTable.size() ||
+            s.localHist.size() != localHist.size() ||
+            s.localPht.size() != localPht.size() ||
+            s.chooser.size() != chooser.size())
+            throw std::invalid_argument(
+                "predictor state geometry mismatch");
         ghist = s.ghist & ghistMask;
         gshareTable = s.gshare;
         localHist = s.localHist;
@@ -211,19 +200,14 @@ class Btb
     /** Install / update a target. */
     void update(std::uint64_t pc, std::uint64_t target);
 
-    /** Invalidate every entry in place. */
-    void
-    reset()
-    {
-        std::fill(table.begin(), table.end(), Entry{});
-    }
-
-    /** Copy out / install the whole table (checkpoints). */
+    /** Copy out / install the whole table (checkpoints). Installing a
+     * table of another size throws std::invalid_argument. */
     const std::vector<Entry> &entries() const { return table; }
     void
     restoreEntries(const std::vector<Entry> &e)
     {
-        assert(e.size() == table.size() && "BTB size mismatch");
+        if (e.size() != table.size())
+            throw std::invalid_argument("BTB size mismatch");
         table = e;
     }
 
@@ -238,14 +222,6 @@ class Btb
 class Ras
 {
   public:
-    /** Back to construction state. */
-    void
-    reset()
-    {
-        stack.fill(0);
-        top = 0;
-    }
-
     /** Push a return address (byte address). */
     void
     push(Addr a)

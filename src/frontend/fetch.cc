@@ -7,7 +7,7 @@ namespace rbsim
 
 FetchEngine::FetchEngine(const MachineConfig &cfg, const Program &prog,
                          MemHierarchy &mem)
-    : config(cfg), program(&prog), memory(mem), fetchPc(prog.entry)
+    : config(cfg), program(prog), memory(mem), fetchPc(prog.entry)
 {
 }
 
@@ -27,20 +27,20 @@ FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out,
     unsigned fetched = 0;
     if (stopped || now < resumeCycle)
         return fetched;
-    if (fetchPc >= program->code.size()) {
+    if (fetchPc >= program.code.size()) {
         stopped = true; // off the code image: wait for a squash
         return fetched;
     }
 
     unsigned blocks_started = 1;
     while (fetched < config.fetchWidth) {
-        if (fetchPc >= program->code.size())
+        if (fetchPc >= program.code.size())
             break;
 
         // Instruction cache: charge misses; pipelined hits are covered
         // by the front-end depth.
         const Addr line =
-            program->byteAddrOf(fetchPc) & ~Addr{config.il1.lineBytes - 1};
+            program.byteAddrOf(fetchPc) & ~Addr{config.il1.lineBytes - 1};
         if (line != lastLine) {
             const Cycle ready = memory.instFetch(line, now);
             lastLine = line;
@@ -54,7 +54,7 @@ FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out,
 
         FetchedInst f;
         f.pcIndex = fetchPc;
-        f.inst = program->code[fetchPc];
+        f.inst = program.code[fetchPc];
         f.isCtrl = isControl(f.inst.op);
 
         if (f.inst.op == Opcode::HALT) {
@@ -90,14 +90,14 @@ FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out,
             f.predNextPc = static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(f.pcIndex) + 1 + inst.disp);
             if (inst.op == Opcode::BSR && inst.ra != zeroReg)
-                ras.push(program->byteAddrOf(f.pcIndex + 1));
+                ras.push(program.byteAddrOf(f.pcIndex + 1));
         } else { // JMP
             f.predTaken = true;
             const bool is_return = inst.ra == zeroReg;
             if (is_return) {
                 const Addr target = ras.pop();
-                if (program->isCodeAddr(target)) {
-                    f.predNextPc = program->indexOf(target);
+                if (program.isCodeAddr(target)) {
+                    f.predNextPc = program.indexOf(target);
                 } else {
                     f.stalledJmp = true;
                 }
@@ -106,12 +106,12 @@ FetchEngine::fetchCycle(Cycle now, std::vector<FetchedInst> &out,
                 // return address.
                 std::uint64_t target = 0;
                 if (btb.lookup(f.pcIndex, target) &&
-                    target < program->code.size()) {
+                    target < program.code.size()) {
                     f.predNextPc = target;
                 } else {
                     f.stalledJmp = true;
                 }
-                ras.push(program->byteAddrOf(f.pcIndex + 1));
+                ras.push(program.byteAddrOf(f.pcIndex + 1));
             }
         }
 

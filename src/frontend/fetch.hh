@@ -50,26 +50,6 @@ class FetchEngine
                 MemHierarchy &mem);
 
     /**
-     * Back to construction state, rebound to `prog` (which must outlive
-     * the engine): PC at the entry point, predictor/BTB/RAS cold, stat
-     * counters zeroed. No allocation — every table is refilled in
-     * place.
-     */
-    void
-    reset(const Program &prog)
-    {
-        program = &prog;
-        fetchPc = prog.entry;
-        resumeCycle = 0;
-        stopped = false;
-        lastLine = ~Addr{0};
-        icacheStallCycles = 0;
-        predictor.reset();
-        btb.reset();
-        ras.reset();
-    }
-
-    /**
      * Fetch one cycle's worth of instructions, appending to the
      * caller-owned `out` (not cleared here; the core reuses one buffer
      * across cycles so the hot path never allocates). Each control
@@ -86,7 +66,7 @@ class FetchEngine
 
     /**
      * Start fetching at `pc_index` instead of the program entry point
-     * (checkpoint restore; call right after reset()). A PC off the end
+     * (checkpoint restore; call right after construction). A PC off the end
      * of the code image parks fetch, matching the functional model's
      * run-off-the-end halt.
      */
@@ -94,7 +74,7 @@ class FetchEngine
     startAt(std::uint64_t pc_index)
     {
         fetchPc = pc_index;
-        stopped = pc_index >= program->code.size();
+        stopped = pc_index >= program.code.size();
         lastLine = ~Addr{0};
     }
 
@@ -141,9 +121,7 @@ class FetchEngine
 
   private:
     const MachineConfig &config;
-    //! Pointer, not reference: reset(prog) rebinds it for simulator
-    //! reuse. Never null.
-    const Program *program;
+    const Program &program;
     MemHierarchy &memory;
 
     std::uint64_t fetchPc = 0;

@@ -58,11 +58,21 @@ struct RecordSink
 
 } // namespace
 
-Interp::Interp(const Program &prog)
+Interp::Interp(const Program &prog) : Interp(prog, prog.hash()) {}
+
+Interp::Interp(const Program &prog, std::uint64_t prog_hash,
+               const MemImage::PageMap *pages)
+    : program(&prog), dec(decodeProgram(prog, prog_hash)),
+      pcIndex(prog.entry)
 {
-    bindProgram(prog, prog.hash());
-    memory.loadProgram(prog);
-    pcIndex = prog.entry;
+    // Register file: arch regs zeroed, literal pool filled, scratch slot.
+    xregs.resize(dec->slotCount());
+    for (std::size_t i = 0; i < dec->pool.size(); ++i)
+        xregs[numArchRegs + i] = dec->pool[i];
+    if (pages)
+        memory.restorePages(*pages);
+    else
+        memory.loadProgram(prog);
 }
 
 StepRecord

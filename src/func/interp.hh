@@ -60,37 +60,20 @@ struct StepRecord
 class Interp
 {
   public:
-    /** Bind to a program; loads its data segments into a fresh memory. */
+    /** Bind to a program (which must outlive the interpreter), hashing
+     * it; loads its data segments into a fresh memory. */
     explicit Interp(const Program &prog);
 
     /**
-     * Back to construction state, rebound to `prog` (which must outlive
-     * the interpreter; `prog_hash` is its Program::hash()): entry PC,
-     * registers zeroed. With `pages` (a checkpoint's), memory becomes
-     * those pages, shared copy-on-write, and the program's data image is
-     * never built — set the checkpoint's registers and PC next. Without,
-     * memory is zeroed in place (resident pages kept) and the data image
-     * reloaded. The predecoded form comes from the process-wide cache —
-     * so repeated same-footprint runs allocate nothing.
+     * Bind to `prog`, whose Program::hash() the caller already knows
+     * (`prog_hash`): entry PC, registers zeroed. With `pages` (a
+     * checkpoint's), memory starts as those pages, shared copy-on-write,
+     * and the program's data image is never built — set the
+     * checkpoint's registers and PC next. The predecoded form comes
+     * from the process-wide cache.
      */
-    void
-    reset(const Program &prog, std::uint64_t prog_hash,
-          const MemImage::PageMap *pages = nullptr)
-    {
-        bindProgram(prog, prog_hash);
-        if (pages) {
-            memory.restorePages(*pages);
-        } else {
-            memory.reset();
-            memory.loadProgram(prog);
-        }
-        pcIndex = prog.entry;
-        steps = 0;
-        isHalted = false;
-    }
-
-    /** reset() from the program image, hashing `prog`. */
-    void reset(const Program &prog) { reset(prog, prog.hash()); }
+    Interp(const Program &prog, std::uint64_t prog_hash,
+           const MemImage::PageMap *pages = nullptr);
 
     /** True once HALT has executed or the PC ran off the code. */
     bool halted() const { return isHalted; }
@@ -199,21 +182,8 @@ class Interp
     const DecodedProgram &decoded() const { return *dec; }
 
   private:
-    /** Rebind program + predecoded form and lay out the register file
-     * (arch regs zeroed, literal pool filled, scratch slot). */
-    void
-    bindProgram(const Program &prog, std::uint64_t prog_hash)
-    {
-        program = &prog;
-        dec = decodeProgram(prog, prog_hash);
-        xregs.resize(dec->slotCount());
-        std::fill(xregs.begin(), xregs.begin() + numArchRegs, 0);
-        for (std::size_t i = 0; i < dec->pool.size(); ++i)
-            xregs[numArchRegs + i] = dec->pool[i];
-        xregs[dec->scratch] = 0;
-    }
-
-    //! Pointer, not reference: reset(prog) rebinds it. Never null.
+    //! Pointer, not reference, so an Interp stays assignable. Never
+    //! null.
     const Program *program;
     std::shared_ptr<const DecodedProgram> dec;
     MemImage memory;

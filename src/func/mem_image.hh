@@ -15,8 +15,10 @@
  * other threads (a fast-forward pass keeps writing its image while
  * workers resume windows from its checkpoints), and seeing the count
  * drop to 1 would not order this image's write after their last reads.
- * Images with no outstanding snapshots own every page, including on the
- * zero-allocation reset-in-place serving path.
+ * Images with no outstanding snapshots own every page. An image lives as
+ * long as the interpreter or core that owns it; a new run builds a new
+ * image, from the program's data segments or from a checkpoint's pages
+ * (restorePages).
  *
  * A small direct-mapped translation cache (the "xlat" array) sits in
  * front of the page map so the interpreter's hot loads/stores are one
@@ -26,9 +28,9 @@
  * when the entry was filled — so a store hit touches neither the map
  * nor the control block. Correctness rests on invalidating the cache at
  * every operation that can replace a page's storage or end its
- * ownership behind the cache's back: reset() (unowned pages are
- * replaced), restorePages, snapshotPages (sharing ends ownership), and
- * copy/move construction/assignment (both sides). A same-image CoW
+ * ownership behind the cache's back: restorePages, snapshotPages
+ * (sharing ends ownership), and copy/move construction/assignment (both
+ * sides). A same-image CoW
  * clone refreshes its own entry in lookupWrite, and a *peer* image
  * cloning its copy never moves this image's page, so cached read
  * pointers stay valid across peer writes.
@@ -164,33 +166,6 @@ class MemImage
     void loadProgram(const Program &prog);
 
     /**
-     * Zero the image in place: every resident page is cleared but kept
-     * allocated, so a reset-reused simulator re-running a program with
-     * the same footprint touches no new pages (the zero-allocation
-     * serving steady state). Reads behave exactly as on a fresh image.
-     */
-    void
-    reset()
-    {
-        for (auto &[addr, slot] : pages) {
-            // A page this image does not own may still be a checkpoint's
-            // and must not be zeroed through; replace it instead (the
-            // snapshot keeps the old bytes). With no snapshots taken
-            // this never triggers, so the warm path stays
-            // allocation-free.
-            if (slot.owned) {
-                slot.page->fill(0);
-            } else {
-                slot.page = std::make_shared<Page>();
-                slot.owned = true;
-            }
-        }
-        // Replaced pages got fresh storage; cached data pointers to
-        // them would be stale.
-        invalidateXlat();
-    }
-
-    /**
      * Share every resident page with the caller (a checkpoint). O(pages)
      * in map size, O(0) in bytes: later writes on either side clone the
      * affected page first (see lookupWrite). Sharing ends this image's
@@ -253,7 +228,7 @@ class MemImage
     //! `writable` caches Slot::owned at fill time so the store fast
     //! path skips the map; every operation that can end ownership or
     //! replace a page's storage without going through lookupWrite
-    //! (snapshotPages, reset, restorePages, copy/move
+    //! (snapshotPages, restorePages, copy/move
     //! construction/assignment) invalidates the cache, so a stale
     //! `true` cannot survive into a write that must clone. A stale
     //! `false` only costs the slow path.

@@ -10,9 +10,8 @@
  * `useLit`), the pre-sign-extended displacement or immediate, the
  * precomputed branch-target pc index and `byteAddrOf` return address,
  * and the load/store size+sign baked into the handler itself. The
- * result is cached process-wide keyed by `Program::hash()`, so the warm
- * serving path (Interp::reset on a program already seen) allocates
- * nothing.
+ * result is cached process-wide keyed by `Program::hash()`, so an
+ * interpreter built for a program already seen decodes nothing.
  *
  * `execDecodedLoop` is the one hot loop, written once and instantiated
  * for both dispatch strategies and every event sink:

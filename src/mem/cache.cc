@@ -102,14 +102,4 @@ CacheModel::fill(Addr addr)
     victim->lastUse = useClock;
 }
 
-void
-CacheModel::reset()
-{
-    for (Way &w : array)
-        w = Way{};
-    useClock = 0;
-    accesses = 0;
-    misses = 0;
-}
-
 } // namespace rbsim

@@ -10,8 +10,8 @@
 #ifndef RBSIM_MEM_CACHE_HH
 #define RBSIM_MEM_CACHE_HH
 
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/stats.hh"
@@ -55,9 +55,6 @@ class CacheModel
     /** Install the line, evicting the LRU way. */
     void fill(Addr addr);
 
-    /** Invalidate everything (between benchmark runs). */
-    void reset();
-
     /** Copy out the tag/recency state (checkpoint capture). */
     TagState
     saveTags() const
@@ -66,15 +63,17 @@ class CacheModel
     }
 
     /**
-     * Install a previously saved tag state (checkpoint restore). The
-     * geometry must match; stats counters are left untouched so a
-     * restored measurement window starts clean.
+     * Install a previously saved tag state (checkpoint restore). Stats
+     * counters are left untouched so a restored measurement window
+     * starts clean. Throws std::invalid_argument, changing nothing, when
+     * the saved array's geometry differs from this cache's.
      */
     void
     restoreTags(const TagState &state)
     {
-        assert(state.array.size() == array.size() &&
-               "cache tag state geometry mismatch");
+        if (state.array.size() != array.size())
+            throw std::invalid_argument(
+                "cache tag state geometry mismatch");
         array = state.array;
         useClock = state.useClock;
     }

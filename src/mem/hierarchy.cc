@@ -84,7 +84,7 @@ MemHierarchy::dataWriteTouch(Addr addr, Cycle now)
 // the L1, walk to L2 and fill both on a miss, count a DRAM access on an
 // L2 miss. Timing (bank busy windows, latencies) is the one thing left
 // out — a restored core starts its window with zeroed bank timestamps
-// anyway, exactly like a reset one.
+// anyway, exactly like one started at the program entry.
 
 void
 MemHierarchy::warmInstTouch(Addr addr)
@@ -115,17 +115,6 @@ MemHierarchy::warmStoreTouch(Addr addr)
 {
     // Write-allocate, same as dataWriteTouch.
     warmLoadTouch(addr);
-}
-
-void
-MemHierarchy::reset()
-{
-    il1Cache.reset();
-    dl1Cache.reset();
-    l2Cache.reset();
-    std::fill(l2BankFree.begin(), l2BankFree.end(), 0);
-    std::fill(memBankFree.begin(), memBankFree.end(), 0);
-    memAccesses = 0;
 }
 
 } // namespace rbsim

@@ -43,9 +43,6 @@ class MemHierarchy
      */
     void dataWriteTouch(Addr addr, Cycle now);
 
-    /** Reset tags, banks, and stats. */
-    void reset();
-
     /**
      * Functional-touch API (fast-forward warming): walk the same tag
      * hit/miss/fill paths as the timed accessors, but with no bank

@@ -69,20 +69,6 @@ class LoadStoreQueue
     explicit LoadStoreQueue(unsigned max_entries,
                             unsigned seq_window = 4096);
 
-    /** Back to construction state in place: both rings emptied (dead
-     * slots are fully overwritten on insert), the known-address prefix
-     * cursor rewound, and the registered stat counters zeroed. The
-     * seq->pos table needs no cleaning — lookups validate against the
-     * live slot's own seq. */
-    void
-    reset()
-    {
-        headPos = tailPos = 0;
-        storeHeadPos = storeTailPos = 0;
-        knownPrefix = 0;
-        inserted = searches = forwards = 0;
-    }
-
     /** Zero the stat counters without touching queue contents
      * (measurement windows after a warmup leg). */
     void clearStats() { inserted = searches = forwards = 0; }

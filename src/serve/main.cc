@@ -3,7 +3,6 @@
  * rbsim-serve: the persistent simulation service (docs/SERVING.md).
  *
  *   rbsim-serve                    # JSON-lines on stdin/stdout
- *   rbsim-serve --port 7774        # TCP on 127.0.0.1:7774
  *
  * Options:
  *   --workers <n>    worker threads (default: one per hardware thread)
@@ -29,7 +28,7 @@ usageDie(const char *prog, const char *why)
 {
     std::fprintf(stderr,
                  "%s: %s\n"
-                 "usage: %s [--port <n>] [--workers <n>] [--cache <n>] "
+                 "usage: %s [--workers <n>] [--cache <n>] "
                  "[--max-insts <n>] [--max-scale <n>] [--trace-ring <n>]\n",
                  prog, why, prog);
     std::exit(2);
@@ -41,7 +40,6 @@ int
 main(int argc, char **argv)
 {
     rbsim::serve::Server::Options opts;
-    long port = -1;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -57,11 +55,7 @@ main(int argc, char **argv)
                                       .c_str());
             return n;
         };
-        if (std::strcmp(arg, "--port") == 0) {
-            port = value("--port");
-            if (port < 1 || port > 65535)
-                usageDie(argv[0], "--port must be 1..65535");
-        } else if (std::strcmp(arg, "--workers") == 0) {
+        if (std::strcmp(arg, "--workers") == 0) {
             opts.service.workers = static_cast<unsigned>(value("--workers"));
         } else if (std::strcmp(arg, "--cache") == 0) {
             opts.service.cacheCapacity =
@@ -79,7 +73,5 @@ main(int argc, char **argv)
         }
     }
 
-    return port < 0 ? rbsim::serve::serveStdio(opts)
-                    : rbsim::serve::serveTcp(
-                          opts, static_cast<std::uint16_t>(port));
+    return rbsim::serve::serveStdio(opts);
 }

@@ -126,8 +126,8 @@ MachineConfig configFromJson(const Json &j);
 /**
  * Canonical configuration fingerprint: the compact JSON dump of
  * configToJson. Two configs simulate identically iff their keys match
- * (label included), so this keys both the per-worker warm-simulator
- * cache and the result cache.
+ * (label included), so this keys both the per-worker simulators and
+ * the result cache.
  */
 std::string configKey(const MachineConfig &cfg);
 

@@ -50,7 +50,7 @@ void submitSampled(SimService &service, const MachineConfig &cfg,
                    const Program &prog, const SamplingOptions &opts,
                    std::function<void(SampledOutcome)> done);
 
-/** Blocking convenience: submitSampled + wait (bench --server path). */
+/** Blocking convenience: submitSampled + wait. */
 SampledOutcome runSampled(SimService &service, const MachineConfig &cfg,
                           const Program &prog,
                           const SamplingOptions &opts);

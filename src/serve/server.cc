@@ -6,11 +6,6 @@
 #include "isa/assembler.hh"
 #include "workloads/workload.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 namespace rbsim::serve
 {
 
@@ -279,88 +274,6 @@ serveStdio(const Server::Options &opts)
                  static_cast<unsigned long long>(ctr.cacheHits),
                  static_cast<unsigned long long>(ctr.warmSimulators));
     return 0;
-}
-
-// ------------------------------------------------------------------ tcp
-
-namespace
-{
-
-void
-sendAll(int fd, const char *data, std::size_t len)
-{
-    while (len) {
-        const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-        if (n <= 0)
-            return; // peer went away; responses are best-effort
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-}
-
-} // namespace
-
-int
-serveTcp(const Server::Options &opts, std::uint16_t port)
-{
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0) {
-        std::perror("rbsim-serve: socket");
-        return 1;
-    }
-    const int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(listener, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) < 0 ||
-        ::listen(listener, 8) < 0) {
-        std::perror("rbsim-serve: bind/listen");
-        ::close(listener);
-        return 1;
-    }
-
-    // One connection at a time; the Server (and so the result cache and
-    // warm simulators) persists across connections. drain() runs before
-    // close(), so no worker response can race a dead descriptor.
-    int conn = -1;
-    Server server(opts, [&conn](const std::string &line) {
-        if (conn >= 0) {
-            sendAll(conn, line.data(), line.size());
-            sendAll(conn, "\n", 1);
-        }
-    });
-    std::fprintf(stderr,
-                 "rbsim-serve: listening on 127.0.0.1:%u (%u workers)\n",
-                 unsigned{port}, server.simService().workers());
-
-    for (;;) {
-        conn = ::accept(listener, nullptr, nullptr);
-        if (conn < 0)
-            continue;
-        std::string line;
-        char buf[4096];
-        for (;;) {
-            const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
-            if (n <= 0)
-                break;
-            for (ssize_t i = 0; i < n; ++i) {
-                if (buf[i] == '\n') {
-                    server.handleLine(line);
-                    line.clear();
-                } else {
-                    line.push_back(buf[i]);
-                }
-            }
-        }
-        if (!line.empty())
-            server.handleLine(line);
-        server.drain();
-        ::close(conn);
-        conn = -1;
-    }
 }
 
 } // namespace rbsim::serve

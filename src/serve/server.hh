@@ -1,7 +1,7 @@
 /**
  * @file
  * The rbsim-serve front end: request-line handling, duplicate tracking,
- * and the stdio / TCP serving loops (docs/SERVING.md).
+ * and the stdio JSON-lines serving loop (docs/SERVING.md).
  *
  * The Server owns a SimService and turns protocol lines into jobs. One
  * thread feeds handleLine(); responses come back through the sink from
@@ -43,7 +43,7 @@ class Server
         //! Ring size for abort diagnostics: served jobs keep a
         //! worker-local trace of the last N instructions and ship it in
         //! the sim-aborted record, matching what a local run prints.
-        //! 0 disables the ring (and restores the zero-alloc worker path).
+        //! 0 disables the ring.
         unsigned traceLast = 64;
     };
 
@@ -96,13 +96,6 @@ class Server
  * Returns a process exit code.
  */
 int serveStdio(const Server::Options &opts);
-
-/**
- * Serve on a TCP port (connections handled sequentially; the service
- * and its caches persist across connections). Returns a process exit
- * code (only on a socket setup failure — otherwise loops forever).
- */
-int serveTcp(const Server::Options &opts, std::uint16_t port);
 
 } // namespace rbsim::serve
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <optional>
 
-#include "common/alloccount.hh"
 #include "serve/protocol.hh"
 #include "trace/tracer.hh"
 
@@ -14,7 +13,7 @@ namespace rbsim::serve
 SimService::SimService() : SimService(Options{}) {}
 
 SimService::SimService(const Options &opts)
-    : queue(opts.workers), warm(queue.workers()),
+    : queue(opts.workers), sims(queue.workers()),
       cacheCapacity(opts.cacheCapacity)
 {}
 
@@ -50,19 +49,16 @@ SimService::cacheKeyFor(const JobSpec &spec) const
            spec.opts.resultKey();
 }
 
-SimService::WarmSim &
-SimService::warmFor(unsigned worker, const MachineConfig &cfg,
-                    const std::string &config_key)
+Simulator &
+SimService::simulatorFor(unsigned worker, const MachineConfig &cfg,
+                         const std::string &config_key)
 {
-    auto &mine = warm[worker];
-    auto it = mine.find(config_key);
-    if (it == mine.end()) {
-        WarmSim ws;
-        ws.sim = std::make_unique<Simulator>(cfg);
-        it = mine.emplace(config_key, std::move(ws)).first;
-        warmCount.fetch_add(1, std::memory_order_relaxed);
+    std::unique_ptr<Simulator> &sim = sims[worker][config_key];
+    if (!sim) {
+        sim = std::make_unique<Simulator>(cfg);
+        simCount.fetch_add(1, std::memory_order_relaxed);
     }
-    return it->second;
+    return *sim;
 }
 
 bool
@@ -101,9 +97,9 @@ SimService::cacheInsert(const std::string &key, const SimResult &result)
 void
 SimService::submit(JobSpec spec, std::function<void(JobOutcome)> done)
 {
-    // configKey identifies the warm simulator; the full cache key adds
-    // the program + options. Both are computed once, on the caller's
-    // thread, so the worker's window stays allocation-free.
+    // configKey identifies the worker's simulator; the full cache key
+    // adds the program + options. Both are computed on the caller's
+    // thread.
     std::string config_key = configKey(spec.cfg);
     std::string cache_key;
     if (!spec.bypassCache) {
@@ -123,11 +119,10 @@ SimService::submit(JobSpec spec, std::function<void(JobOutcome)> done)
                   config_key = std::move(config_key),
                   cache_key = std::move(cache_key),
                   done = std::move(done)](unsigned worker) mutable {
-        WarmSim &ws = warmFor(worker, spec.cfg, config_key);
+        Simulator &sim = simulatorFor(worker, spec.cfg, config_key);
         JobOutcome out;
-        // Abort-diagnostic ring, constructed before the measured window:
-        // it allocates all its storage up front, so the run inside the
-        // window allocates nothing with or without it.
+        // Abort-diagnostic ring: it allocates all its storage up front,
+        // so a run's cycles allocate nothing with or without it.
         std::optional<trace::Tracer> ring;
         if (spec.traceLast && !spec.opts.tracer) {
             trace::Tracer::Options ring_opts;
@@ -137,22 +132,14 @@ SimService::submit(JobSpec spec, std::function<void(JobOutcome)> done)
             ring_opts.renameDepth = spec.cfg.renameDepth;
             spec.opts.tracer = &ring.emplace(ring_opts);
         }
-        // The measured window covers exactly the reset + run; the
-        // result copy and cache insert below are host bookkeeping
-        // outside the zero-alloc invariant.
-        out.allocsCounted =
-            alloccount::hooked() && alloccount::enabled();
-        const std::uint64_t allocs0 = alloccount::threadCount();
         try {
-            ws.sim->runInto(spec.prog, spec.opts, ws.scratch);
+            sim.runInto(spec.prog, spec.opts, out.result);
             out.ok = true;
         } catch (const std::exception &e) {
             out.error = e.what();
         }
-        out.workerAllocs = alloccount::threadCount() - allocs0;
         jobsExecuted.fetch_add(1, std::memory_order_relaxed);
         if (out.ok) {
-            out.result = ws.scratch;
             // Same triage a local run performs in bench/rbsim-run: a
             // run that stopped without HALT or an instruction budget is
             // an abort, classified by the watchdog counter, with the
@@ -213,7 +200,7 @@ SimService::counters() const
     c.cacheHits = cacheHits.load(std::memory_order_relaxed);
     c.cacheMisses = cacheMisses.load(std::memory_order_relaxed);
     c.jobsExecuted = jobsExecuted.load(std::memory_order_relaxed);
-    c.warmSimulators = warmCount.load(std::memory_order_relaxed);
+    c.warmSimulators = simCount.load(std::memory_order_relaxed);
     return c;
 }
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * The simulation service: a fixed pool of worker threads, each owning a
- * cache of warm (pre-constructed, reset-in-place) Simulator instances,
- * fed through the shared WorkQueue, with a bounded LRU result cache in
- * front (docs/SERVING.md).
+ * The simulation service: a fixed pool of worker threads fed through the
+ * shared WorkQueue, with a bounded LRU result cache in front
+ * (docs/SERVING.md).
  *
  * This is the one execution path behind every parallel sweep: the bench
  * binaries submit their grids here (in-process), and rbsim-serve's
- * network front end submits parsed requests here. Construction cost
- * (rings, pools, rename tables, stat registration) is paid once per
- * (worker, configuration) pair; every later job on that pair is a
- * Simulator::reset() plus the run itself — zero steady-state heap
- * allocations on the worker thread (tests/test_serve.cc pins this).
+ * JSON-lines front end submits parsed requests here. Each worker keeps
+ * one Simulator per configuration it has run. Every job builds a fresh
+ * machine on it; what the kept Simulator saves is its program binding:
+ * a program equal in content to the last one keeps its copy and hash,
+ * so a sampling campaign's windows never copy or re-hash the image.
  */
 
 #ifndef RBSIM_SERVE_SERVICE_HH
@@ -67,10 +66,6 @@ struct JobOutcome
     //! (aborted runs with traceLast > 0 only).
     std::string traceDump;
     SimResult result;
-    //! Heap allocations on the worker thread inside the runInto() window
-    //! (meaningful only when allocsCounted).
-    std::uint64_t workerAllocs = 0;
-    bool allocsCounted = false;
 };
 
 /** The service. */
@@ -132,6 +127,7 @@ class SimService
         std::uint64_t cacheHits = 0;
         std::uint64_t cacheMisses = 0;
         std::uint64_t jobsExecuted = 0;
+        //! Simulators the workers hold: one per (worker, configuration).
         std::uint64_t warmSimulators = 0;
     };
 
@@ -144,16 +140,9 @@ class SimService
     static SimService &instance();
 
   private:
-    /** A warm simulator plus its reusable result buffer. */
-    struct WarmSim
-    {
-        std::unique_ptr<Simulator> sim;
-        SimResult scratch;
-    };
-
-    /** Get or build worker-local warm state for a configuration. */
-    WarmSim &warmFor(unsigned worker, const MachineConfig &cfg,
-                     const std::string &config_key);
+    /** Get or build the worker's Simulator for a configuration. */
+    Simulator &simulatorFor(unsigned worker, const MachineConfig &cfg,
+                            const std::string &config_key);
 
     /** Cache lookup; fills `out` and returns true on a hit. */
     bool cacheLookup(const std::string &key, SimResult &out);
@@ -161,10 +150,10 @@ class SimService
 
     WorkQueue queue;
 
-    //! Per-worker warm simulators, keyed by configKey. Each map is only
-    //! ever touched by its own worker thread — no locking on the
-    //! simulation path.
-    std::vector<std::map<std::string, WarmSim>> warm;
+    //! Per-worker simulators, keyed by configKey. Each map is only ever
+    //! touched by its own worker thread — no locking on the simulation
+    //! path.
+    std::vector<std::map<std::string, std::unique_ptr<Simulator>>> sims;
 
     //! The last program programHash() hashed, with its hash. Replaced
     //! whole under keyedMu and compared outside it.
@@ -187,7 +176,7 @@ class SimService
     std::atomic<std::uint64_t> cacheHits{0};
     std::atomic<std::uint64_t> cacheMisses{0};
     std::atomic<std::uint64_t> jobsExecuted{0};
-    std::atomic<std::uint64_t> warmCount{0};
+    std::atomic<std::uint64_t> simCount{0};
 };
 
 } // namespace rbsim::serve

@@ -274,6 +274,9 @@ ArchCheckpoint::deserialize(const std::string &bytes)
     }
 
     ck.ras.rasTop = r.u8();
+    // Ras::pop reads the stack at rasTop: it must index the stack.
+    if (ck.ras.rasTop >= ck.ras.ras.size())
+        throw std::runtime_error("malformed checkpoint image (RAS top)");
     for (Addr &a : ck.ras.ras)
         a = r.u64();
 

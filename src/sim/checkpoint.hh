@@ -1,7 +1,7 @@
 /**
  * @file
  * Architectural checkpoints: everything needed to resume a program
- * mid-run on a fresh (reset) core — architectural registers, PC, the
+ * mid-run on a freshly built core — architectural registers, PC, the
  * memory image (copy-on-write page shares, zumastor-snapshot style) —
  * plus the warm microarchitectural state that makes short detailed
  * windows representative: branch-predictor tables, BTB, RAS, and the

@@ -48,31 +48,29 @@ class CosimMismatch : public std::runtime_error
 class CosimChecker
 {
   public:
+    /** Check `prog` (which must outlive the checker) from its entry,
+     * hashing it. */
     explicit CosimChecker(const Program &prog)
-        : interp(prog)
+        : CosimChecker(prog, prog.hash())
     {}
 
     /**
-     * Back to construction state, rebound to `prog` (`prog_hash` is its
-     * Program::hash()). The reference starts at the program entry with
-     * its data image, or — given `from`, a checkpoint of `prog` — at
-     * that checkpoint's registers and PC with its pages shared directly
-     * (the data image is never built); the timing core resumes from the
-     * same checkpoint, so lockstep continues from the resume point. The
-     * `checked` counter keeps its address (stat registrations stay
-     * valid).
+     * Check `prog`, whose Program::hash() is `prog_hash`. The reference
+     * starts at the program entry with its data image, or — given
+     * `from`, a checkpoint of `prog` — at that checkpoint's registers
+     * and PC with its pages shared directly (the data image is never
+     * built); the timing core resumes from the same checkpoint, so
+     * lockstep continues from the resume point.
      */
-    void
-    reset(const Program &prog, std::uint64_t prog_hash,
-          const ArchCheckpoint *from = nullptr)
+    CosimChecker(const Program &prog, std::uint64_t prog_hash,
+                 const ArchCheckpoint *from = nullptr)
+        : interp(prog, prog_hash, from ? &from->pages : nullptr)
     {
-        interp.reset(prog, prog_hash, from ? &from->pages : nullptr);
         if (from) {
             for (unsigned r = 0; r < numArchRegs; ++r)
                 interp.setReg(r, from->regs[r]);
             interp.setPc(from->pc);
         }
-        count = 0;
     }
 
     /**

@@ -73,21 +73,8 @@ struct WarmSink
 } // namespace
 
 FastForward::FastForward(const MachineConfig &config, const Program &prog)
-    : cfg(config), program(&prog), interp(prog), warmMem(cfg)
+    : cfg(config), program(prog), interp(prog), warmMem(cfg)
 {
-}
-
-void
-FastForward::reset(const Program &prog)
-{
-    program = &prog;
-    interp.reset(prog);
-    warmMem.reset();
-    predictor.reset();
-    btb.reset();
-    ras.reset();
-    lastLine = ~Addr{0};
-    insts = 0;
 }
 
 std::uint64_t
@@ -95,7 +82,7 @@ FastForward::run(std::uint64_t max_insts)
 {
     WarmSink sink{warmMem,           predictor,
                   btb,               ras,
-                  lastLine,          program->codeBase,
+                  lastLine,          program.codeBase,
                   ~Addr{cfg.il1.lineBytes - 1}};
     const std::uint64_t done = interp.runSink(max_insts, sink);
     insts += done;
@@ -128,16 +115,18 @@ FastForward::restore(const ArchCheckpoint &ck)
     if (ck.progHash != interp.decoded().progHash)
         throw std::runtime_error(
             "checkpoint/program mismatch in FastForward::restore");
+    // The geometry-checked tables first: a checkpoint of another
+    // machine throws before the architectural state moves.
+    predictor.restoreState(ck.bpred);
+    btb.restoreEntries(ck.btb);
+    warmMem.il1().restoreTags(ck.il1);
+    warmMem.dl1().restoreTags(ck.dl1);
+    warmMem.l2().restoreTags(ck.l2);
+    ras.restore(ck.ras);
     interp.mem().restorePages(ck.pages);
     for (unsigned r = 0; r < numArchRegs; ++r)
         interp.setReg(r, ck.regs[r]);
     interp.setPc(ck.pc);
-    predictor.restoreState(ck.bpred);
-    btb.restoreEntries(ck.btb);
-    ras.restore(ck.ras);
-    warmMem.il1().restoreTags(ck.il1);
-    warmMem.dl1().restoreTags(ck.dl1);
-    warmMem.l2().restoreTags(ck.l2);
     lastLine = ~Addr{0};
     insts = ck.instsExecuted;
 }

@@ -35,12 +35,10 @@ namespace rbsim
 class FastForward
 {
   public:
-    /** Bind to a machine (cache geometry) and a program. The program
-     * must outlive the engine; the configuration is copied. */
+    /** Bind to a machine (cache geometry) and a program, at the program
+     * entry with cold caches and predictor. The program must outlive the
+     * engine; the configuration is copied. */
     FastForward(const MachineConfig &cfg, const Program &prog);
-
-    /** Back to the program entry with cold caches and predictor. */
-    void reset(const Program &prog);
 
     /**
      * Execute up to `max_insts` architectural instructions, warming
@@ -52,14 +50,18 @@ class FastForward
     /** True once the program halted (HALT or ran off the code). */
     bool halted() const { return interp.halted(); }
 
-    /** Architectural instructions executed since reset/restore base. */
+    /** Architectural instructions executed since the program entry
+     * (a restore sets the checkpoint's count). */
     std::uint64_t instsExecuted() const { return insts; }
 
     /** Capture the current point as a checkpoint. @pre !halted() */
     void capture(ArchCheckpoint &out) const;
 
     /** Resume from a checkpoint (restartable sampling campaigns). The
-     * checkpoint must come from the same program. */
+     * checkpoint must come from the same program (std::runtime_error
+     * otherwise) and a machine of the same predictor, BTB and cache
+     * geometry (std::invalid_argument otherwise; the engine's warm
+     * tables are then unspecified until the next restore). */
     void restore(const ArchCheckpoint &ck);
 
     /** The reference interpreter (tests compare architectural state). */
@@ -67,7 +69,7 @@ class FastForward
 
   private:
     MachineConfig cfg;
-    const Program *program;
+    const Program &program;
     Interp interp;
     MemHierarchy warmMem;
     HybridPredictor predictor;

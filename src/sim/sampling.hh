@@ -110,9 +110,9 @@ void finalizeMergedStats(StatSnapshot &merged);
 
 /**
  * Run a whole sampling campaign in-process: each detailed window runs
- * on one warm Simulator as soon as its checkpoint is captured, and the
- * windows merge in stream order. Throws CosimMismatch if any window
- * diverges (cosim enabled).
+ * on one Simulator, bound once to the program, as soon as its
+ * checkpoint is captured, and the windows merge in stream order.
+ * Throws CosimMismatch if any window diverges (cosim enabled).
  */
 SampledResult simulateSampled(const MachineConfig &cfg,
                               const Program &prog,

@@ -45,19 +45,18 @@ SimOptions::resultKey() const
 }
 
 Simulator::Simulator(const MachineConfig &cfg_)
-    : cfg(cfg_), progHash(prog.hash()), core(cfg, prog), checker(prog)
-{
-    // The retire hook is installed once; per-run cosim enablement is a
-    // flag check so switching SimOptions::cosim never reallocates the
-    // std::function.
-    core.onRetire([this](const RobEntry &e) {
-        if (cosimOn)
-            checker.onRetire(e);
-    });
+    : cfg(cfg_), progHash(prog.hash())
+{}
 
-    // Every component self-registers its statistics exactly once; the
-    // registry stores pointers into the core/checker, whose counters
-    // keep their addresses across reset().
+Simulator::Machine::Machine(const MachineConfig &cfg, const Program &prog,
+                            std::uint64_t prog_hash,
+                            const ArchCheckpoint *from, bool cosim)
+    : core(cfg, prog, from), checker(prog, prog_hash, from)
+{
+    if (cosim)
+        core.onRetire([this](const RobEntry &e) { checker.onRetire(e); });
+    // Every component self-registers its statistics; the registry
+    // stores pointers into the core/checker.
     core.registerStats(reg);
     checker.registerStats(statGroup(reg, "cosim"));
 }
@@ -74,10 +73,14 @@ void
 Simulator::runInto(const Program &program, const SimOptions &opts,
                    SimResult &out)
 {
-    // Bind: the core and checker point at `prog`, so a program of new
-    // content is copied in (copy-assignment reuses the buffers when the
-    // shapes match) and hashed once. Equal content keeps the copy and
-    // its hash; only the name, which is not content, is refreshed.
+    // The last run's machine goes first: it points at `prog`, and peak
+    // memory then holds one machine.
+    machine.reset();
+
+    // Bind: a program of new content is copied in (copy-assignment
+    // reuses the buffers when the shapes match) and hashed once. Equal
+    // content keeps the copy and its hash; only the name, which is not
+    // content, is refreshed.
     if (prog.sameContent(program)) {
         prog.name = program.name;
     } else {
@@ -91,8 +94,9 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     if (from && from->progHash != progHash)
         throw std::invalid_argument(
             "checkpoint/program mismatch in Simulator::runInto");
-    core.reset(prog, from);
-    checker.reset(prog, progHash, from);
+    machine.emplace(cfg, prog, progHash, from, opts.cosim);
+    OooCore &core = machine->core;
+    CosimChecker &checker = machine->checker;
     instBase = from ? from->instsExecuted : 0;
     cosimOn = opts.cosim;
 
@@ -126,7 +130,7 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     } catch (...) {
         // Cosim or wakeup-oracle mismatch mid-cycle: capture the
         // pipeline tail before the exception reaches the caller, and
-        // detach the borrowed tracer/profiler so a reused instance
+        // detach the borrowed tracer/profiler so the kept machine
         // cannot dangle into them.
         if (opts.tracer) {
             core.traceInFlight(thrownCause());
@@ -151,18 +155,20 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     }
     core.attachTracer(nullptr);
     core.attachProfiler(nullptr);
-    reg.snapshotInto(out.stats);
-    ++runs;
+    out.stats = machine->reg.snapshot();
 }
 
 void
 Simulator::checkpoint(ArchCheckpoint &out) const
 {
+    if (!machine)
+        throw std::logic_error("no run to checkpoint");
     if (!cosimOn)
         throw std::logic_error(
             "checkpoint capture needs the cosim reference (SimOptions::"
             "cosim) for exact retired architectural state");
-    const Interp &ref = checker.ref();
+    const OooCore &core = machine->core;
+    const Interp &ref = machine->checker.ref();
     if (ref.halted())
         throw std::logic_error("cannot checkpoint a halted program");
 
@@ -188,10 +194,7 @@ SimResult
 simulate(const MachineConfig &cfg, const Program &prog,
          const SimOptions &opts)
 {
-    Simulator sim(cfg);
-    SimResult res;
-    sim.runInto(prog, opts, res);
-    return res;
+    return Simulator(cfg).run(prog, opts);
 }
 
 } // namespace rbsim

@@ -9,6 +9,7 @@
 #define RBSIM_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/stats.hh"
@@ -118,52 +119,50 @@ struct SimOptions
 };
 
 /**
- * A reusable simulator instance: one machine configuration, one
- * pre-constructed core + co-simulation checker + stat registry, reset in
- * place between runs (docs/SERVING.md).
+ * A simulator for one machine configuration (docs/SERVING.md). Every
+ * run builds its machine fresh — an OooCore, a CosimChecker and a
+ * StatRegistry — from the program entry or from SimOptions::startFrom,
+ * after destroying the last run's, so nothing is rewound and peak
+ * memory holds one machine. The machine is kept after the run so
+ * checkpoint() can read where it stopped.
  *
- * Construction (ring/pool/table sizing, stat registration) takes
- * 0.05–0.08 ms (traced `simulator.ctor_ms`, perfbench, 4-vCPU Xeon, GCC
- * 12.2, RelWithDebInfo). A run from the program entry rewinds everything
- * via OooCore::reset() and the per-component reset hooks and rebuilds
- * the data image: 0.08–0.12 ms for the scale-1 programs of detailed-grid
- * and serve-jobs, 4–6 ms for the scale-40 images of sampled-long
- * (`simulator.reset_ms`). A run from a checkpoint installs its pages
- * instead and never builds the image (0.2–0.7 ms per one-instruction
- * resume, `checkpoint.restore_ms`). A program equal in content to the
- * bound one keeps the copy and its hash, so a warm Simulator re-running
- * a same-footprint program performs zero heap allocations when paired
- * with runInto() — the serve worker pool keeps one Simulator per
- * distinct configuration and feeds jobs through exactly this path.
+ * What a Simulator keeps across runs is its program binding: a program
+ * equal in content to the bound one (Program::sameContent) keeps the
+ * copy and its hash, so a sampling campaign's windows never copy or
+ * re-hash a scale-40 image. The serve worker pool keeps one Simulator
+ * per (worker, configuration) for this binding.
  *
- * Determinism contract (pinned by tests/test_serve.cc): a reset-reused
- * Simulator produces a StatSnapshot bit-identical to a freshly
- * constructed one for the same (config, program, options).
+ * Measured on a 4-vCPU Xeon (GCC 12.2, RelWithDebInfo, perfbench
+ * traced): a one-instruction run from the program entry, machine
+ * construction included, takes 0.23–0.24 ms on the scale-1 programs
+ * (`simulator.reset_ms`), about 2% of a 2,000–8,000-instruction served
+ * job. A run from a checkpoint installs its pages and never builds the
+ * data image.
  */
 class Simulator
 {
   public:
     explicit Simulator(const MachineConfig &cfg);
 
+    // The machine holds references to `cfg` and `prog`.
+    Simulator(const Simulator &) = delete;
+    Simulator &operator=(const Simulator &) = delete;
+
     /** The (owned) configuration this instance simulates. */
     const MachineConfig &config() const { return cfg; }
 
-    /** Completed runs since construction (serve telemetry). */
-    std::uint64_t runsCompleted() const { return runs; }
-
     /**
-     * Reset in place and run `prog` to completion.
-     * Throws CosimMismatch if verification fails (cosim enabled) and
-     * WakeupOracleMismatch if the oracle check fails (oracle mode).
+     * Build a fresh machine and run `prog` to completion.
+     * Throws std::invalid_argument for a SimOptions::startFrom of another
+     * program or of another machine geometry, std::logic_error for one
+     * of a halted program, CosimMismatch if verification fails (cosim
+     * enabled) and WakeupOracleMismatch if the oracle check fails
+     * (oracle mode).
      */
     SimResult run(const Program &prog,
                   const SimOptions &opts = SimOptions{});
 
-    /**
-     * Like run(), but reusing `out` (its maps/vectors keep their
-     * storage). On a warm repeat of a same-shaped job this performs no
-     * heap allocations.
-     */
+    /** Like run(), but filling `out`. */
     void runInto(const Program &prog, const SimOptions &opts,
                  SimResult &out);
 
@@ -174,27 +173,35 @@ class Simulator
      * a mid-pipeline stop — wrapped ROB, occupied LSQ — needs no
      * draining) plus the core's warm predictor/BTB/RAS/cache-tag state.
      * Requires the last run to have used cosim and stopped short of
-     * HALT; throws std::logic_error otherwise.
+     * HALT; throws std::logic_error otherwise, and after a run that
+     * threw before its machine was built.
      */
     void checkpoint(ArchCheckpoint &out) const;
 
   private:
-    // Owned by value at stable addresses: the core/checker hold
-    // pointers into `prog`, and the registry holds pointers into the
-    // core's counters; both stay valid across resets because only the
-    // *contents* change.
+    /** One run's machine. Built in place and never moved: the core and
+     * checker hold references to the Simulator's `cfg` and `prog`, and
+     * the registry holds pointers into their counters. */
+    struct Machine
+    {
+        Machine(const MachineConfig &cfg, const Program &prog,
+                std::uint64_t prog_hash, const ArchCheckpoint *from,
+                bool cosim);
+
+        OooCore core;
+        CosimChecker checker;
+        StatRegistry reg;
+    };
+
     MachineConfig cfg;
     Program prog;
     std::uint64_t progHash; //!< prog.hash(), computed once per binding
-    OooCore core;
-    CosimChecker checker;
-    StatRegistry reg;
+    std::optional<Machine> machine; //!< the last run's; empty before one
     bool cosimOn = true;
     //! Dynamic-stream position of the last run's entry point (nonzero
     //! when it resumed from a checkpoint); checkpoint() adds it to the
     //! reference's step count so positions stay absolute across chains.
     std::uint64_t instBase = 0;
-    std::uint64_t runs = 0;
 };
 
 /**

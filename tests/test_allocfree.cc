@@ -3,17 +3,23 @@
  * The zero-allocation hot-path invariant (docs/PERFORMANCE.md): after a
  * warm-up period, a steady-state simulated cycle performs no heap
  * allocations — all hot structures (ROB/LSQ rings, front pipe, waiter
- * pool, wakeup heap storage, fetch buffer) were sized up front. This
- * binary links rbsim-allochook, the counting operator new replacement.
+ * pool, wakeup heap storage, fetch buffer, and an attached trace ring's
+ * records) were sized up front. This binary links rbsim-allochook, the
+ * counting operator new replacement.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
 
 #include "common/alloccount.hh"
 #include "common/rng.hh"
 #include "core/core.hh"
 #include "isa/builder.hh"
 #include "rb/simd/rb_batch.hh"
+#include "serve/server.hh"
+#include "trace/tracer.hh"
 
 namespace rbsim
 {
@@ -55,13 +61,24 @@ steadyWorkload(unsigned iters)
     return cb.finish();
 }
 
+/** With `ring_cap` > 0 a ring-only trace::Tracer of that many records
+ * is attached, as rbsim-serve attaches one to every job. */
 void
-expectZeroSteadyStateAllocs(MachineConfig cfg)
+expectZeroSteadyStateAllocs(MachineConfig cfg, std::size_t ring_cap)
 {
     ASSERT_TRUE(alloccount::hooked())
         << "test_allocfree must link rbsim-allochook";
     const Program prog = steadyWorkload(2'000'000);
     OooCore core(cfg, prog);
+    std::optional<trace::Tracer> ring;
+    if (ring_cap) {
+        trace::Tracer::Options opts;
+        opts.ringCap = ring_cap;
+        opts.codeBase = prog.codeBase;
+        opts.decodeDepth = cfg.fetchDecodeDepth;
+        opts.renameDepth = cfg.renameDepth;
+        core.attachTracer(&ring.emplace(opts));
+    }
 
     // Warm up: first touches of MemImage pages, container growth to
     // high-water marks, lazily-built tables.
@@ -78,12 +95,22 @@ expectZeroSteadyStateAllocs(MachineConfig cfg)
     ASSERT_FALSE(core.halted());
     EXPECT_EQ(delta, 0u) << cfg.label << ": " << delta
                          << " heap allocations in 50k steady cycles";
+    if (ring) {
+        EXPECT_EQ(ring->ring().size(), ring_cap); // the ring was filled
+    }
 }
 
 TEST(AllocFree, WakeupSchedulerSteadyState)
 {
-    expectZeroSteadyStateAllocs(
-        MachineConfig::make(MachineKind::RbFull, 8));
+    // Without a tracer, and with the abort ring rbsim-serve attaches to
+    // every job by default (64 records).
+    for (const std::size_t ring :
+         {std::size_t{0},
+          std::size_t{serve::Server::Options{}.traceLast}}) {
+        SCOPED_TRACE("ring=" + std::to_string(ring));
+        expectZeroSteadyStateAllocs(
+            MachineConfig::make(MachineKind::RbFull, 8), ring);
+    }
 }
 
 TEST(AllocFree, RbBatchPushRunClearAllocatesNothing)

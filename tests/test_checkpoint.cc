@@ -3,9 +3,9 @@
  * Architectural checkpoints (src/sim/checkpoint.hh) and the functional
  * fast-forward engine that captures them (src/sim/fastfwd.hh):
  *  - MemImage copy-on-write page sharing: snapshots stay intact under
- *    writes and resets on either side, and restores re-share;
- *  - serialize()/deserialize() round-trips bit-exactly and fingerprint()
- *    identifies content;
+ *    writes on either side, and restores re-share;
+ *  - serialize()/deserialize() round-trips bit-exactly, fingerprint()
+ *    identifies content, and malformed images throw;
  *  - a checkpoint captured mid-program resumes on a fresh core and runs
  *    to completion under cosim lockstep — bit-exactness against the
  *    reference model on every retired instruction — across the Figure 12
@@ -13,8 +13,11 @@
  *  - Simulator::checkpoint() captures a detailed run stopped mid-flight
  *    (occupied ROB/LSQ, possibly wrapped) and the chain keeps absolute
  *    dynamic-stream positions;
- *  - the program a warm Simulator or a FastForward is bound to, and the
- *    hash its checkpoints carry, follow content, never name or address.
+ *  - the program a warm Simulator is bound to, and the hash its
+ *    checkpoints carry, follow content, never name or address;
+ *  - a checkpoint of another program, of a halted program, or of a
+ *    machine of another cache geometry is rejected with an exception,
+ *    and the simulator that rejected it still resumes a fitting one.
  */
 
 #include <gtest/gtest.h>
@@ -80,20 +83,6 @@ TEST(MemImageCow, SnapshotSurvivesWritesOnEitherSide)
     MemImage again;
     again.restorePages(snap);
     EXPECT_EQ(again.read64(0x2000), 0x2222u);
-}
-
-TEST(MemImageCow, ResetInPlaceKeepsLiveSnapshotsIntact)
-{
-    MemImage img;
-    img.write64(0x3000, 77);
-    const MemImage::PageMap snap = img.snapshotPages();
-
-    img.reset(); // must replace, not zero through, the shared page
-    EXPECT_EQ(img.read64(0x3000), 0u);
-
-    MemImage restored;
-    restored.restorePages(snap);
-    EXPECT_EQ(restored.read64(0x3000), 77u);
 }
 
 // ----------------------------------------------- serialized round-trip
@@ -168,6 +157,20 @@ TEST(CheckpointSerialize, MalformedImagesThrow)
                  std::runtime_error);
     EXPECT_THROW(ArchCheckpoint::deserialize(bytes + "x"),
                  std::runtime_error);
+
+    // A RAS top past the 16-entry stack would make the first return
+    // prediction after a resume read past it.
+    const ArchCheckpoint good = ArchCheckpoint::deserialize(bytes);
+    for (const unsigned top : {16u, 255u}) {
+        ArchCheckpoint bad = good;
+        bad.ras.rasTop = static_cast<std::uint8_t>(top);
+        EXPECT_THROW(ArchCheckpoint::deserialize(bad.serialize()),
+                     std::runtime_error)
+            << "rasTop " << top;
+    }
+    ArchCheckpoint last = good;
+    last.ras.rasTop = 15;
+    EXPECT_EQ(ArchCheckpoint::deserialize(last.serialize()).ras.rasTop, 15);
 }
 
 // ----------------------------------------- fast-forward engine basics
@@ -211,25 +214,6 @@ TEST(FastForwardEngine, RestoreRewindsToTheCapturedPoint)
     EXPECT_EQ(ff.ref().pc(), plain.pc());
     for (unsigned r = 0; r < numArchRegs; ++r)
         EXPECT_EQ(ff.ref().reg(r), plain.reg(r)) << "r" << r;
-}
-
-TEST(FastForwardEngine, ResetRebindsTheCapturedProgramHash)
-{
-    const Program prog = testProgram();
-    const Program other = testProgram("li");
-    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
-
-    FastForward ff(cfg, prog);
-    ff.run(100);
-    ArchCheckpoint ck;
-    ff.capture(ck);
-    EXPECT_EQ(ck.progHash, prog.hash());
-
-    ff.reset(other);
-    ff.run(100);
-    ff.capture(ck);
-    EXPECT_EQ(ck.progHash, other.hash());
-    EXPECT_NE(ck.progHash, prog.hash());
 }
 
 TEST(FastForwardEngine, CaptureAfterHaltThrows)
@@ -312,6 +296,31 @@ TEST(CheckpointResume, WrongProgramAndHaltedCheckpointsAreRejected)
     const SimResult resumed = sim.run(prog, opts);
     EXPECT_TRUE(resumed.halted);
     EXPECT_EQ(resumed.stats, simulate(cfg, prog, opts).stats);
+
+    // A checkpoint of a machine with another DL1 geometry cannot be
+    // installed: its tag array has another shape. Both the detailed
+    // resume and the fast-forward restore refuse it with an exception,
+    // and both then still take a checkpoint that fits.
+    MachineConfig bigDl1 = cfg;
+    bigDl1.dl1.sizeBytes *= 2;
+    auto foreign = std::make_shared<ArchCheckpoint>(
+        captureAt(bigDl1, prog, 1000));
+    ASSERT_EQ(foreign->progHash, ck->progHash);
+    ASSERT_NE(foreign->dl1.array.size(), ck->dl1.array.size());
+    opts.startFrom = foreign;
+    EXPECT_THROW(simulate(cfg, prog, opts), std::invalid_argument);
+    EXPECT_THROW(sim.run(prog, opts), std::invalid_argument);
+    ArchCheckpoint none;
+    EXPECT_THROW(sim.checkpoint(none), std::logic_error);
+    FastForward ff(cfg, prog);
+    EXPECT_THROW(ff.restore(*foreign), std::invalid_argument);
+    ff.restore(*ck);
+    EXPECT_EQ(ff.instsExecuted(), ck->instsExecuted);
+    ArchCheckpoint again;
+    ff.capture(again);
+    EXPECT_EQ(again.fingerprint(), ck->fingerprint());
+    opts.startFrom = ck;
+    EXPECT_EQ(sim.run(prog, opts).stats, resumed.stats);
 }
 
 TEST(CheckpointResume, WarmSimulatorBindsByContentNotByName)

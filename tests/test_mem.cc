@@ -68,14 +68,16 @@ TEST(Cache, ProbeDoesNotTouchState)
     EXPECT_FALSE(c.probe(0x0000));
 }
 
-TEST(Cache, ResetClearsEverything)
+TEST(Cache, ReconstructionClearsEverything)
 {
+    // A new run builds its caches anew; nothing of the old one survives.
     CacheModel c(smallCache());
     c.fill(0x1000);
     c.access(0x1000);
-    c.reset();
+    c = CacheModel(smallCache());
     EXPECT_FALSE(c.probe(0x1000));
     EXPECT_EQ(c.accesses, 0u);
+    EXPECT_EQ(c.misses, 0u);
 }
 
 TEST(Cache, RandomizedAgainstReferenceLru)

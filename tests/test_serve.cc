@@ -4,12 +4,7 @@
  *  - Program::hash() content identity (assemble/disassemble round-trip,
  *    single-instruction sensitivity, the effective image of many or
  *    overlapping data segments);
- *  - the reset-in-place determinism contract — a warm, reused Simulator
- *    produces StatSnapshots bit-identical to a fresh one across the
- *    Figure 12 grid;
- *  - SimService result caching, in-batch coalescing, and the
- *    zero-steady-state-allocation serving window (this binary links
- *    rbsim-allochook);
+ *  - SimService result caching and in-batch coalescing;
  *  - protocol edge cases: malformed JSON, unknown machine / workload /
  *    scheduler, malformed shapes, oversized programs, duplicate ids,
  *    duplicate in-flight jobs — all structured per-job error records,
@@ -24,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/alloccount.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
 #include "isa/disasm.hh"
@@ -168,44 +162,6 @@ TEST(ProgramHash, OverlappingSegmentsHashTheirEffectiveImage)
     }
 }
 
-// ----------------------------------------------- reset-in-place parity
-
-/** The Figure 12 machines (4-wide). */
-std::vector<MachineConfig>
-bench_grid()
-{
-    std::vector<MachineConfig> grid;
-    for (MachineKind kind :
-         {MachineKind::Baseline, MachineKind::RbLimited,
-          MachineKind::RbFull, MachineKind::Ideal})
-        grid.push_back(MachineConfig::make(kind, 4));
-    return grid;
-}
-
-/**
- * One warm Simulator per configuration runs the whole suite in
- * sequence (so every run after the first exercises reset-in-place with
- * a *different* program than the last), and every result must be
- * bit-identical to a freshly constructed Simulator's.
- */
-TEST(SimulatorReset, Fig12GridWakeupParity)
-{
-    const std::vector<WorkloadInfo> suite = suiteWorkloads("spec95");
-    for (const MachineConfig &cfg : bench_grid()) {
-        Simulator reused(cfg);
-        for (const WorkloadInfo &wl : suite) {
-            WorkloadParams wp;
-            const Program prog = wl.build(wp);
-            const SimResult warm = reused.run(prog);
-            const SimResult fresh = simulate(cfg, prog);
-            EXPECT_EQ(warm.stats, fresh.stats)
-                << cfg.label << "/" << wl.name;
-            EXPECT_EQ(warm.halted, fresh.halted);
-        }
-        EXPECT_EQ(reused.runsCompleted(), suite.size());
-    }
-}
-
 // ------------------------------------------------------------ service
 
 serve::JobSpec
@@ -254,44 +210,6 @@ TEST(SimService, CachesAndCoalesces)
     EXPECT_EQ(second[0].result.stats, first[0].result.stats);
     EXPECT_EQ(service.counters().jobsExecuted, 2u);
     EXPECT_GE(service.counters().cacheHits, 2u);
-}
-
-TEST(SimService, ServingWindowIsAllocationFree)
-{
-    ASSERT_TRUE(alloccount::hooked())
-        << "test_serve must link rbsim-allochook";
-    alloccount::enable(true);
-
-    // Without an abort ring, and with the ring rbsim-serve attaches by
-    // default: the ring's records are allocated before the window.
-    for (const unsigned ring : {0u, serve::Server::Options{}.traceLast}) {
-        SCOPED_TRACE("traceLast=" + std::to_string(ring));
-        serve::SimService service(serve::SimService::Options{
-            /*workers=*/1, /*cacheCapacity=*/0});
-
-        auto runOnce = [&] {
-            serve::JobSpec spec = compressSpec();
-            spec.bypassCache = true; // must execute, not hit a cache
-            spec.traceLast = ring;
-            std::vector<serve::JobSpec> batch;
-            batch.push_back(std::move(spec));
-            auto out = service.runBatch(std::move(batch));
-            EXPECT_TRUE(out[0].ok) << out[0].error;
-            return out[0];
-        };
-
-        // Warm-up: simulator construction plus first-run buffer growth.
-        runOnce();
-        runOnce();
-        // Steady state: reset + run + snapshot reuse every buffer.
-        for (int i = 0; i < 3; ++i) {
-            const serve::JobOutcome o = runOnce();
-            ASSERT_TRUE(o.allocsCounted);
-            EXPECT_EQ(o.workerAllocs, 0u)
-                << "warm serving window allocated on iteration " << i;
-        }
-    }
-    alloccount::enable(false);
 }
 
 // ------------------------------------------------ result-cache identity
