@@ -8,11 +8,7 @@
  *   step            predecoded single-step with full StepRecord
  *                   materialization (the co-simulation path)
  *   runfast         record-free threaded-dispatch loop (Interp::runFast)
- *                   under whichever dispatch strategy the build/env
- *                   picked — this is what sim/fastfwd drives
- *   runfast-switch  the same loop pinned to the switch fallback
- *                   (execDecodedLoop<false>, what RBSIM_FORCE_SWITCH=1
- *                   selects), so the computed-goto win is visible
+ *                   — this is what sim/fastfwd drives
  *   fastfwd         FastForward: runfast + cache/predictor warming sink
  *
  * Results go into the shared "rbsim-bench-1" JSON (--json) as synthetic
@@ -124,51 +120,12 @@ measureStepper(const Program &prog, StepFn &&step)
     });
 }
 
-/** Pinned-strategy cell: drive execDecodedLoop<UseGoto> directly over
- * a private register file and memory image (the same harness the
- * parity tests use), bypassing the runtime strategy pick. */
-template <bool UseGoto>
-std::pair<std::uint64_t, double>
-measurePinned(const Program &prog)
-{
-    const auto dp = decodeProgram(prog);
-    std::vector<Word> slots(dp->slotCount(), 0);
-    for (std::size_t i = 0; i < dp->pool.size(); ++i)
-        slots[numArchRegs + i] = dp->pool[i];
-    MemImage mem;
-    mem.loadProgram(prog);
-
-    ExecCtx cx;
-    cx.regs = slots.data();
-    cx.mem = &mem;
-    cx.dp = dp.get();
-    cx.pc = prog.entry;
-
-    NullExecSink sink;
-    return measure([&] {
-        if (cx.halted) {
-            std::fill(slots.begin(), slots.begin() + numArchRegs, 0);
-            slots[dp->scratch] = 0;
-            mem = MemImage();
-            mem.loadProgram(prog);
-            cx.pc = prog.entry;
-            cx.steps = 0;
-            cx.halted = false;
-        }
-        const std::uint64_t done =
-            execDecodedLoop<UseGoto>(cx, sliceInsts, sink);
-        g_sink ^= cx.regs[1];
-        return done;
-    });
-}
-
 struct Row
 {
     std::string workload;
     double referenceMips = 0.0;
     double stepMips = 0.0;
     double runfastMips = 0.0;
-    double switchMips = 0.0;
     double fastfwdMips = 0.0;
 };
 
@@ -228,15 +185,6 @@ main(int argc, char **argv)
                 return interp.runFast(sliceInsts);
             });
         }());
-#if RBSIM_HAS_COMPUTED_GOTO
-        cell("runfast-switch", row.switchMips,
-             measurePinned<false>(prog));
-#else
-        // No computed goto in this build: runfast already is the
-        // switch loop; re-measuring it as a separate row would only
-        // add baseline noise for the speed gate.
-        row.switchMips = row.runfastMips;
-#endif
         cell("fastfwd", row.fastfwdMips, [&] {
             std::optional<FastForward> ff(std::in_place, ffCfg, prog);
             return measure([&] {
@@ -251,12 +199,12 @@ main(int argc, char **argv)
     }
 
     TextTable t;
-    t.header({"workload", "reference", "step", "runfast",
-              "runfast-switch", "fastfwd", "runfast/ref"});
+    t.header({"workload", "reference", "step", "runfast", "fastfwd",
+              "runfast/ref"});
     for (const Row &r : rows) {
         t.row({r.workload, fmtDouble(r.referenceMips, 1),
                fmtDouble(r.stepMips, 1), fmtDouble(r.runfastMips, 1),
-               fmtDouble(r.switchMips, 1), fmtDouble(r.fastfwdMips, 1),
+               fmtDouble(r.fastfwdMips, 1),
                fmtDouble(r.runfastMips / r.referenceMips, 2) + "x"});
     }
     std::printf("%s", t.render().c_str());

@@ -1,7 +1,5 @@
 #include "common/alloccount.hh"
 
-#include <cstdlib>
-
 namespace rbsim::alloccount
 {
 
@@ -9,9 +7,7 @@ namespace detail
 {
 thread_local std::uint64_t t_allocs = 0;
 bool g_hooked = false;
-// Initialized from the environment before main() so a run can be
-// counted end to end without code changes.
-bool g_enabled = std::getenv("RBSIM_COUNT_ALLOCS") != nullptr;
+bool g_enabled = false;
 } // namespace detail
 
 bool

@@ -10,9 +10,8 @@
  * tests/test_allocfree). Counting is per-thread, so a parallel bench
  * sweep still attributes allocations to the cell running on the thread.
  *
- * Counting is off until enabled — either programmatically (the bench
- * harness's --profile does this) or by setting the RBSIM_COUNT_ALLOCS
- * environment variable before the first allocation.
+ * Counting is off until enable(true); the bench harness's --profile and
+ * tests/test_allocfree turn it on.
  */
 
 #ifndef RBSIM_COMMON_ALLOCCOUNT_HH
@@ -29,7 +28,7 @@ bool hooked();
 /** Turn counting on/off (process-wide). */
 void enable(bool on);
 
-/** Is counting currently on (RBSIM_COUNT_ALLOCS or enable())? */
+/** Is counting currently on? */
 bool enabled();
 
 /** Heap allocations observed on the calling thread while enabled. */

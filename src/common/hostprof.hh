@@ -4,9 +4,12 @@
  * own speed (docs/PERFORMANCE.md). Attached to an OooCore like a
  * tracer; when absent the hot path pays one predicted branch per cycle.
  *
- * Stage accounting is hierarchical, not partitioned: `exec` and `lsq`
- * time is spent inside `select`, and `cosim` inside `commit` — the
- * fine-grained rows name where `select`/`commit` time actually goes.
+ * Stage accounting is hierarchical, not partitioned: `exec`, `kernel`
+ * and `lsq` time is spent inside `select`, and `cosim` inside `commit`
+ * — the fine-grained rows name where `select`/`commit` time actually
+ * goes. `kernel` and `exec` split the execute calls between them:
+ * `kernel` times those that take the redundant binary datapath (an
+ * RB-input instruction on an RB machine), `exec` the rest.
  */
 
 #ifndef RBSIM_COMMON_HOSTPROF_HH
@@ -27,10 +30,10 @@ class HostProfiler
     {
         Fetch = 0, //!< FetchEngine::fetchCycle + front-pipe fill
         Dispatch,  //!< rename + dispatch (doDispatch)
-        Select,    //!< wakeup drain + select scan (includes exec/lsq)
-        Exec,      //!< executeInst inside issue (subset of Select)
+        Select,    //!< wakeup drain + select scan (includes exec/kernel/lsq)
+        Exec,      //!< executeInst off the RB datapath (subset of Select)
         Lsq,       //!< load disambiguation/search (subset of Select)
-        Kernel,    //!< batched RB kernel flush (subset of Select)
+        Kernel,    //!< executeInst on the RB datapath (subset of Select)
         Commit,    //!< retirement (includes Cosim)
         Cosim,     //!< retire hook / lockstep checker (subset of Commit)
         Flush,     //!< pending-flush scan + squash walks

@@ -7,8 +7,6 @@
 
 #include "common/bitutil.hh"
 #include "isa/opclass.hh"
-#include "rb/overflow.hh"
-#include "rb/rbalu.hh"
 #include "sim/checkpoint.hh"
 
 namespace rbsim
@@ -32,16 +30,11 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
       samDl1(cfg.dl1.sizeBytes / (cfg.dl1.assoc * cfg.dl1.lineBytes),
              cfg.dl1.lineBytes),
       producerSched(cfg.physRegs, 0xff),
-      execBatch(static_cast<std::size_t>(cfg.numSchedulers) *
-                cfg.selectWidth),
-      rbBatchEnabled(cfg.kind == MachineKind::RbFull ||
-                     cfg.kind == MachineKind::RbLimited),
       regWaiterHead(cfg.physRegs, -1),
       slotPendingOps(rob.slotCount(), 0)
 {
     if (from && from->pc >= prog.code.size())
         throw std::logic_error("cannot resume a halted checkpoint");
-    execBatchRefs.reserve(execBatch.capacity());
     frontPipeCap =
         cfg.fetchWidth * (cfg.fetchDecodeDepth + cfg.renameDepth + 4);
     frontPipe.init(frontPipeCap);
@@ -652,8 +645,6 @@ OooCore::doSelect()
         [this](std::uint64_t seq, unsigned, SchedulerBank::SlotRef ref) {
             attendEntry(seq, ref);
         });
-    // All RB ALU ops selected this cycle evaluate in one kernel call.
-    flushExecBatch();
 }
 
 // ---------------------------------------------------------------- wakeup
@@ -930,12 +921,12 @@ OooCore::issueInst(std::uint64_t seq)
     if (tracer)
         recordTraceBypass(e);
 
-    if (tryBatchRbIssue(e))
-        return;
-
     ExecOut x;
     {
-        StageTimer timer(profiler, HostProfiler::Exec);
+        StageTimer timer(profiler,
+                         profiler && takesRbDatapath(config, e.inst.op)
+                             ? HostProfiler::Kernel
+                             : HostProfiler::Exec);
         x = executeInst(config, program, e, regs);
     }
     e.usedRbPath = x.usedRbPath;
@@ -1057,100 +1048,6 @@ OooCore::issueInst(std::uint64_t seq)
     }
     e.complete = true;
     e.completeCycle = now + config.rfReadDepth + lat.late;
-}
-
-bool
-OooCore::tryBatchRbIssue(RobEntry &e)
-{
-    if (!rbBatchEnabled || e.isMemLoad || e.isMemStore || e.isCtrl)
-        return false;
-    const Inst &inst = e.inst;
-    if (inputFormat(inst.op) != Format::RB)
-        return false;
-
-    const auto readRb = [this](unsigned arch, PhysReg phys) -> RbNum {
-        return arch == zeroReg ? RbNum() : regs.readRb(phys);
-    };
-    const auto dispTc = [&inst] {
-        return static_cast<Word>(static_cast<SWord>(inst.disp));
-    };
-
-    unsigned shift = 0;
-    bool neg_b = false;
-    bool lword = false;
-    switch (inst.op) {
-      case Opcode::ADDQ: break;
-      case Opcode::SUBQ: neg_b = true; break;
-      case Opcode::ADDL: lword = true; break;
-      case Opcode::SUBL: neg_b = true; lword = true; break;
-      case Opcode::S4ADDQ: shift = 2; break;
-      case Opcode::S8ADDQ: shift = 3; break;
-      case Opcode::S4SUBQ: shift = 2; neg_b = true; break;
-      case Opcode::S8SUBQ: shift = 3; neg_b = true; break;
-      case Opcode::LDA: case Opcode::LDAH: break;
-      default:
-        // MULx run their own batched reduction; LDIQ is a pure
-        // conversion (rbAdd(0, x) would renormalize the planes); the
-        // rest have no scaled-add form. All keep the scalar path.
-        return false;
-    }
-
-    RbNum a, b;
-    if (inst.op == Opcode::LDA || inst.op == Opcode::LDAH) {
-        // evalOpRb: rbAdd(ops.b, fromTc(disp [<< 16])).
-        a = inst.useLit ? RbNum::fromTc(inst.lit)
-                        : readRb(inst.rb, e.physB);
-        b = RbNum::fromTc(inst.op == Opcode::LDA ? dispTc()
-                                                 : dispTc() << 16);
-    } else {
-        a = readRb(inst.ra, e.physA);
-        b = inst.useLit ? RbNum::fromTc(inst.lit)
-                        : readRb(inst.rb, e.physB);
-        if (neg_b)
-            b = rbNegate(b);
-    }
-
-    execBatch.pushScaledAdd(a, shift, b);
-    execBatchRefs.push_back(ExecBatchRef{e.seq, lword});
-
-    // Every same-cycle-visible effect stays eager and in select order;
-    // only the sum itself is deferred to flushExecBatch() at the end of
-    // doSelect(). Nothing can read the value this cycle: ProdAvail::make
-    // yields firstAvail >= now + 1 (lat.early >= 1), and retirement of
-    // this entry is at least rfReadDepth cycles out.
-    const LatencyPair lat = config.latencyOf(opClass(inst.op));
-    e.usedRbPath = true;
-    if (e.dest != invalidPhysReg) {
-        produceAndWake(e.dest,
-                       ProdAvail::make(now, lat, config.numBypassLevels,
-                                       e.cluster));
-        e.wroteReg = true;
-    }
-    e.complete = true;
-    e.completeCycle = now + config.rfReadDepth + lat.late;
-    return true;
-}
-
-void
-OooCore::flushExecBatch()
-{
-    if (execBatchRefs.empty())
-        return;
-    StageTimer timer(profiler, HostProfiler::Kernel);
-    execBatch.run();
-    for (std::size_t i = 0; i < execBatchRefs.size(); ++i) {
-        RobEntry &e = rob.get(execBatchRefs[i].seq);
-        RbNum sum = execBatch.sum(i);
-        if (execBatchRefs[i].lword)
-            sum = extractLongword(sum);
-        e.bogusCorrected = execBatch.bogusCorrected(i);
-        if (e.dest != invalidPhysReg) {
-            regs.writeRb(e.dest, sum);
-            e.resultTc = sum.toTc();
-        }
-    }
-    execBatch.clear();
-    execBatchRefs.clear();
 }
 
 // ------------------------------------------------------------- dispatch

@@ -28,7 +28,6 @@
 #include "func/mem_image.hh"
 #include "mem/lsq.hh"
 #include "mem/sam.hh"
-#include "rb/simd/rb_batch.hh"
 #include "trace/tracer.hh"
 
 namespace rbsim
@@ -260,8 +259,6 @@ class OooCore
     void publishStoreAddr(RobEntry &e);
     bool loadMayIssue(std::uint64_t seq, const RobEntry &e);
     void issueInst(std::uint64_t seq);
-    bool tryBatchRbIssue(RobEntry &e);
-    void flushExecBatch();
     void flushAfter(const RobEntry &branch);
     void recordBypassStats(RobEntry &e);
     void recordTraceBypass(RobEntry &e);
@@ -307,32 +304,6 @@ class OooCore
     std::vector<PendingFlush> pendingFlushes;
     //! Reused fetch landing buffer (capacity retained across cycles).
     std::vector<FetchedInst> fetchBuf;
-
-    // ------------------------------------------- batched RB execute
-    //
-    // On the RB machines, plain register-writing carry-free ALU ops
-    // selected in a cycle are gathered into this SoA batch and
-    // evaluated with ONE kernel call (src/rb/simd/) at the end of
-    // doSelect, instead of per-instruction rbAdd calls. Only the
-    // *value* is deferred: wakeup broadcast, scoreboard timelines,
-    // completion bookkeeping, and stats all happen eagerly at select
-    // time in original select order (ProdAvail::make needs no result).
-    // Deferral to end-of-select is invisible because no consumer can
-    // observe a register value in the cycle it is produced: every
-    // latency has early >= 1 select-to-select, so firstAvail >= now+1,
-    // retirement reads resultTc cycles later, and squashes fire in
-    // doFlushes at the start of a later cycle — after the batch
-    // drained. Capacity = numSchedulers x selectWidth (max selections
-    // per cycle); storage is fixed at construction (zero-alloc,
-    // docs/PERFORMANCE.md).
-    struct ExecBatchRef
-    {
-        std::uint64_t seq;
-        bool lword; //!< ADDL/SUBL: extract longword from the sum
-    };
-    simd::RbBatch execBatch;
-    std::vector<ExecBatchRef> execBatchRefs;
-    bool rbBatchEnabled = false;
 
     CoreStats coreStats;
     std::function<void(const RobEntry &)> retireHook;

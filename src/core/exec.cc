@@ -7,6 +7,14 @@
 namespace rbsim
 {
 
+bool
+takesRbDatapath(const MachineConfig &cfg, Opcode op)
+{
+    return (cfg.kind == MachineKind::RbFull ||
+            cfg.kind == MachineKind::RbLimited) &&
+           inputFormat(op) == Format::RB;
+}
+
 ExecOut
 executeInst(const MachineConfig &cfg, const Program &prog,
             const RobEntry &entry, const PhysRegFile &regs)
@@ -25,10 +33,8 @@ executeInst(const MachineConfig &cfg, const Program &prog,
 
     const Addr return_addr = prog.byteAddrOf(entry.pcIndex + 1);
 
-    const bool rb_machine = cfg.kind == MachineKind::RbFull ||
-                            cfg.kind == MachineKind::RbLimited;
     bool have_value = false;
-    if (rb_machine && inputFormat(inst.op) == Format::RB) {
+    if (takesRbDatapath(cfg, inst.op)) {
         auto readRb = [&regs](unsigned arch, PhysReg phys) -> RbNum {
             return arch == zeroReg ? RbNum() : regs.readRb(phys);
         };

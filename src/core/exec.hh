@@ -36,6 +36,12 @@ struct ExecOut
 };
 
 /**
+ * True when executeInst evaluates `op` on the redundant binary datapath:
+ * an RB-input instruction on an RB machine.
+ */
+bool takesRbDatapath(const MachineConfig &cfg, Opcode op);
+
+/**
  * Execute entry's instruction.
  * @param cfg machine (selects the datapath)
  * @param prog program (for control-flow targets)

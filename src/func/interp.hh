@@ -126,7 +126,7 @@ class Interp
         cx.halted = isHalted;
         std::uint64_t done = 0;
         try {
-            done = execDecoded(cx, max_steps, sink);
+            done = execDecodedLoop(cx, max_steps, sink);
         } catch (...) {
             // InterpError from a bad JMP: the handler synced pc/steps
             // before throwing, so the interpreter stays inspectable

@@ -1,6 +1,5 @@
 #include "func/predecode.hh"
 
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -233,28 +232,6 @@ decodeProgram(const Program &prog, std::uint64_t prog_hash)
         cache.clear();
     cache.emplace(prog_hash, dp);
     return dp;
-}
-
-bool
-threadedDispatchEnabled()
-{
-#if RBSIM_HAS_COMPUTED_GOTO
-    static const bool enabled = [] {
-        const char *env = std::getenv("RBSIM_FORCE_SWITCH");
-        const bool force_switch = env != nullptr && *env != '\0' &&
-                                  !(env[0] == '0' && env[1] == '\0');
-        return !force_switch;
-    }();
-    return enabled;
-#else
-    return false;
-#endif
-}
-
-const char *
-dispatchName()
-{
-    return threadedDispatchEnabled() ? "goto" : "switch";
 }
 
 void

@@ -14,14 +14,11 @@
  * interpreter built for a program already seen decodes nothing.
  *
  * `execDecodedLoop` is the one hot loop, written once and instantiated
- * for both dispatch strategies and every event sink:
- *
- *  - token-threaded dispatch (computed goto, GNU C `&&label`) on
- *    GCC/Clang: every handler ends in its own indirect jump, giving the
- *    host branch predictor one BTB entry per (handler, successor) pair;
- *  - a portable `switch` fallback, also selectable at runtime with
- *    `RBSIM_FORCE_SWITCH=1` in the environment, which is what the CI
- *    parity lane pins to prove both strategies execute bit-identically.
+ * for every event sink. It dispatches by token threading (computed
+ * goto, GNU C `&&label`, so GCC or Clang): every handler ends in its
+ * own indirect jump, giving the host branch predictor one BTB entry per
+ * (handler, successor) pair. `Interp::stepReference()` is its
+ * reference; the predecode tests run the two in lockstep.
  *
  * The `Sink` parameter is a compile-time event listener: the record-free
  * `Interp::runFast` passes `NullExecSink` (all hooks inline to nothing),
@@ -42,7 +39,6 @@
 #define RBSIM_FUNC_PREDECODE_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -51,12 +47,8 @@
 #include "func/mem_image.hh"
 #include "isa/program.hh"
 
-//! Token-threaded dispatch needs the GNU computed-goto extension; other
-//! compilers fall back to the switch loop unconditionally.
-#if defined(__GNUC__) || defined(__clang__)
-#define RBSIM_HAS_COMPUTED_GOTO 1
-#else
-#define RBSIM_HAS_COMPUTED_GOTO 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "execDecodedLoop needs the GNU computed-goto extension (GCC or Clang)"
 #endif
 
 namespace rbsim
@@ -182,12 +174,13 @@ decodeProgram(const Program &prog)
     return decodeProgram(prog, prog.hash());
 }
 
-/** True when the computed-goto loop is compiled in and the environment
- * did not pin `RBSIM_FORCE_SWITCH` (resolved once per process). */
-bool threadedDispatchEnabled();
-
-/** Dispatch strategy name for logs/benches: "goto" or "switch". */
-const char *dispatchName();
+/** Dispatch strategy name for logs/benches: always "goto" (perfbench
+ * writes it into its provenance block). */
+inline const char *
+dispatchName()
+{
+    return "goto";
+}
 
 /** Raise the structured bad-JMP error (satellite of PR 10). */
 [[noreturn]] void throwBadJmp(const DecodedProgram &dp,
@@ -255,20 +248,13 @@ sext32(Word w)
  * `sink`. Returns the number executed; `cx.pc/steps/halted` are synced
  * on every exit path, including the InterpError throw.
  *
- * Written once as a switch whose cases double as computed-goto labels:
- * the `UseGoto` instantiation re-dispatches from the tail of every
- * handler (token-threading), the portable one jumps back to the single
- * switch at the top. Do not instantiate `UseGoto=true` without
- * RBSIM_HAS_COMPUTED_GOTO.
+ * Every handler is a labelled block that re-dispatches from its own
+ * tail through the jump table (token threading).
  */
-template <bool UseGoto, class Sink>
+template <class Sink>
 std::uint64_t
 execDecodedLoop(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
 {
-    static_assert(!UseGoto || RBSIM_HAS_COMPUTED_GOTO,
-                  "threaded dispatch needs the GNU computed-goto "
-                  "extension");
-
     const DecodedOp *const ops = cx.dp->ops.data();
     const std::uint64_t n = cx.dp->codeSize;
     const Addr cb = cx.dp->codeBase;
@@ -291,24 +277,20 @@ execDecodedLoop(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
     }
     const DecodedOp *d = &ops[pc];
 
-#if RBSIM_HAS_COMPUTED_GOTO
-    // Built in both instantiations (taking a label's address marks it
-    // used); only the UseGoto one jumps through it.
 #define RBSIM_HANDLER_ADDR(name) &&H_##name,
     static const void *const jumpTable[numHandlers] = {
         RBSIM_HANDLERS(RBSIM_HANDLER_ADDR)};
 #undef RBSIM_HANDLER_ADDR
-    (void)jumpTable;
-#define RBSIM_TGOTO() goto *jumpTable[static_cast<unsigned>(d->h)]
-#define RBSIM_CASE(name) case Handler::name: H_##name:
-#else
-#define RBSIM_TGOTO() std::abort() /* never instantiated */
-#define RBSIM_CASE(name) case Handler::name:
-#endif
+#define RBSIM_DISPATCH()                                                 \
+    do {                                                                 \
+        sink.preStep(pc);                                                \
+        d = &ops[pc];                                                    \
+        goto *jumpTable[static_cast<unsigned>(d->h)];                    \
+    } while (0)
+#define RBSIM_LABEL(name) H_##name:
 
     // Step bookkeeping + re-dispatch, expanded at the tail of every
-    // handler (so the threaded build gets one indirect jump per
-    // handler).
+    // handler (one indirect jump per handler).
 #define RBSIM_NEXT_AT(np)                                                \
     do {                                                                 \
         pc = (np);                                                       \
@@ -322,19 +304,13 @@ execDecodedLoop(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
         }                                                                \
         if (left == 0)                                                   \
             goto L_out;                                                  \
-        if constexpr (UseGoto) {                                         \
-            sink.preStep(pc);                                            \
-            d = &ops[pc];                                                \
-            RBSIM_TGOTO();                                               \
-        } else {                                                         \
-            goto L_top;                                                  \
-        }                                                                \
+        RBSIM_DISPATCH();                                                \
     } while (0)
 #define RBSIM_NEXT() RBSIM_NEXT_AT(pc + 1)
 
     // A two-source operate op: dest <- expr over slots a/b.
 #define RBSIM_BINOP(name, expr)                                          \
-    RBSIM_CASE(name)                                                     \
+    RBSIM_LABEL(name)                                                    \
     {                                                                    \
         const Word a = R[d->ra];                                         \
         const Word b = R[d->rb];                                         \
@@ -348,7 +324,7 @@ execDecodedLoop(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
 
     // Conditional move: cond(a) ? b : old dest.
 #define RBSIM_CMOV(name, cond)                                           \
-    RBSIM_CASE(name)                                                     \
+    RBSIM_LABEL(name)                                                    \
     {                                                                    \
         const Word a = R[d->ra];                                         \
         const Word v = (cond) ? R[d->rb] : R[d->rc];                     \
@@ -359,7 +335,7 @@ execDecodedLoop(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
 
     // Conditional branch on a; target precomputed at decode.
 #define RBSIM_CONDBR(name, cond)                                         \
-    RBSIM_CASE(name)                                                     \
+    RBSIM_LABEL(name)                                                    \
     {                                                                    \
         const Word a = R[d->ra];                                         \
         (void)a;                                                         \
@@ -370,23 +346,8 @@ execDecodedLoop(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
         RBSIM_NEXT();                                                    \
     }
 
-    if constexpr (UseGoto) {
-        sink.preStep(pc);
-        d = &ops[pc];
-        RBSIM_TGOTO();
-    }
-
-// In the UseGoto instantiation the only reference to this label sits in
-// a discarded `if constexpr` branch, so tell the compiler it may go
-// unused.
-#if RBSIM_HAS_COMPUTED_GOTO
-L_top: __attribute__((unused));
-#else
-L_top:;
-#endif
-    sink.preStep(pc);
-    d = &ops[pc];
-    switch (d->h) {
+    RBSIM_DISPATCH();
+    { // the handlers: entered only through jumpTable
         RBSIM_BINOP(AddQ, a + b)
         RBSIM_BINOP(SubQ, a - b)
         RBSIM_BINOP(AddL, detail::sext32(a + b))
@@ -435,14 +396,14 @@ L_top:;
         RBSIM_CMOV(CmovLbs, a & 1)
         RBSIM_CMOV(CmovLbc, !(a & 1))
 
-        RBSIM_CASE(Lda)
+        RBSIM_LABEL(Lda)
         {
             const Word v = R[d->rb] + d->k;
             R[d->rd] = v;
             sink.regWrite(d->rd, v);
             RBSIM_NEXT();
         }
-        RBSIM_CASE(Const)
+        RBSIM_LABEL(Const)
         {
             const Word v = d->k;
             R[d->rd] = v;
@@ -450,7 +411,7 @@ L_top:;
             RBSIM_NEXT();
         }
 
-        RBSIM_CASE(Ld8)
+        RBSIM_LABEL(Ld8)
         {
             const Addr ea = (R[d->rb] + d->k) & ~Addr{7};
             const Word v = M->loadAligned<8>(ea);
@@ -459,7 +420,7 @@ L_top:;
             sink.load(ea, v);
             RBSIM_NEXT();
         }
-        RBSIM_CASE(Ld4)
+        RBSIM_LABEL(Ld4)
         {
             const Addr ea = (R[d->rb] + d->k) & ~Addr{3};
             const Word v = detail::sext32(M->loadAligned<4>(ea));
@@ -468,7 +429,7 @@ L_top:;
             sink.load(ea, v);
             RBSIM_NEXT();
         }
-        RBSIM_CASE(St8)
+        RBSIM_LABEL(St8)
         {
             const Addr ea = (R[d->rb] + d->k) & ~Addr{7};
             const Word v = R[d->ra];
@@ -476,7 +437,7 @@ L_top:;
             sink.store(ea, v);
             RBSIM_NEXT();
         }
-        RBSIM_CASE(St4)
+        RBSIM_LABEL(St4)
         {
             const Addr ea = (R[d->rb] + d->k) & ~Addr{3};
             const Word v = R[d->ra] & 0xffffffffull;
@@ -494,21 +455,21 @@ L_top:;
         RBSIM_CONDBR(Blbs, (a & 1) != 0)
         RBSIM_CONDBR(Blbc, (a & 1) == 0)
 
-        RBSIM_CASE(Br)
+        RBSIM_LABEL(Br)
         {
             R[d->rd] = d->k; // return address (or scratch)
             sink.regWrite(d->rd, d->k);
             sink.br();
             RBSIM_NEXT_AT(d->target);
         }
-        RBSIM_CASE(Bsr)
+        RBSIM_LABEL(Bsr)
         {
             R[d->rd] = d->k;
             sink.regWrite(d->rd, d->k);
             sink.bsr(d->k);
             RBSIM_NEXT_AT(d->target);
         }
-        RBSIM_CASE(JmpRet)
+        RBSIM_LABEL(JmpRet)
         {
             const Word t = R[d->rb];
             R[d->rd] = d->k;
@@ -522,7 +483,7 @@ L_top:;
             sink.jmpRet();
             RBSIM_NEXT_AT(np);
         }
-        RBSIM_CASE(JmpCall)
+        RBSIM_LABEL(JmpCall)
         {
             const Word t = R[d->rb];
             R[d->rd] = d->k;
@@ -537,8 +498,8 @@ L_top:;
             RBSIM_NEXT_AT(np);
         }
 
-        RBSIM_CASE(Nop) { RBSIM_NEXT(); }
-        RBSIM_CASE(Halt)
+        RBSIM_LABEL(Nop) { RBSIM_NEXT(); }
+        RBSIM_LABEL(Halt)
         {
             // HALT leaves the pc on itself (the reference's
             // rec.nextPc == pcIndex) and counts as one step.
@@ -548,9 +509,6 @@ L_top:;
             goto L_out;
         }
     }
-    // Every case re-dispatches or exits; reaching here means a corrupt
-    // handler id.
-    std::abort();
 
 L_out: {
     const std::uint64_t done = max_steps - left;
@@ -564,20 +522,8 @@ L_out: {
 #undef RBSIM_CONDBR
 #undef RBSIM_NEXT
 #undef RBSIM_NEXT_AT
-#undef RBSIM_CASE
-#undef RBSIM_TGOTO
-}
-
-/** Run the loop with the process-selected dispatch strategy. */
-template <class Sink>
-inline std::uint64_t
-execDecoded(ExecCtx &cx, std::uint64_t max_steps, Sink &sink)
-{
-#if RBSIM_HAS_COMPUTED_GOTO
-    if (threadedDispatchEnabled())
-        return execDecodedLoop<true>(cx, max_steps, sink);
-#endif
-    return execDecodedLoop<false>(cx, max_steps, sink);
+#undef RBSIM_LABEL
+#undef RBSIM_DISPATCH
 }
 
 } // namespace rbsim

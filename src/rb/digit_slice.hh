@@ -79,8 +79,9 @@ RbRawSum addBySlices(const RbNum &x, const RbNum &y);
  * h/f neighbor wires — so the batch keeps its value as a gate-level
  * oracle while costing ~1/64th the slice evaluations per pair.
  *
- * Arrays are structure-of-arrays plane lanes as in rb/simd/rb_batch.hh;
- * carryOut[i] receives -1/0/+1 like RbRawSum::carryOut. n <= 64.
+ * Arrays are structure-of-arrays plane lanes (xp[i], xm[i] are pair i's
+ * plus and minus planes); carryOut[i] receives -1/0/+1 like
+ * RbRawSum::carryOut. n <= 64.
  */
 void addBySlicesBatch(const std::uint64_t *xp, const std::uint64_t *xm,
                       const std::uint64_t *yp, const std::uint64_t *ym,

@@ -5,7 +5,6 @@
 
 #include "common/bitutil.hh"
 #include "rb/gatedelay.hh"
-#include "rb/simd/kernels.hh"
 
 namespace rbsim
 {
@@ -14,35 +13,33 @@ namespace
 {
 
 /**
- * Partial products in structure-of-arrays form: one contiguous array
- * per plane, on the stack. The pairwise carry-free reduction runs
- * through the batch kernel simd::mulReduce (src/rb/simd/) — each round
- * is one adder delay regardless of operand width. The multiply sits on
- * the simulator's execute path, so nothing here touches the heap
- * (docs/PERFORMANCE.md).
+ * Partial products on the stack, reduced pairwise by the carry-free
+ * adder (rbAdd): each round is one adder delay regardless of operand
+ * width, and an odd leftover passes through to the next round. The
+ * multiply sits on the simulator's execute path, so nothing here
+ * touches the heap (docs/PERFORMANCE.md).
  */
 struct PartialProducts
 {
-    std::array<std::uint64_t, 64> plus;
-    std::array<std::uint64_t, 64> minus;
+    std::array<RbNum, 64> pp;
     std::size_t n = 0;
 
-    void
-    push(const RbNum &x)
-    {
-        plus[n] = x.plus();
-        minus[n] = x.minus();
-        ++n;
-    }
+    void push(const RbNum &x) { pp[n++] = x; }
 
     RbMulResult
     reduce()
     {
-        if (n == 0)
-            return RbMulResult{RbNum(), 0};
-        const unsigned levels =
-            simd::mulReduce(plus.data(), minus.data(), n);
-        return RbMulResult{RbNum(plus[0], minus[0]), levels};
+        unsigned levels = 0;
+        while (n > 1) {
+            std::size_t out = 0;
+            for (std::size_t i = 0; i + 1 < n; i += 2)
+                pp[out++] = rbAdd(pp[i], pp[i + 1]).sum;
+            if (n % 2)
+                pp[out++] = pp[n - 1];
+            n = out;
+            ++levels;
+        }
+        return RbMulResult{pp[0], levels}; // zero when there are none
     }
 };
 

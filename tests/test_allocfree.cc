@@ -14,10 +14,8 @@
 #include <string>
 
 #include "common/alloccount.hh"
-#include "common/rng.hh"
 #include "core/core.hh"
 #include "isa/builder.hh"
-#include "rb/simd/rb_batch.hh"
 #include "serve/server.hh"
 #include "trace/tracer.hh"
 
@@ -111,40 +109,6 @@ TEST(AllocFree, WakeupSchedulerSteadyState)
         expectZeroSteadyStateAllocs(
             MachineConfig::make(MachineKind::RbFull, 8), ring);
     }
-}
-
-TEST(AllocFree, RbBatchPushRunClearAllocatesNothing)
-{
-    // The SoA batch the execute stage reuses every cycle: capacity is
-    // fixed at construction, clear() keeps storage, and run() is one
-    // kernel call over preallocated arrays — none of it may touch the
-    // heap once built.
-    ASSERT_TRUE(alloccount::hooked())
-        << "test_allocfree must link rbsim-allochook";
-    Rng rng(7);
-    simd::RbBatch batch(64);
-
-    alloccount::enable(true);
-    const std::uint64_t before = alloccount::threadCount();
-    std::uint64_t sink = 0;
-    for (int iter = 0; iter < 10'000; ++iter) {
-        batch.clear();
-        for (std::size_t i = 0; i < batch.capacity(); ++i) {
-            const std::uint64_t ap = rng.next();
-            const RbNum a(ap, rng.next() & ~ap);
-            const std::uint64_t bp = rng.next();
-            const RbNum b(bp, rng.next() & ~bp);
-            batch.pushScaledAdd(a, static_cast<unsigned>(i & 3), b);
-        }
-        batch.run();
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            sink ^= batch.sum(i).plus();
-    }
-    const std::uint64_t delta = alloccount::threadCount() - before;
-    alloccount::enable(false);
-    EXPECT_NE(sink, std::uint64_t{0xdeadbeef}); // keep the loop alive
-    EXPECT_EQ(delta, 0u)
-        << delta << " heap allocations in 10k batch evaluations";
 }
 
 } // namespace

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+
 #include "common/rng.hh"
 #include "rb/gatedelay.hh"
 #include "rb/multiplier.hh"
@@ -88,6 +91,39 @@ TEST(RbMultiplier, TreeDepthIsLogarithmic)
         RbNum::fromTc(rng.next() | 1),
         RbNum::fromTc(0x5555555555555555ull));
     EXPECT_LE(booth.treeLevels, 6u);
+}
+
+TEST(RbMultiplier, EveryPartialProductCountReducesInCeilLog2Levels)
+{
+    // One partial product per nonzero multiplier digit, so a multiplier
+    // with exactly k nonzero digits reduces k lanes: even counts, odd
+    // counts whose leftover passes through one or more rounds, and the
+    // full 64.
+    Rng rng(85);
+    for (const unsigned k : {1u, 2u, 3u, 5u, 33u, 63u, 64u}) {
+        unsigned want_levels = 0;
+        while ((1u << want_levels) < k)
+            ++want_levels;
+        for (int trial = 0; trial < 50; ++trial) {
+            // k distinct digit positions, each +1 or -1.
+            std::array<unsigned, 64> pos;
+            for (unsigned i = 0; i < 64; ++i)
+                pos[i] = i;
+            for (unsigned i = 0; i < k; ++i)
+                std::swap(pos[i], pos[i + rng.below(64 - i)]);
+            std::uint64_t plus = 0, minus = 0;
+            for (unsigned i = 0; i < k; ++i) {
+                const std::uint64_t bit = std::uint64_t{1} << pos[i];
+                (rng.chance(1, 2) ? plus : minus) |= bit;
+            }
+            const RbNum a = RbNum::fromTc(rng.next());
+            const RbNum b(plus, minus);
+            const RbMulResult r = rbTreeMultiply(a, b);
+            ASSERT_EQ(r.treeLevels, want_levels) << "k " << k;
+            ASSERT_EQ(r.product.toTc(), a.toTc() * b.toTc())
+                << "k " << k << " trial " << trial;
+        }
+    }
 }
 
 TEST(RbMultiplier, BoothHalvesModeledDepth)

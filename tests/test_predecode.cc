@@ -6,12 +6,8 @@
  * workload-generator preset — is replayed in lockstep through the
  * predecoded `Interp::step()` and the reference `stepReference()`, and
  * the StepRecords must be bit-equal at every step. The record-free
- * `runFast()` path and both dispatch strategies (computed goto and the
- * portable switch) must land on the same architectural state.
- *
- * CI additionally reruns this whole binary with RBSIM_FORCE_SWITCH=1 so
- * the process-selected dispatch path is proven on both strategies
- * end-to-end (the predecode-dispatch-parity job).
+ * `runFast()` path and a bare `execDecodedLoop` must land on the same
+ * architectural state.
  */
 
 #include <gtest/gtest.h>
@@ -68,22 +64,19 @@ expectLockstep(const Program &p, std::uint64_t max_steps = lockstepSteps)
         ASSERT_EQ(fast.reg(r), ref.reg(r)) << "r" << r;
 }
 
-/** Run a program through one explicit execDecodedLoop instantiation
- * (bypassing the process-wide strategy choice) and return the final
- * architectural registers + pc + halted + steps. */
+/** Run a program through execDecodedLoop directly, over a private
+ * register file and memory image, and return the final architectural
+ * registers + pc + halted + steps. */
 struct LoopResult
 {
     std::array<Word, numArchRegs> regs{};
     std::uint64_t pc = 0;
     std::uint64_t steps = 0;
     bool halted = false;
-
-    bool operator==(const LoopResult &) const = default;
 };
 
-template <bool UseGoto>
 LoopResult
-runExplicit(const Program &p, std::uint64_t max_steps)
+runLoop(const Program &p, std::uint64_t max_steps)
 {
     const auto dp = decodeProgram(p);
     std::vector<Word> regs(dp->slotCount(), 0);
@@ -98,7 +91,7 @@ runExplicit(const Program &p, std::uint64_t max_steps)
     cx.dp = dp.get();
     cx.pc = p.entry;
     NullExecSink sink;
-    execDecodedLoop<UseGoto>(cx, max_steps, sink);
+    execDecodedLoop(cx, max_steps, sink);
 
     LoopResult out;
     for (unsigned r = 0; r < numArchRegs; ++r)
@@ -146,17 +139,6 @@ TEST(Predecode, DeadDestOperateFoldsToNop)
     const auto dp = decodeProgram(p);
     EXPECT_EQ(dp->ops[0].h, Handler::Nop); // dead operate folds
     EXPECT_EQ(dp->ops[1].h, Handler::Ld8); // dead load still touches mem
-}
-
-TEST(Predecode, DispatchNameMatchesEnvironment)
-{
-    const char *env = std::getenv("RBSIM_FORCE_SWITCH");
-    const bool forced = env != nullptr && *env != '\0' &&
-                        !(env[0] == '0' && env[1] == '\0');
-    if (forced || !RBSIM_HAS_COMPUTED_GOTO)
-        EXPECT_STREQ(dispatchName(), "switch");
-    else
-        EXPECT_STREQ(dispatchName(), "goto");
 }
 
 // ---------------------------------------------------------------------
@@ -210,33 +192,26 @@ TEST(Predecode, HaltLeavesPcOnItself)
 }
 
 // ---------------------------------------------------------------------
-// Both dispatch strategies, explicitly instantiated (the CI lane
-// additionally reruns the whole binary under RBSIM_FORCE_SWITCH=1 to
-// cover the process-selected path).
+// The bare loop, outside any Interp, against the reference.
 
-TEST(Predecode, GotoAndSwitchLoopsAgree)
+TEST(Predecode, ExecLoopAgreesWithReference)
 {
     for (const char *preset : {"ycsb-a", "chase-dl1", "branch-0.50",
                                "rb-adversarial"}) {
         const Program p =
             gen::buildGenProgram(gen::genPreset(preset), WorkloadParams{});
-        const LoopResult sw = runExplicit<false>(p, lockstepSteps);
-#if RBSIM_HAS_COMPUTED_GOTO
-        const LoopResult go = runExplicit<true>(p, lockstepSteps);
-        EXPECT_EQ(go, sw) << preset;
-#endif
-        // And the process-selected strategy (whichever it is) agrees
-        // with the reference.
+        const LoopResult loop = runLoop(p, lockstepSteps);
         Interp ref(p);
         std::uint64_t n = 0;
         while (!ref.halted() && n < lockstepSteps) {
             ref.stepReference();
             ++n;
         }
-        EXPECT_EQ(sw.pc, ref.pc()) << preset;
-        EXPECT_EQ(sw.steps, ref.instsExecuted()) << preset;
+        EXPECT_EQ(loop.pc, ref.pc()) << preset;
+        EXPECT_EQ(loop.steps, ref.instsExecuted()) << preset;
+        EXPECT_EQ(loop.halted, ref.halted()) << preset;
         for (unsigned r = 0; r < numArchRegs; ++r)
-            ASSERT_EQ(sw.regs[r], ref.reg(r)) << preset << " r" << r;
+            ASSERT_EQ(loop.regs[r], ref.reg(r)) << preset << " r" << r;
     }
 }
 
