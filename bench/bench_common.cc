@@ -234,24 +234,7 @@ BenchReport::write() const
             jc["ci95"] = c.ci95;
             jc["windows"] = c.windows;
         }
-        Json stats = Json::object();
-        Json counters = Json::object();
-        for (const auto &[name, v] : c.result.stats.counters)
-            counters[name] = v;
-        Json formulas = Json::object();
-        for (const auto &[name, v] : c.result.stats.formulas)
-            formulas[name] = v;
-        Json vectors = Json::object();
-        for (const auto &[name, vec] : c.result.stats.vectors) {
-            Json a = Json::array();
-            for (std::uint64_t v : vec)
-                a.push(v);
-            vectors[name] = std::move(a);
-        }
-        stats["counters"] = std::move(counters);
-        stats["formulas"] = std::move(formulas);
-        stats["vectors"] = std::move(vectors);
-        jc["stats"] = std::move(stats);
+        jc["stats"] = c.result.stats.toJson();
         if (c.profiled) {
             Json prof = Json::object();
             Json stages = Json::object();

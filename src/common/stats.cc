@@ -89,48 +89,32 @@ StatSnapshot::ratio(const std::string &num, const std::string &den) const
     return d == 0 ? 0.0 : static_cast<double>(counter(num)) / d;
 }
 
-std::string
-StatSnapshot::toJson() const
+Json
+StatSnapshot::toJson(const std::vector<std::string> &only) const
 {
+    const auto want = [&](const std::string &name) {
+        return only.empty() ||
+               std::find(only.begin(), only.end(), name) != only.end();
+    };
     Json j = Json::object();
     Json &c = (j["counters"] = Json::object());
     for (const auto &[name, v] : counters)
-        c[name] = Json(v);
+        if (want(name))
+            c[name] = Json(v);
     Json &f = (j["formulas"] = Json::object());
     for (const auto &[name, v] : formulas)
-        f[name] = Json(v);
+        if (want(name))
+            f[name] = Json(v);
     Json &vecs = (j["vectors"] = Json::object());
     for (const auto &[name, buckets] : vectors) {
+        if (!want(name))
+            continue;
         Json a = Json::array();
         for (std::uint64_t b : buckets)
             a.push(Json(b));
         vecs[name] = std::move(a);
     }
-    return j.dump();
-}
-
-StatSnapshot
-StatSnapshot::fromJson(const std::string &text)
-{
-    const Json j = Json::parse(text);
-    StatSnapshot s;
-    if (const Json *c = j.find("counters")) {
-        for (const auto &[name, v] : c->items())
-            s.counters[name] = v.asU64();
-    }
-    if (const Json *f = j.find("formulas")) {
-        for (const auto &[name, v] : f->items())
-            s.formulas[name] = v.asDouble();
-    }
-    if (const Json *vecs = j.find("vectors")) {
-        for (const auto &[name, a] : vecs->items()) {
-            std::vector<std::uint64_t> buckets;
-            for (const Json &b : a.elements())
-                buckets.push_back(b.asU64());
-            s.vectors[name] = std::move(buckets);
-        }
-    }
-    return s;
+    return j;
 }
 
 // ------------------------------------------------------------- registry

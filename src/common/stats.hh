@@ -8,8 +8,8 @@
  * derived formulas into a `StatRegistry` under a hierarchical dotted
  * prefix ("core.retired", "dl1.misses", "bypass.slot"). A run ends by
  * taking a `StatSnapshot` — a plain value copy that outlives the
- * components, compares for equality (determinism tests), and serializes
- * to/from JSON for the bench result pipeline.
+ * components, compares for equality (determinism tests), and renders
+ * the JSON "stats" object of bench cells and served results.
  */
 
 #ifndef RBSIM_COMMON_STATS_HH
@@ -24,6 +24,8 @@
 
 namespace rbsim
 {
+
+class Json;
 
 /** Arithmetic mean of a sample vector (0 for empty input). */
 double arithmeticMean(const std::vector<double> &xs);
@@ -139,7 +141,7 @@ class Histogram
 /**
  * A point-in-time value copy of every registered statistic. Snapshots
  * are plain data: they survive the components they were taken from,
- * compare for equality, and round-trip through JSON.
+ * compare for equality, and render as JSON.
  */
 struct StatSnapshot
 {
@@ -160,12 +162,13 @@ struct StatSnapshot
     /** Ratio of two counters; 0 when the denominator is 0. */
     double ratio(const std::string &num, const std::string &den) const;
 
-    /** Serialize as a {"counters": .., "formulas": .., "vectors": ..}
-     * JSON object string. */
-    std::string toJson() const;
-
-    /** Inverse of toJson(). Throws JsonError on malformed input. */
-    static StatSnapshot fromJson(const std::string &text);
+    /**
+     * The {"counters": .., "formulas": .., "vectors": ..} object, names
+     * in order: the "stats" of a bench JSON cell and of a served result
+     * (common/json.hh). With `only` nonempty, just the statistics it
+     * names.
+     */
+    Json toJson(const std::vector<std::string> &only = {}) const;
 
     bool operator==(const StatSnapshot &) const = default;
 };

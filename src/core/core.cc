@@ -68,11 +68,9 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
                                               std::move(storage));
     }
 
-    if (!from) {
-        commitMem.loadProgram(prog);
+    commitMem.restorePages(from ? from->pages : prog.image);
+    if (!from)
         return;
-    }
-    commitMem.restorePages(from->pages);
     // The rename map is the identity, so the architectural registers
     // land in their home physical registers.
     for (unsigned r = 0; r < numArchRegs; ++r) {
@@ -245,29 +243,9 @@ OooCore::maybeSkipIdle(Cycle max_cycles, Cycle last_progress)
 void
 OooCore::cycle()
 {
-    if (profiler) {
-        cycleProfiled();
-        return;
-    }
-    doFlushes();
-    const std::uint64_t retired0 = coreStats.retired;
-    doRetire();
-    coreStats.retireSlots.record(coreStats.retired - retired0);
-    doSelect();
-    doDispatch();
-    const std::uint64_t fetched0 = coreStats.fetched;
-    doFetch();
-    coreStats.fetchSlots.record(coreStats.fetched - fetched0);
-    ++now;
-    ++coreStats.cycles;
-}
-
-void
-OooCore::cycleProfiled()
-{
-    // Same stage order as cycle(), with a wall-clock timer around each
-    // stage. Exec/Lsq/Cosim are timed at their call sites (subsets of
-    // Select and Commit respectively; see common/hostprof.hh).
+    // Each stage under a wall-clock timer, inert without a profiler.
+    // Exec/Kernel/Lsq/Cosim are timed at their call sites (subsets of
+    // Select and Commit; see common/hostprof.hh).
     {
         StageTimer t(profiler, HostProfiler::Flush);
         doFlushes();

@@ -124,14 +124,13 @@ class OooCore
 {
   public:
     /**
-     * A core that starts at the program entry with its data image, or —
-     * given `from`, a checkpoint of `prog` — at that checkpoint: its
-     * pages become the committed memory directly (the data image is
-     * never built), the architectural registers land in their home
-     * physical registers, fetch starts at its PC, and the warm
-     * predictor/BTB/RAS tables and the three cache tag arrays are
-     * installed. A core runs one program once; a new run builds a new
-     * core.
+     * A core whose committed memory starts by sharing a page map
+     * copy-on-write: the program's data image at the program entry, or
+     * — given `from`, a checkpoint of `prog` — the checkpoint's pages,
+     * with the architectural registers in their home physical
+     * registers, fetch at its PC, and the warm predictor/BTB/RAS tables
+     * and the three cache tag arrays installed. A core runs one program
+     * once; a new run builds a new core.
      *
      * Throws std::logic_error for a checkpoint of a halted program
      * (nothing to resume), and std::invalid_argument for one whose
@@ -160,8 +159,8 @@ class OooCore
 
     /**
      * Attach a host-time per-stage profiler (may be nullptr to detach;
-     * must outlive the run). When detached the per-cycle cost is one
-     * predicted branch.
+     * must outlive the run). When detached each stage timer costs two
+     * predicted branches.
      */
     void attachProfiler(HostProfiler *p) { profiler = p; }
 
@@ -197,9 +196,6 @@ class OooCore
 
     /** Advance one cycle. */
     void cycle();
-
-    /** One cycle with per-stage host timers (profiler attached). */
-    void cycleProfiled();
 
     /** True once HALT has retired (or the program ran off its code). */
     bool halted() const { return haltRetired; }
@@ -308,7 +304,7 @@ class OooCore
     CoreStats coreStats;
     std::function<void(const RobEntry &)> retireHook;
     trace::Tracer *tracer = nullptr; //!< optional; guarded at each hook
-    HostProfiler *profiler = nullptr; //!< optional; see cycleProfiled()
+    HostProfiler *profiler = nullptr; //!< optional; see cycle()
 
     // ---------------------------------------------- wakeup-array state
     //

@@ -61,7 +61,7 @@ struct RecordSink
 Interp::Interp(const Program &prog) : Interp(prog, prog.hash()) {}
 
 Interp::Interp(const Program &prog, std::uint64_t prog_hash,
-               const MemImage::PageMap *pages)
+               const PageMap *pages)
     : program(&prog), dec(decodeProgram(prog, prog_hash)),
       pcIndex(prog.entry)
 {
@@ -69,10 +69,7 @@ Interp::Interp(const Program &prog, std::uint64_t prog_hash,
     xregs.resize(dec->slotCount());
     for (std::size_t i = 0; i < dec->pool.size(); ++i)
         xregs[numArchRegs + i] = dec->pool[i];
-    if (pages)
-        memory.restorePages(*pages);
-    else
-        memory.loadProgram(prog);
+    memory.restorePages(pages ? *pages : prog.image);
 }
 
 StepRecord

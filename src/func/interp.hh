@@ -61,19 +61,19 @@ class Interp
 {
   public:
     /** Bind to a program (which must outlive the interpreter), hashing
-     * it; loads its data segments into a fresh memory. */
+     * it; memory starts as its data image. */
     explicit Interp(const Program &prog);
 
     /**
      * Bind to `prog`, whose Program::hash() the caller already knows
-     * (`prog_hash`): entry PC, registers zeroed. With `pages` (a
-     * checkpoint's), memory starts as those pages, shared copy-on-write,
-     * and the program's data image is never built — set the
-     * checkpoint's registers and PC next. The predecoded form comes
-     * from the process-wide cache.
+     * (`prog_hash`): entry PC, registers zeroed, memory sharing the
+     * program's image copy-on-write — or, given `pages` (a
+     * checkpoint's), those pages instead; set the checkpoint's
+     * registers and PC next. The predecoded form comes from the
+     * process-wide cache.
      */
     Interp(const Program &prog, std::uint64_t prog_hash,
-           const MemImage::PageMap *pages = nullptr);
+           const PageMap *pages = nullptr);
 
     /** True once HALT has executed or the PC ran off the code. */
     bool halted() const { return isHalted; }

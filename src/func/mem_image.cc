@@ -30,13 +30,4 @@ MemImage::write(Addr addr, std::uint64_t value, unsigned size)
         page[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
-void
-MemImage::loadProgram(const Program &prog)
-{
-    for (const DataSegment &seg : prog.data) {
-        for (std::size_t i = 0; i < seg.bytes.size(); ++i)
-            write8(seg.base + i, seg.bytes[i]);
-    }
-}
-
 } // namespace rbsim

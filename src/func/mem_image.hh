@@ -17,8 +17,9 @@
  * drop to 1 would not order this image's write after their last reads.
  * Images with no outstanding snapshots own every page. An image lives as
  * long as the interpreter or core that owns it; a new run builds a new
- * image, from the program's data segments or from a checkpoint's pages
- * (restorePages).
+ * image that starts by sharing a page map (restorePages): the program's
+ * data image (Program::image) or a checkpoint's pages, so an image
+ * starts without owning any page and clones each on its first write.
  *
  * A small direct-mapped translation cache (the "xlat" array) sits in
  * front of the page map so the interpreter's hot loads/stores are one
@@ -54,13 +55,6 @@ namespace rbsim
 class MemImage
 {
   public:
-    static constexpr unsigned pageShift = 12;
-    static constexpr Addr pageSize = Addr{1} << pageShift;
-    using Page = std::array<std::uint8_t, pageSize>;
-    //! Page number -> page. Checkpoints hold one of these with the
-    //! shared_ptrs aliasing the image's pages (copy-on-write).
-    using PageMap = std::unordered_map<Addr, std::shared_ptr<Page>>;
-
     MemImage() = default;
     //! The xlat cache points into the source's map nodes; a copy gets
     //! its own nodes, so it must start cold. The pages themselves are
@@ -162,9 +156,6 @@ class MemImage
         storeAligned<4>(addr & ~Addr{3}, v);
     }
 
-    /** Load a program's data segments. */
-    void loadProgram(const Program &prog);
-
     /**
      * Share every resident page with the caller (a checkpoint). O(pages)
      * in map size, O(0) in bytes: later writes on either side clone the
@@ -183,11 +174,11 @@ class MemImage
     }
 
     /**
-     * Replace the whole image with a snapshot's pages, re-sharing them
-     * (the inverse of snapshotPages). The first write per page after a
-     * restore clones it, leaving the checkpoint intact for the next
-     * restore. Destroys the old map nodes, so the xlat cache drops
-     * cold.
+     * Replace the whole image with a page map's pages, re-sharing them
+     * (the inverse of snapshotPages): a checkpoint's, or a program's
+     * data image. The first write per page after a restore clones it,
+     * leaving the source intact for the next restore. Destroys the old
+     * map nodes, so the xlat cache drops cold.
      */
     void
     restorePages(const PageMap &snapshot)

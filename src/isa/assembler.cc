@@ -154,7 +154,16 @@ assemble(const std::string &source)
     std::map<std::string, std::uint64_t> labels;
     std::vector<Fixup> fixups;
     std::string entry_label;
+    // `.quad` words since the last `.org`, written as one run: a write
+    // replaces the pages it touches, so per-line writes would copy a
+    // page per line.
     Addr data_org = 0x20000;
+    std::vector<Word> data_run;
+    const auto flush_data = [&] {
+        prog.addDataWords(data_org, data_run);
+        data_org += 8 * data_run.size();
+        data_run.clear();
+    };
     bool entry_set = false;
 
     auto requireOperands = [](const SrcLine &sl, std::size_t n) {
@@ -189,16 +198,14 @@ assemble(const std::string &source)
                 entry_set = true;
             } else if (sl.mnemonic == ".org") {
                 requireOperands(sl, 1);
+                flush_data();
                 data_org = static_cast<Addr>(
                     parseInt(sl.number, sl.operands[0]));
             } else if (sl.mnemonic == ".quad") {
-                std::vector<Word> words;
                 for (const auto &tok : sl.operands) {
-                    words.push_back(
+                    data_run.push_back(
                         static_cast<Word>(parseInt(sl.number, tok)));
                 }
-                prog.addDataWords(data_org, words);
-                data_org += 8 * words.size();
             } else {
                 throw AsmError(sl.number,
                                "unknown directive " + sl.mnemonic);
@@ -320,6 +327,7 @@ assemble(const std::string &source)
         }
         prog.code.push_back(inst);
     }
+    flush_data();
 
     // Resolve label references.
     for (const Fixup &f : fixups) {

@@ -1,5 +1,6 @@
 #include "isa/disasm.hh"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -99,16 +100,31 @@ disassembleProgram(const Program &prog)
     if (prog.entry != 0)
         os << ".entry " << label(prog.entry) << '\n';
 
-    for (const DataSegment &seg : prog.data) {
-        os << ".org 0x" << std::hex << seg.base << std::dec << '\n';
-        for (std::size_t off = 0; off < seg.bytes.size(); off += 8) {
+    // The data image in address order, one aligned word per `.quad`,
+    // with an `.org` wherever the rendered words skip ahead. Zero words
+    // are left out (memory starts zeroed), except that an all-zero page
+    // renders its first word, so the page stays resident.
+    bool first = true;
+    Addr next = 0; //!< address after the last rendered word
+    for (const auto *kv : pagesInOrder(prog.image)) {
+        const Addr base = kv->first << pageShift;
+        const Page &page = *kv->second;
+        const bool blank =
+            std::all_of(page.begin(), page.end(),
+                        [](std::uint8_t b) { return b == 0; });
+        for (std::size_t off = 0; off < pageSize; off += 8) {
             Word w = 0;
-            for (unsigned b = 0; b < 8; ++b) {
-                if (off + b < seg.bytes.size())
-                    w |= static_cast<Word>(seg.bytes[off + b]) << (8 * b);
-            }
+            for (unsigned b = 0; b < 8; ++b)
+                w |= static_cast<Word>(page[off + b]) << (8 * b);
+            if (w == 0 && !(blank && off == 0))
+                continue;
+            if (first || base + off != next)
+                os << ".org 0x" << std::hex << base + off << std::dec
+                   << '\n';
             // .quad operands parse as signed 64-bit; print accordingly.
             os << ".quad " << static_cast<SWord>(w) << '\n';
+            first = false;
+            next = base + off + 8;
         }
     }
 

@@ -25,14 +25,16 @@ std::string disassemble(const Inst &inst, std::uint64_t index = ~0ull);
 
 /**
  * Render a whole program as an assembler-compatible listing: `.name` /
- * `.entry` directives, `Lk:` labels at every branch target, `.org` +
- * `.quad` data segments. The output re-assembles (via assemble()) into a
- * program with identical code, data, and entry point — the round trip
- * the fuzzer's repro corpus depends on, and it is tested.
+ * `.entry` directives, `Lk:` labels at every branch target, and the
+ * data image in address order as `.org` + `.quad` lines. The output
+ * re-assembles (via assemble()) into a program with identical code,
+ * entry point, and data image — the same resident pages holding the
+ * same bytes — the round trip the fuzzer's repro corpus depends on, and
+ * it is tested.
  *
- * Data segments must be multiples of 8 bytes (they are padded with
- * zeroes otherwise, which is value-preserving against a zero-initialized
- * memory image).
+ * The image renders as aligned 8-byte words, zero words left out
+ * (memory starts zeroed); an all-zero page renders one `.quad 0` so it
+ * stays resident.
  */
 std::string disassembleProgram(const Program &prog);
 

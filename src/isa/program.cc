@@ -1,30 +1,10 @@
 #include "isa/program.hh"
 
 #include <algorithm>
-#include <iterator>
-#include <map>
+#include <cstring>
 
 namespace rbsim
 {
-
-void
-Program::addDataWords(Addr base, const std::vector<Word> &words)
-{
-    DataSegment seg;
-    seg.base = base;
-    seg.bytes.reserve(words.size() * 8);
-    for (Word w : words) {
-        for (unsigned i = 0; i < 8; ++i)
-            seg.bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-    }
-    data.push_back(std::move(seg));
-}
-
-void
-Program::addDataBytes(Addr base, std::vector<std::uint8_t> bytes)
-{
-    data.push_back(DataSegment{base, std::move(bytes)});
-}
 
 namespace
 {
@@ -63,48 +43,66 @@ mixPair(Addr addr, std::uint8_t byte)
     return z ^ (z >> 31);
 }
 
-/** Calls fn(lo, hi) for every maximal range inside [first, last]
- * (inclusive) that no range of `ranges` covers. */
-template <class Fn>
-void
-forEachGap(const std::map<Addr, Addr> &ranges, Addr first, Addr last,
-           Fn &&fn)
-{
-    Addr cursor = first;
-    auto it = ranges.upper_bound(first);
-    if (it != ranges.begin() && std::prev(it)->second >= first) {
-        if (std::prev(it)->second >= last)
-            return;
-        cursor = std::prev(it)->second + 1;
-    }
-    for (; it != ranges.end() && it->first <= last; ++it) {
-        if (it->first > cursor)
-            fn(cursor, it->first - 1);
-        if (it->second >= last)
-            return;
-        cursor = it->second + 1;
-    }
-    fn(cursor, last);
-}
-
-/** Add [first, last] (inclusive) to `ranges`, merging the ranges it
- * overlaps or touches so they stay disjoint. */
-void
-cover(std::map<Addr, Addr> &ranges, Addr first, Addr last)
-{
-    auto next = [](Addr a) { return a == ~Addr{0} ? a : a + 1; };
-    auto it = ranges.upper_bound(first);
-    if (it != ranges.begin() && next(std::prev(it)->second) >= first)
-        --it;
-    while (it != ranges.end() && it->first <= next(last)) {
-        first = std::min(first, it->first);
-        last = std::max(last, it->second);
-        it = ranges.erase(it);
-    }
-    ranges.emplace(first, last);
-}
-
 } // namespace
+
+std::vector<const PageMap::value_type *>
+pagesInOrder(const PageMap &pages)
+{
+    std::vector<const PageMap::value_type *> sorted;
+    sorted.reserve(pages.size());
+    for (const auto &kv : pages)
+        sorted.push_back(&kv);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto *a, const auto *b) {
+                  return a->first < b->first;
+              });
+    return sorted;
+}
+
+void
+Program::addDataWords(Addr base, const std::vector<Word> &words)
+{
+    std::vector<std::uint8_t> bytes(8 * words.size());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        for (unsigned b = 0; b < 8; ++b)
+            bytes[8 * i + b] = static_cast<std::uint8_t>(words[i] >> (8 * b));
+    }
+    addDataBytes(base, std::move(bytes));
+}
+
+void
+Program::addDataBytes(Addr base, std::vector<std::uint8_t> bytes)
+{
+    // Byte i lands at base + i modulo 2^64, like memory. A page in the
+    // map may be shared, so it is replaced, never written.
+    for (std::size_t i = 0; i < bytes.size();) {
+        const Addr addr = base + i;
+        const std::size_t off =
+            static_cast<std::size_t>(addr & (pageSize - 1));
+        const std::size_t len =
+            std::min<std::size_t>(bytes.size() - i, pageSize - off);
+        std::shared_ptr<Page> &slot = image[addr >> pageShift];
+        slot = slot ? std::make_shared<Page>(*slot)
+                    : std::make_shared<Page>();
+        std::memcpy(slot->data() + off, bytes.data() + i, len);
+        i += len;
+    }
+}
+
+bool
+Program::sameContent(const Program &other) const
+{
+    if (codeBase != other.codeBase || entry != other.entry ||
+        image.size() != other.image.size() || code != other.code)
+        return false;
+    for (const auto &[page_no, page] : image) {
+        const auto it = other.image.find(page_no);
+        if (it == other.image.end() ||
+            (it->second != page && *it->second != *page))
+            return false;
+    }
+    return true;
+}
 
 std::uint64_t
 Program::hash() const
@@ -124,46 +122,20 @@ Program::hash() const
                    static_cast<std::uint32_t>(inst.disp)));
         mix(h, static_cast<std::uint64_t>(inst.imm64));
     }
-    // Hash the effective memory image, not the segment list: memory
-    // starts zeroed, so how the image was sliced into segments (one
-    // builder call vs per-line `.quad` directives) and any zero
-    // padding must not affect program identity. Segments apply in
-    // order, so a later zero byte erases an earlier nonzero one.
-    //
-    // Each surviving (addr, byte) pair — nonzero, and not overwritten by
-    // a later segment — folds into an order-insensitive XOR digest, so
-    // the visit order does not matter. The segments are walked
-    // last-first against the union of the address ranges already
-    // walked: a segment's bytes outside that union are exactly its
-    // survivors, so every byte and every segment is visited once.
+    // Memory starts zeroed, so the image is its nonzero bytes. Each
+    // folds in as an (addr, byte) token into an order-insensitive XOR
+    // digest, so the page map's iteration order does not matter.
     std::uint64_t img = 0;
     std::uint64_t effective = 0;
-    std::map<Addr, Addr> later; // disjoint inclusive ranges, by first
-    for (auto seg = data.rbegin(); seg != data.rend(); ++seg) {
-        const std::size_t n = seg->bytes.size();
-        if (n == 0)
-            continue;
-        auto fold = [&](Addr lo, Addr hi) {
-            for (Addr a = lo;; ++a) {
-                const std::uint8_t b = seg->bytes[a - seg->base];
-                if (b != 0) {
-                    img ^= mixPair(a, b);
-                    ++effective;
-                }
-                if (a == hi)
-                    break;
+    for (const auto &[page_no, page] : image) {
+        const Addr base = page_no << pageShift;
+        for (std::size_t off = 0; off < pageSize; ++off) {
+            const std::uint8_t b = (*page)[off];
+            if (b != 0) {
+                img ^= mixPair(base + off, b);
+                ++effective;
             }
-        };
-        // A segment's bytes land at base + i modulo 2^64, but a segment
-        // only ever shadowed the addresses from its base upwards, so a
-        // wrapping segment covers [base, 2^64) for the ones before it.
-        const Addr last = seg->base + (n - 1);
-        const bool wraps = last < seg->base;
-        const Addr top = wraps ? ~Addr{0} : last;
-        forEachGap(later, seg->base, top, fold);
-        if (wraps)
-            forEachGap(later, 0, last, fold);
-        cover(later, seg->base, top);
+        }
     }
     mix(h, effective);
     mix(h, img);

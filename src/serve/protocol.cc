@@ -477,50 +477,6 @@ configKey(const MachineConfig &cfg)
     return configToJson(cfg).dump();
 }
 
-namespace
-{
-
-/** The nested "stats" object shared by full and sampled responses —
- * same shape as a bench JSON cell's "stats", so responses drop into
- * rbsim-bench-1 files (and bench_diff) unchanged. */
-Json
-statsToJson(const StatSnapshot &snap,
-            const std::vector<std::string> &stat_select)
-{
-    const auto want = [&](const std::string &name) {
-        if (stat_select.empty())
-            return true;
-        for (const std::string &sel : stat_select)
-            if (sel == name)
-                return true;
-        return false;
-    };
-    Json stats = Json::object();
-    Json counters = Json::object();
-    for (const auto &[name, value] : snap.counters)
-        if (want(name))
-            counters[name] = Json(value);
-    Json formulas = Json::object();
-    for (const auto &[name, value] : snap.formulas)
-        if (want(name))
-            formulas[name] = Json(value);
-    Json vectors = Json::object();
-    for (const auto &[name, values] : snap.vectors) {
-        if (!want(name))
-            continue;
-        Json arr = Json::array();
-        for (std::uint64_t v : values)
-            arr.push(Json(v));
-        vectors[name] = std::move(arr);
-    }
-    stats["counters"] = std::move(counters);
-    stats["formulas"] = std::move(formulas);
-    stats["vectors"] = std::move(vectors);
-    return stats;
-}
-
-} // namespace
-
 std::string
 formatResult(const std::string &id, const SimResult &result,
              bool cache_hit, const std::vector<std::string> &stat_select)
@@ -540,7 +496,7 @@ formatResult(const std::string &id, const SimResult &result,
     j["halted"] = Json(result.halted);
     if (result.instLimited)
         j["inst_limited"] = Json(true);
-    j["stats"] = statsToJson(result.stats, stat_select);
+    j["stats"] = result.stats.toJson(stat_select);
     return j.dump();
 }
 
@@ -563,7 +519,7 @@ formatSampledResult(const std::string &id, const SampledResult &result,
     j["completed"] = Json(result.completed);
     j["host_ms"] = Json(result.hostSeconds * 1e3);
     j["halted"] = Json(result.completed);
-    j["stats"] = statsToJson(result.merged, stat_select);
+    j["stats"] = result.merged.toJson(stat_select);
     return j.dump();
 }
 

@@ -10,7 +10,8 @@
  * one Simulator per configuration it has run. Every job builds a fresh
  * machine on it; what the kept Simulator saves is its program binding:
  * a program equal in content to the last one keeps its copy and hash,
- * so a sampling campaign's windows never copy or re-hash the image.
+ * so a sampling campaign's windows never re-hash the image. Copies of a
+ * Program share its image pages, so a JobSpec copy never copies data.
  */
 
 #ifndef RBSIM_SERVE_SERVICE_HH

@@ -1,6 +1,5 @@
 #include "sim/checkpoint.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -164,14 +163,7 @@ writeImage(Sink &out, const ArchCheckpoint &ck)
 
     // Memory pages in ascending page-number order, so two checkpoints of
     // identical content serialize identically regardless of map history.
-    std::vector<const MemImage::PageMap::value_type *> sorted;
-    sorted.reserve(ck.pages.size());
-    for (const auto &kv : ck.pages)
-        sorted.push_back(&kv);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto *a, const auto *b) {
-                  return a->first < b->first;
-              });
+    const auto sorted = pagesInOrder(ck.pages);
     putU64(out, sorted.size());
     for (const auto *kv : sorted) {
         putU64(out, kv->first);
@@ -213,7 +205,7 @@ ArchCheckpoint::serialize() const
 {
     std::string out;
     // Rough size hint: pages dominate, then the gshare table.
-    out.reserve(pages.size() * (MemImage::pageSize + 16) +
+    out.reserve(pages.size() * (pageSize + 16) +
                 bpred.gshare.size() + 4 * bpred.localHist.size() +
                 bpred.localPht.size() + bpred.chooser.size() +
                 32 * (il1.array.size() + dl1.array.size() +
@@ -245,10 +237,10 @@ ArchCheckpoint::deserialize(const std::string &bytes)
     const std::size_t npages = r.count(1u << 24);
     for (std::size_t i = 0; i < npages; ++i) {
         const Addr pageNo = r.u64();
-        r.need(MemImage::pageSize);
-        auto page = std::make_shared<MemImage::Page>();
-        std::memcpy(page->data(), r.p, MemImage::pageSize);
-        r.p += MemImage::pageSize;
+        r.need(pageSize);
+        auto page = std::make_shared<Page>();
+        std::memcpy(page->data(), r.p, pageSize);
+        r.p += pageSize;
         ck.pages.emplace(pageNo, std::move(page));
     }
 

@@ -38,7 +38,7 @@ struct ArchCheckpoint
     std::uint64_t pc = 0;       //!< next instruction index to execute
     std::uint64_t instsExecuted = 0; //!< position in the dynamic stream
     std::array<Word, numArchRegs> regs{};
-    MemImage::PageMap pages; //!< CoW shares of the captured image
+    PageMap pages; //!< CoW shares of the captured image
 
     // ---------------------------------- warm microarchitectural state
     PredictorState bpred;

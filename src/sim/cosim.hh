@@ -56,11 +56,10 @@ class CosimChecker
 
     /**
      * Check `prog`, whose Program::hash() is `prog_hash`. The reference
-     * starts at the program entry with its data image, or — given
-     * `from`, a checkpoint of `prog` — at that checkpoint's registers
-     * and PC with its pages shared directly (the data image is never
-     * built); the timing core resumes from the same checkpoint, so
-     * lockstep continues from the resume point.
+     * starts at the program entry sharing the program's image, or —
+     * given `from`, a checkpoint of `prog` — at that checkpoint's
+     * registers and PC sharing its pages; the timing core starts the
+     * same way, so lockstep continues from the start point.
      */
     CosimChecker(const Program &prog, std::uint64_t prog_hash,
                  const ArchCheckpoint *from = nullptr)

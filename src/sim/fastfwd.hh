@@ -36,8 +36,9 @@ class FastForward
 {
   public:
     /** Bind to a machine (cache geometry) and a program, at the program
-     * entry with cold caches and predictor. The program must outlive the
-     * engine; the configuration is copied. */
+     * entry with cold caches and predictor and memory sharing the
+     * program's image. The program must outlive the engine; the
+     * configuration is copied. */
     FastForward(const MachineConfig &cfg, const Program &prog);
 
     /**

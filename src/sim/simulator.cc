@@ -88,8 +88,9 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
         progHash = prog.hash();
     }
 
-    // The one start decision: the program entry with its data image, or
-    // a checkpoint whose pages the core and the reference take directly.
+    // The one start decision: the program entry or a checkpoint. The
+    // core and the reference share its pages (the program's image or
+    // the checkpoint's) copy-on-write.
     const ArchCheckpoint *from = opts.startFrom.get();
     if (from && from->progHash != progHash)
         throw std::invalid_argument(

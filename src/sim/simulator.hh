@@ -134,10 +134,10 @@ struct SimOptions
  *
  * Measured on a 4-vCPU Xeon (GCC 12.2, RelWithDebInfo, perfbench
  * traced): a one-instruction run from the program entry, machine
- * construction included, takes 0.23–0.24 ms on the scale-1 programs
- * (`simulator.reset_ms`), about 2% of a 2,000–8,000-instruction served
- * job. A run from a checkpoint installs its pages and never builds the
- * data image.
+ * construction included, takes 0.07–0.09 ms on the scale-1 programs
+ * (`simulator.reset_ms`), under 1% of a 2,000–8,000-instruction served
+ * job. No run builds a data image: the core and the reference share
+ * the program's pages, or a checkpoint's, copy-on-write.
  */
 class Simulator
 {

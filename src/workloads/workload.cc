@@ -1,9 +1,6 @@
 #include "workloads/workload.hh"
 
-#include <list>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "workloads/gen/opstream.hh"
 
@@ -69,37 +66,7 @@ suiteWorkloads(const std::string &suite)
     return out;
 }
 
-namespace
-{
-
-// Generator-preset intern table: a bounded LRU. Previously this was an
-// unbounded deque scanned linearly under the mutex — a server fed a
-// stream of distinct preset names ("zipf-0.612", "zipf-0.613", ...)
-// grew it forever and every miss paid an O(n) scan while holding the
-// global lock. List nodes keep entries address-stable until eviction;
-// the index makes hits O(1).
-constexpr std::size_t internCap = 256;
-std::mutex internMu;
-std::list<WorkloadInfo> internLru;          //!< most recent first
-std::unordered_map<std::string, std::list<WorkloadInfo>::iterator>
-    internIndex;
-
-} // namespace
-
-std::size_t
-internedWorkloadCount()
-{
-    std::lock_guard<std::mutex> lock(internMu);
-    return internLru.size();
-}
-
-std::size_t
-internedWorkloadCap()
-{
-    return internCap;
-}
-
-const WorkloadInfo &
+WorkloadInfo
 findWorkload(const std::string &name)
 {
     for (const WorkloadInfo &w : allWorkloads()) {
@@ -110,22 +77,9 @@ findWorkload(const std::string &name)
     // like registered workloads, so the serve protocol and every bench
     // CLI reach them by name.
     try {
-        std::lock_guard<std::mutex> lock(internMu);
-        auto it = internIndex.find(name);
-        if (it != internIndex.end()) {
-            internLru.splice(internLru.begin(), internLru, it->second);
-            return internLru.front();
-        }
-        const gen::GenConfig cfg = gen::genPreset(name);
-        WorkloadInfo info = gen::genWorkloadInfo(cfg);
+        WorkloadInfo info = gen::genWorkloadInfo(gen::genPreset(name));
         info.name = name; // keep the queried spelling addressable
-        internLru.push_front(std::move(info));
-        internIndex[name] = internLru.begin();
-        while (internLru.size() > internCap) {
-            internIndex.erase(internLru.back().name);
-            internLru.pop_back();
-        }
-        return internLru.front();
+        return info;
     } catch (const std::invalid_argument &) {
         throw std::out_of_range("unknown workload: " + name);
     }

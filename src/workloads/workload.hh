@@ -52,24 +52,12 @@ const std::vector<WorkloadInfo> &allWorkloads();
 std::vector<WorkloadInfo> suiteWorkloads(const std::string &suite);
 
 /**
- * Find a workload by name (throws std::out_of_range if unknown).
- *
- * Generator-preset names ("zipf-0.75", "chase-l2", ...) resolve through
- * a bounded LRU intern table: lookups are O(1) and the table never
- * exceeds internedWorkloadCap() entries, so a server fed adversarial
- * distinct preset names cannot grow it without bound. A returned
- * preset reference stays valid until internedWorkloadCap() further
- * *distinct* preset names have been resolved (registry references are
- * permanent); copy the WorkloadInfo if you hold it across unbounded
- * lookups.
+ * Find a workload by name (throws std::out_of_range if unknown): a
+ * registered workload, or a generator preset ("zipf-0.75", "chase-l2",
+ * ...) under the queried spelling. Returned by value, so nothing is
+ * kept per distinct name.
  */
-const WorkloadInfo &findWorkload(const std::string &name);
-
-/** Live generator-preset intern entries (regression tests). */
-std::size_t internedWorkloadCount();
-
-/** Intern-table capacity bound. */
-std::size_t internedWorkloadCap();
+WorkloadInfo findWorkload(const std::string &name);
 
 // SPECint95-like generators (spec95.cc).
 Program buildGo95(const WorkloadParams &);

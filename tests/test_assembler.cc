@@ -85,11 +85,15 @@ TEST(Assembler, DataDirectives)
         .quad -1
         halt
     )");
-    ASSERT_EQ(p.data.size(), 2u);
-    EXPECT_EQ(p.data[0].base, 0x30000u);
-    EXPECT_EQ(p.data[0].bytes.size(), 24u);
-    EXPECT_EQ(p.data[1].base, 0x30018u);
-    EXPECT_EQ(p.data[1].bytes[0], 0xffu);
+    // Each `.quad` line continues where the last one ended.
+    ASSERT_EQ(p.image.size(), 1u);
+    const Page &page = *p.image.at(0x30000 >> pageShift);
+    EXPECT_EQ(page[0x00], 1u);
+    EXPECT_EQ(page[0x08], 2u);
+    EXPECT_EQ(page[0x10], 3u);
+    EXPECT_EQ(page[0x18], 0xffu);
+    EXPECT_EQ(page[0x1f], 0xffu);
+    EXPECT_EQ(page[0x20], 0u);
 }
 
 TEST(Assembler, EntryDirective)
@@ -148,15 +152,16 @@ TEST(Builder, EmitsAndPatchesLabels)
     EXPECT_EQ(p.name, "kernel");
 }
 
-TEST(Builder, DataSegments)
+TEST(Builder, DataWordsLandLittleEndian)
 {
     CodeBuilder cb("d");
     cb.dataWords(0x40000, {0x1122334455667788ull});
     cb.halt();
     const Program p = cb.finish();
-    ASSERT_EQ(p.data.size(), 1u);
-    EXPECT_EQ(p.data[0].bytes[0], 0x88u);
-    EXPECT_EQ(p.data[0].bytes[7], 0x11u);
+    ASSERT_EQ(p.image.size(), 1u);
+    const Page &page = *p.image.at(0x40000 >> pageShift);
+    EXPECT_EQ(page[0], 0x88u);
+    EXPECT_EQ(page[7], 0x11u);
 }
 
 TEST(Builder, DisassemblerRoundTripThroughAssembler)

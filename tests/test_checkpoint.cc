@@ -3,9 +3,11 @@
  * Architectural checkpoints (src/sim/checkpoint.hh) and the functional
  * fast-forward engine that captures them (src/sim/fastfwd.hh):
  *  - MemImage copy-on-write page sharing: snapshots stay intact under
- *    writes on either side, and restores re-share;
+ *    writes on either side, restores re-share, and runs that store into
+ *    a program's initialized data never write its image;
  *  - serialize()/deserialize() round-trips bit-exactly, fingerprint()
- *    identifies content, and malformed images throw;
+ *    identifies content, malformed images throw, and a vortex capture's
+ *    bytes are pinned;
  *  - a checkpoint captured mid-program resumes on a fresh core and runs
  *    to completion under cosim lockstep — bit-exactness against the
  *    reference model on every retired instruction — across the Figure 12
@@ -22,9 +24,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 
 #include "func/interp.hh"
+#include "isa/builder.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fastfwd.hh"
 #include "sim/sampling.hh"
@@ -66,7 +70,7 @@ TEST(MemImageCow, SnapshotSurvivesWritesOnEitherSide)
     img.write64(0x1000, 0x1111);
     img.write64(0x2000, 0x2222);
 
-    const MemImage::PageMap snap = img.snapshotPages();
+    const PageMap snap = img.snapshotPages();
 
     // A write to the live image must not leak into the snapshot...
     img.write64(0x1000, 0xdead);
@@ -83,6 +87,53 @@ TEST(MemImageCow, SnapshotSurvivesWritesOnEitherSide)
     MemImage again;
     again.restorePages(snap);
     EXPECT_EQ(again.read64(0x2000), 0x2222u);
+}
+
+TEST(MemImageCow, RunsNeverWriteTheProgramImage)
+{
+    // Every run's memory starts by sharing the program's pages. A loop
+    // that doubles each word of its own initialized data (two pages)
+    // must leave them as built, so a second run — warm or fresh — and
+    // a fast-forward see the same start.
+    const Addr base = 0x30000;
+    constexpr Word words = 1024;
+    std::vector<Word> init;
+    for (Word i = 0; i < words; ++i)
+        init.push_back(3 * i + 1);
+    CodeBuilder cb("self-store");
+    cb.dataWords(base, init);
+    cb.ldiq(R(1), base);
+    cb.ldiq(R(2), words);
+    const Label loop = cb.newLabel();
+    cb.bind(loop);
+    cb.load(Opcode::LDQ, R(3), 0, R(1));
+    cb.op3(Opcode::ADDQ, R(3), R(3), R(3));
+    cb.store(Opcode::STQ, R(3), 0, R(1));
+    cb.lda(R(1), 8, R(1));
+    cb.opi(Opcode::SUBQ, R(2), 1, R(2));
+    cb.branch(Opcode::BNE, R(2), loop);
+    cb.halt();
+    const Program prog = cb.finish();
+    std::map<Addr, Page> built;
+    for (const auto &[page_no, page] : prog.image)
+        built[page_no] = *page;
+    ASSERT_EQ(built.size(), 2u);
+
+    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
+    Simulator sim(cfg);
+    const SimResult first = sim.run(prog, SimOptions{});
+    ASSERT_TRUE(first.halted);
+    EXPECT_EQ(sim.run(prog, SimOptions{}).stats, first.stats);
+    EXPECT_EQ(simulate(cfg, prog).stats, first.stats);
+
+    FastForward ff(cfg, prog);
+    ff.run(1u << 20);
+    ASSERT_TRUE(ff.halted());
+    EXPECT_EQ(ff.ref().mem().read64(base + 8 * 5), 2 * (3 * 5 + 1));
+
+    ASSERT_EQ(prog.image.size(), built.size());
+    for (const auto &[page_no, page] : prog.image)
+        EXPECT_EQ(*page, built.at(page_no)) << "page " << page_no;
 }
 
 // ----------------------------------------------- serialized round-trip
@@ -171,6 +222,19 @@ TEST(CheckpointSerialize, MalformedImagesThrow)
     ArchCheckpoint last = good;
     last.ras.rasTop = 15;
     EXPECT_EQ(ArchCheckpoint::deserialize(last.serialize()).ras.rasTop, 15);
+}
+
+TEST(CheckpointSerialize, VortexCaptureBytesArePinned)
+{
+    // The captured memory is the program's image plus the run's writes,
+    // however the image is held: these values were recorded when a run
+    // rebuilt the image byte by byte from a data-segment list.
+    const Program prog = testProgram("vortex");
+    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
+    const ArchCheckpoint ck = captureAt(cfg, prog, 10'000);
+    EXPECT_EQ(ck.pages.size(), 82u);
+    EXPECT_EQ(ck.serialize().size(), 872'725u);
+    EXPECT_EQ(ck.fingerprint(), 0x31c0f922d81733a9ull);
 }
 
 // ----------------------------------------- fast-forward engine basics
@@ -330,8 +394,7 @@ TEST(CheckpointResume, WarmSimulatorBindsByContentNotByName)
     // because the name or the address matched would run A's image and
     // capture A's hash.
     Program prog = testProgram();
-    ASSERT_FALSE(prog.data.empty());
-    ASSERT_FALSE(prog.data.front().bytes.empty());
+    ASSERT_FALSE(prog.image.empty());
     const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
 
     SimOptions opts;
@@ -339,8 +402,13 @@ TEST(CheckpointResume, WarmSimulatorBindsByContentNotByName)
     Simulator warm(cfg);
     warm.run(prog, opts);
 
-    std::vector<std::uint8_t> &bytes = prog.data.front().bytes;
-    bytes[bytes.size() / 2] ^= 0x5a;
+    // The write replaces the page, so the warm simulator's bound copy
+    // still holds the old one.
+    const auto &[page_no, page] = *pagesInOrder(prog.image).front();
+    const Addr addr = (page_no << pageShift) + pageSize / 2;
+    const auto flipped =
+        static_cast<std::uint8_t>((*page)[pageSize / 2] ^ 0x5a);
+    prog.addDataBytes(addr, {flipped});
     const SimResult again = warm.run(prog, opts);
     ASSERT_TRUE(again.instLimited);
     Simulator fresh(cfg);

@@ -83,7 +83,7 @@ runLoop(const Program &p, std::uint64_t max_steps)
     for (std::size_t i = 0; i < dp->pool.size(); ++i)
         regs[numArchRegs + i] = dp->pool[i];
     MemImage mem;
-    mem.loadProgram(p);
+    mem.restorePages(p.image);
 
     ExecCtx cx;
     cx.regs = regs.data();

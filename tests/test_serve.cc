@@ -2,8 +2,8 @@
  * @file
  * The serving layer (docs/SERVING.md):
  *  - Program::hash() content identity (assemble/disassemble round-trip,
- *    single-instruction sensitivity, the effective image of many or
- *    overlapping data segments);
+ *    single-instruction sensitivity, the data image of many or
+ *    overlapping writes, values pinned across image representations);
  *  - SimService result caching and in-batch coalescing;
  *  - protocol edge cases: malformed JSON, unknown machine / workload /
  *    scheduler, malformed shapes, oversized programs, duplicate ids,
@@ -63,11 +63,22 @@ TEST(ProgramHash, AssembleRoundTripPreservesHash)
     const Program round = assemble(disassembleProgram(orig));
     EXPECT_EQ(orig.hash(), round.hash());
 
-    // Also through a registered workload generator (data segments too).
+    // Also through a registered workload generator (data image too):
+    // the same resident pages holding the same bytes.
     WorkloadParams wp;
     const Program wl = findWorkload("compress").build(wp);
     const Program wlRound = assemble(disassembleProgram(wl));
     EXPECT_EQ(wl.hash(), wlRound.hash());
+    EXPECT_TRUE(wlRound.sameContent(wl));
+
+    // An all-zero page stays resident, and bytes written off word
+    // alignment across a page boundary come back in their words.
+    Program odd = hashSubject(3);
+    odd.addDataWords(0x6000, std::vector<Word>(8, 0));
+    odd.addDataBytes(0x7ffd, {1, 0, 2, 3, 0, 4});
+    const Program oddRound = assemble(disassembleProgram(odd));
+    EXPECT_EQ(oddRound.image.size(), 3u);
+    EXPECT_TRUE(oddRound.sameContent(odd));
 }
 
 TEST(ProgramHash, SingleInstructionMutationChangesHash)
@@ -85,11 +96,10 @@ TEST(ProgramHash, SingleInstructionMutationChangesHash)
     EXPECT_NE(a.hash(), cb.finish().hash());
 }
 
-TEST(ProgramHash, PerLineQuadSegmentsHashLikeOneSegment)
+TEST(ProgramHash, PerLineQuadImageEqualsTheBuilderTwin)
 {
-    // The assembler makes one data segment per `.quad` line. 80k of them
-    // hash equal to the one-segment builder twin; the hash is linear in
-    // segments, so this takes milliseconds, not seconds.
+    // 80k `.quad` lines, zeros among them, build the same image as the
+    // one-call builder twin, and hash equal.
     constexpr int lines = 80'000;
     const Addr base = 0x400000;
     std::vector<Word> words;
@@ -101,65 +111,151 @@ TEST(ProgramHash, PerLineQuadSegmentsHashLikeOneSegment)
     }
     src += "halt\n";
     const Program assembled = assemble(src);
-    ASSERT_EQ(assembled.data.size(), std::size_t(lines));
 
     CodeBuilder cb("quad-twin");
     cb.halt();
     cb.dataWords(base, words);
-    EXPECT_EQ(assembled.hash(), cb.finish().hash());
+    const Program twin = cb.finish();
+    EXPECT_TRUE(assembled.sameContent(twin));
+    EXPECT_EQ(assembled.hash(), twin.hash());
 }
 
-/** `prog` with its data replaced by the effective image materialized in
- * a std::map, one disjoint single-byte segment per address. */
-Program
-materializedTwin(const Program &prog)
+/** Data writes replayed into a std::map: the image a program must hold
+ * (later writes win byte by byte; every written address, zero or not,
+ * is resident). */
+struct ImageModel
 {
-    std::map<Addr, std::uint8_t> image;
-    for (const DataSegment &seg : prog.data) {
-        for (std::size_t i = 0; i < seg.bytes.size(); ++i)
-            image[seg.base + i] = seg.bytes[i];
+    std::map<Addr, std::uint8_t> bytes;
+
+    void
+    write(Program &prog, Addr base, std::vector<std::uint8_t> b)
+    {
+        for (std::size_t i = 0; i < b.size(); ++i)
+            bytes[base + i] = b[i];
+        prog.addDataBytes(base, std::move(b));
     }
-    Program twin = prog;
-    twin.data.clear();
-    for (const auto &[addr, byte] : image)
-        twin.addDataBytes(addr, {byte});
-    return twin;
-}
 
-TEST(ProgramHash, OverlappingSegmentsHashTheirEffectiveImage)
+    /** `prog`'s code with the model's image, one single-byte write per
+     * address, highest address first. */
+    Program
+    twin(const Program &prog) const
+    {
+        Program t = prog;
+        t.image.clear();
+        for (auto it = bytes.rbegin(); it != bytes.rend(); ++it)
+            t.addDataBytes(it->first, {it->second});
+        return t;
+    }
+
+    /** The image holds exactly the model's bytes. */
+    bool
+    matches(const Program &prog) const
+    {
+        std::size_t nonzero = 0;
+        for (const auto &[addr, byte] : bytes) {
+            const auto page = prog.image.find(addr >> pageShift);
+            if (page == prog.image.end() ||
+                (*page->second)[addr & (pageSize - 1)] != byte)
+                return false;
+            nonzero += byte != 0;
+        }
+        std::size_t resident = 0;
+        for (const auto &[page_no, page] : prog.image)
+            for (std::uint8_t b : *page)
+                resident += b != 0;
+        return resident == nonzero;
+    }
+};
+
+TEST(ProgramHash, LaterWritesWinByteByByte)
 {
-    // Later segments win byte by byte.
-    Program p = hashSubject(0);
-    p.addDataBytes(0x2000, {1, 2, 3, 4, 5, 6, 7, 8});
-    p.addDataBytes(0x2004, {9, 0, 0, 10, 11, 12}); // tail + beyond; 0s erase 6, 7
-    p.addDataBytes(0x1ffe, {13, 14, 15});           // head, from below
-    p.addDataBytes(0x2002, {0});                    // a zero erasing 3
-    p.addDataBytes(0x3000, {});
-    EXPECT_EQ(p.hash(), materializedTwin(p).hash());
+    // Writes land in order, byte by byte; zeros erase.
+    const auto build = [](std::uint8_t third, std::uint8_t fourth,
+                          ImageModel &model) {
+        Program p = hashSubject(0);
+        model.write(p, 0x2000, {1, 2, third, fourth, 5, 6, 7, 8});
+        // Tail + beyond; the 0s erase 6 and 7.
+        model.write(p, 0x2004, {9, 0, 0, 10, 11, 12});
+        model.write(p, 0x1ffe, {13, 14, 15}); // head, from below
+        model.write(p, 0x2002, {0});          // a zero erasing 3
+        model.write(p, 0x3000, {});
+        return p;
+    };
+    ImageModel model;
+    const Program p = build(3, 4, model);
+    EXPECT_TRUE(model.matches(p));
+    EXPECT_TRUE(p.sameContent(model.twin(p)));
+    EXPECT_EQ(p.hash(), model.twin(p).hash());
 
     // Only surviving bytes count: 3 (at 0x2002) was erased, 4 (at
     // 0x2003) survives.
-    Program erased = p;
-    erased.data[0].bytes[2] ^= 0xff;
-    EXPECT_EQ(erased.hash(), p.hash());
-    Program survivor = p;
-    survivor.data[0].bytes[3] ^= 0xff;
-    EXPECT_NE(survivor.hash(), p.hash());
+    ImageModel scratch;
+    EXPECT_EQ(build(3 ^ 0xff, 4, scratch).hash(), p.hash());
+    EXPECT_NE(build(3, 4 ^ 0xff, scratch).hash(), p.hash());
 
-    // Random stacks of overlapping segments in a small window, zeros
-    // included.
+    // Random stacks of overlapping writes in a small window straddling
+    // a page boundary, zeros included.
     std::mt19937_64 rng(2002);
     for (int trial = 0; trial < 200; ++trial) {
         Program q = hashSubject(trial);
-        const int segs = 1 + static_cast<int>(rng() % 24);
-        for (int k = 0; k < segs; ++k) {
+        ImageModel m;
+        const int writes = 1 + static_cast<int>(rng() % 24);
+        for (int k = 0; k < writes; ++k) {
             std::vector<std::uint8_t> bytes(rng() % 40);
             for (std::uint8_t &b : bytes)
                 b = rng() % 3 == 0 ? 0 : static_cast<std::uint8_t>(rng());
-            q.addDataBytes(0x8000 + rng() % 96, std::move(bytes));
+            m.write(q, 0x7fd0 + rng() % 96, std::move(bytes));
         }
-        ASSERT_EQ(q.hash(), materializedTwin(q).hash()) << "trial " << trial;
+        ASSERT_TRUE(m.matches(q)) << "trial " << trial;
+        ASSERT_TRUE(q.sameContent(m.twin(q))) << "trial " << trial;
+        ASSERT_EQ(q.hash(), m.twin(q).hash()) << "trial " << trial;
     }
+}
+
+TEST(ProgramHash, CopiesShareAndNeverWriteSharedPages)
+{
+    Program a = hashSubject(0);
+    a.addDataWords(0x5000, {1, 2, 3});
+    const Program b = a;
+    ASSERT_EQ(b.image.at(0x5), a.image.at(0x5)); // shared, not copied
+    a.addDataWords(0x5008, {7});
+    EXPECT_NE(b.image.at(0x5), a.image.at(0x5));
+    EXPECT_EQ((*b.image.at(0x5))[8], 2u);
+    EXPECT_EQ((*a.image.at(0x5))[8], 7u);
+    EXPECT_FALSE(a.sameContent(b));
+    EXPECT_NE(a.hash(), b.hash());
+}
+
+TEST(ProgramHash, PinnedAcrossImageRepresentations)
+{
+    // Program identity must not move with how the image is held: the
+    // sampled-long benchmark's refs pin the scale-40 values, and the
+    // scale-1 values were recorded under the earlier segment-list
+    // representation.
+    const std::map<std::string, std::uint64_t> scale1 = {
+        {"go", 0x3b1f983e44a53c2dull},
+        {"m88ksim", 0x75a1145ea346ae79ull},
+        {"gcc", 0x61fbd63ed1c8ac59ull},
+        {"compress", 0x4e8238e617d9b0f1ull},
+        {"li", 0x749ee115a98c4ac2ull},
+        {"ijpeg", 0xa0f2ff7b6d9f63e6ull},
+        {"perl", 0x43c6b74404fb45b0ull},
+        {"vortex", 0xceff9c889586667eull},
+    };
+    for (const WorkloadInfo &w : suiteWorkloads("spec95"))
+        EXPECT_EQ(w.build(WorkloadParams{}).hash(), scale1.at(w.name))
+            << w.name;
+
+    const std::map<std::string, std::uint64_t> scale40 = {
+        {"go", 0x4e9e962cdb38fd0bull},
+        {"gcc", 0x0c02a356cfc3c5b9ull},
+        {"li", 0xfd1b1e1ed87d159aull},
+        {"vortex", 0xe2543592539aaad4ull},
+    };
+    WorkloadParams wp;
+    wp.scale = 40;
+    for (const auto &[name, pinned] : scale40)
+        EXPECT_EQ(findWorkload(name).build(wp).hash(), pinned) << name;
 }
 
 // ------------------------------------------------------------ service
