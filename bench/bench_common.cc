@@ -370,9 +370,6 @@ sweep(const std::vector<MachineConfig> &configs,
                     topts.stream = &ctx[i].traceOut;
             }
             topts.ringCap = g_trace_last;
-            topts.codeBase = prog.codeBase;
-            topts.decodeDepth = cfg.fetchDecodeDepth;
-            topts.renameDepth = cfg.renameDepth;
             ctx[i].tracer = std::make_unique<trace::Tracer>(topts);
         }
 

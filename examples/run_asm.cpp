@@ -4,8 +4,9 @@
  * on any machine configuration, with per-run statistics.
  *
  *   usage: run_asm FILE.s [options]
- *     --machine base|rblim|rbfull|ideal   (default rbfull)
- *     --width 4|8                         (default 8)
+ *     --machine base|rblim|rbfull|ideal   (default rbfull; the figure
+ *                                         labels, e.g. RB-full, also work)
+ *     --width 4|8|16                      (default 8)
  *     --no-levels 1,2,3                   remove bypass levels (Ideal)
  *     --no-hole-sched                     disable Fig. 8 hole wakeup
  *     --steer-dep                         dependence-aware steering
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -43,7 +45,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s FILE.s [--machine base|rblim|rbfull|ideal] "
-                 "[--width 4|8]\n"
+                 "[--width 4|8|16]\n"
                  "          [--no-levels 1,2,3] [--no-hole-sched] "
                  "[--steer-dep]\n"
                  "          [--scale-cluster N] [--max-cycles N] "
@@ -61,7 +63,7 @@ main(int argc, char **argv)
     if (argc < 2)
         usage(argv[0]);
 
-    std::string machine = "rbfull";
+    MachineKind kind = MachineKind::RbFull;
     unsigned width = 8;
     std::uint8_t level_mask = 0b111;
     bool limited_levels = false;
@@ -83,9 +85,14 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--machine") {
-            machine = next();
+            const std::optional<MachineKind> k = machineKindFromName(next());
+            if (!k)
+                usage(argv[0]);
+            kind = *k;
         } else if (arg == "--width") {
             width = static_cast<unsigned>(std::atoi(next()));
+            if (width != 4 && width != 8 && width != 16)
+                usage(argv[0]);
         } else if (arg == "--no-levels") {
             limited_levels = true;
             for (const char *p = next(); *p; ++p) {
@@ -133,16 +140,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    MachineKind kind = MachineKind::RbFull;
-    if (machine == "base")
-        kind = MachineKind::Baseline;
-    else if (machine == "rblim")
-        kind = MachineKind::RbLimited;
-    else if (machine == "ideal")
-        kind = MachineKind::Ideal;
-    else if (machine != "rbfull")
-        usage(argv[0]);
-
     MachineConfig cfg = limited_levels && kind == MachineKind::Ideal
         ? MachineConfig::makeIdealLimited(width, level_mask)
         : MachineConfig::make(kind, width);
@@ -168,9 +165,6 @@ main(int argc, char **argv)
             topts.stream = &trace_out;
         }
         topts.ringCap = trace_last;
-        topts.codeBase = prog.codeBase;
-        topts.decodeDepth = cfg.fetchDecodeDepth;
-        topts.renameDepth = cfg.renameDepth;
         tracer = std::make_unique<trace::Tracer>(topts);
         opts.tracer = tracer.get();
     }
@@ -194,14 +188,12 @@ main(int argc, char **argv)
         }
     };
 
+    // The simulator keeps the run's machine, so --dump-mem reads the
+    // committed memory the run left.
+    Simulator sim(cfg);
     SimResult r;
-    OooCore core(cfg, prog);
     try {
-        r = simulate(cfg, prog, opts);
-        // A second (identical, deterministic) run exposes committed
-        // memory for --dump-mem.
-        if (dump_count)
-            core.run(max_cycles);
+        r = sim.run(prog, opts);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "simulation failed: %s\n", e.what());
         dump_ring();
@@ -236,7 +228,7 @@ main(int argc, char **argv)
         for (unsigned i = 0; i < dump_count; ++i) {
             std::printf("  +%3u: 0x%016llx\n", i * 8,
                         static_cast<unsigned long long>(
-                            core.committedMem().read64(dump_addr + i * 8)));
+                            sim.committedMem().read64(dump_addr + i * 8)));
         }
     }
     return 0;

@@ -7,10 +7,13 @@
  *
  *   $ ./build/examples/workload_explorer [workload] [machine]
  *     workload: any of the registry names (default: crafty)
- *     machine:  base | rblim | rbfull | ideal (default: rbfull)
+ *     machine:  base | rblim | rbfull | ideal, or a figure label such
+ *               as RB-full (default: rbfull)
  */
 
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/scoreboard.hh"
@@ -24,18 +27,23 @@ main(int argc, char **argv)
 
     const std::string name = argc > 1 ? argv[1] : "crafty";
     const std::string machine = argc > 2 ? argv[2] : "rbfull";
+    const std::optional<MachineKind> kind = machineKindFromName(machine);
+    std::optional<WorkloadInfo> found;
+    try {
+        found = findWorkload(name);
+    } catch (const std::out_of_range &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+    }
+    if (argc > 3 || !kind || !found) {
+        std::fprintf(stderr,
+                     "usage: %s [workload] [base|rblim|rbfull|ideal]\n",
+                     argv[0]);
+        return 2;
+    }
 
-    MachineKind kind = MachineKind::RbFull;
-    if (machine == "base")
-        kind = MachineKind::Baseline;
-    else if (machine == "rblim")
-        kind = MachineKind::RbLimited;
-    else if (machine == "ideal")
-        kind = MachineKind::Ideal;
-
-    const WorkloadInfo &info = findWorkload(name);
+    const WorkloadInfo &info = *found;
     const Program prog = info.build(WorkloadParams{});
-    const MachineConfig cfg = MachineConfig::make(kind, 8);
+    const MachineConfig cfg = MachineConfig::make(*kind, 8);
     const SimResult r = simulate(cfg, prog);
 
     std::printf("workload %s on %s (8-wide)\n", name.c_str(),

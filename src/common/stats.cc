@@ -1,8 +1,7 @@
 #include "common/stats.hh"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json.hh"
@@ -32,28 +31,6 @@ harmonicMean(const std::vector<double> &xs)
         inv += 1.0 / x;
     }
     return static_cast<double>(xs.size()) / inv;
-}
-
-double
-geometricMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double lg = 0.0;
-    for (double x : xs) {
-        assert(x > 0.0);
-        lg += std::log(x);
-    }
-    return std::exp(lg / static_cast<double>(xs.size()));
-}
-
-std::string
-StatSet::format() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : counters)
-        os << name << " = " << value << "\n";
-    return os.str();
 }
 
 // ------------------------------------------------------------- snapshot
@@ -87,6 +64,21 @@ StatSnapshot::ratio(const std::string &num, const std::string &den) const
 {
     const std::uint64_t d = counter(den);
     return d == 0 ? 0.0 : static_cast<double>(counter(num)) / d;
+}
+
+StatSnapshot
+StatSnapshot::since(const StatSnapshot &start) const
+{
+    StatSnapshot d;
+    for (const auto &[name, v] : counters)
+        d.counters[name] = v - start.counter(name);
+    for (const auto &[name, buckets] : vectors) {
+        std::vector<std::uint64_t> &out = (d.vectors[name] = buckets);
+        const std::vector<std::uint64_t> &before = start.vec(name);
+        for (std::size_t i = 0; i < before.size() && i < out.size(); ++i)
+            out[i] -= before[i];
+    }
+    return d;
 }
 
 Json
@@ -123,7 +115,7 @@ void
 StatRegistry::claimName(const std::string &name)
 {
     if (counterRefs.count(name) || vectorRefs.count(name) ||
-        histRefs.count(name) || formulaRefs.count(name)) {
+        histRefs.count(name)) {
         throw std::logic_error("duplicate stat name: " + name);
     }
 }
@@ -155,24 +147,12 @@ StatRegistry::addHistogram(const std::string &name, const Histogram *h,
     histRefs[name] = HistRef{h, desc};
 }
 
-void
-StatRegistry::addFormula(const std::string &name,
-                         std::function<double()> fn,
-                         const std::string &desc)
-{
-    assert(fn);
-    claimName(name);
-    formulaRefs[name] = FormulaRef{std::move(fn), desc};
-}
-
 StatSnapshot
 StatRegistry::snapshot() const
 {
     StatSnapshot snap;
     for (const auto &[name, ref] : counterRefs)
         snap.counters[name] = *ref.v;
-    for (const auto &[name, ref] : formulaRefs)
-        snap.formulas[name] = ref.fn();
     for (const auto &[name, ref] : vectorRefs)
         snap.vectors[name].assign(ref.v, ref.v + ref.n);
     for (const auto &[name, ref] : histRefs) {
@@ -180,18 +160,6 @@ StatRegistry::snapshot() const
         snap.vectors[name].assign(raw.begin(), raw.end());
     }
     return snap;
-}
-
-std::string
-StatRegistry::format() const
-{
-    // Scalars only, merged alphabetically: the quick human-readable view.
-    std::ostringstream os;
-    for (const auto &[name, ref] : counterRefs)
-        os << name << " = " << *ref.v << "\n";
-    for (const auto &[name, ref] : formulaRefs)
-        os << name << " = " << ref.fn() << "\n";
-    return os.str();
 }
 
 } // namespace rbsim

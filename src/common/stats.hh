@@ -1,23 +1,25 @@
 /**
  * @file
- * Statistics toolkit: counters, means, histograms, and the
- * self-registering stat registry.
+ * Statistics toolkit: means, histograms, the self-registering stat
+ * registry, and the snapshot a run reports.
  *
  * The registry is the instrumentation backbone (gem5-style): each
- * pipeline component binds its named counters, vectors, histograms, and
- * derived formulas into a `StatRegistry` under a hierarchical dotted
- * prefix ("core.retired", "dl1.misses", "bypass.slot"). A run ends by
- * taking a `StatSnapshot` — a plain value copy that outlives the
- * components, compares for equality (determinism tests), and renders
- * the JSON "stats" object of bench cells and served results.
+ * pipeline component binds its named counters, vectors and histograms
+ * into a `StatRegistry` under a hierarchical dotted prefix
+ * ("core.retired", "dl1.misses", "bypass.slot"). A run ends by taking a
+ * `StatSnapshot` — a plain value copy that outlives the components,
+ * compares for equality (determinism tests), subtracts (a measured
+ * window is the end snapshot minus the one taken where it began), and
+ * renders the JSON "stats" object of bench cells and served results.
+ * Ratios derived from the counters (IPC, miss rates) are not registered;
+ * the sim layer computes them into the snapshot (sim/simulator.hh,
+ * deriveFormulas).
  */
 
 #ifndef RBSIM_COMMON_STATS_HH
 #define RBSIM_COMMON_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,50 +34,6 @@ double arithmeticMean(const std::vector<double> &xs);
 
 /** Harmonic mean of a sample vector; all samples must be positive. */
 double harmonicMean(const std::vector<double> &xs);
-
-/** Geometric mean of a sample vector; all samples must be positive. */
-double geometricMean(const std::vector<double> &xs);
-
-/**
- * A named bag of integer counters with insertion-order-independent
- * deterministic formatting. Used for per-run simulator statistics.
- */
-class StatSet
-{
-  public:
-    /** Add delta to the named counter (creating it at zero). */
-    void
-    add(const std::string &name, std::uint64_t delta = 1)
-    {
-        counters[name] += delta;
-    }
-
-    /** Read a counter (0 if absent). */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = counters.find(name);
-        return it == counters.end() ? 0 : it->second;
-    }
-
-    /** Ratio of two counters; 0 when the denominator is 0. */
-    double
-    ratio(const std::string &num, const std::string &den) const
-    {
-        const std::uint64_t d = get(den);
-        return d == 0 ? 0.0 : static_cast<double>(get(num)) / d;
-    }
-
-    /** All counters, sorted by name. */
-    const std::map<std::string, std::uint64_t> &all() const
-    { return counters; }
-
-    /** Render "name = value" lines. */
-    std::string format() const;
-
-  private:
-    std::map<std::string, std::uint64_t> counters;
-};
 
 /**
  * Fixed-bucket histogram over small unsigned values (e.g. bypass level
@@ -96,7 +54,6 @@ class Histogram
         if (value >= buckets.size())
             value = buckets.size() - 1;
         ++buckets[value];
-        ++count;
     }
 
     /** Record the same sample `n` times (idle-cycle fast-forward). */
@@ -106,46 +63,26 @@ class Histogram
         if (value >= buckets.size())
             value = buckets.size() - 1;
         buckets[value] += n;
-        count += n;
     }
-
-    /** Zero every bucket in place (storage and address stay stable, so
-     * registered histogram views survive the end of a warmup leg). */
-    void
-    reset()
-    {
-        std::fill(buckets.begin(), buckets.end(), 0);
-        count = 0;
-    }
-
-    /** Samples recorded so far. */
-    std::uint64_t samples() const { return count; }
 
     /** Raw bucket counts. */
     const std::vector<std::uint64_t> &raw() const { return buckets; }
 
-    /** Fraction of samples in bucket i. */
-    double
-    fraction(std::size_t i) const
-    {
-        if (count == 0 || i >= buckets.size())
-            return 0.0;
-        return static_cast<double>(buckets[i]) / static_cast<double>(count);
-    }
-
   private:
     std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
 };
 
 /**
  * A point-in-time value copy of every registered statistic. Snapshots
  * are plain data: they survive the components they were taken from,
- * compare for equality, and render as JSON.
+ * compare for equality, subtract, and render as JSON. A registry
+ * snapshot has no formulas; the sim layer derives them from the
+ * counters (deriveFormulas).
  */
 struct StatSnapshot
 {
     std::map<std::string, std::uint64_t> counters;
+    //! Ratios derived from the counters (core.ipc, dl1.missRate, ...)
     std::map<std::string, double> formulas;
     //!< vector stats and histogram buckets, keyed like counters
     std::map<std::string, std::vector<std::uint64_t>> vectors;
@@ -163,6 +100,16 @@ struct StatSnapshot
     double ratio(const std::string &num, const std::string &den) const;
 
     /**
+     * What was counted after `start`, a snapshot of the same registry
+     * taken earlier: every counter and every vector/histogram bucket
+     * minus its value in `start`. Counters only grow, so a measured
+     * window is its end snapshot since its start. Formulas are not
+     * differenced (a difference of ratios is no ratio); the result has
+     * none until they are derived from its counters.
+     */
+    StatSnapshot since(const StatSnapshot &start) const;
+
+    /**
      * The {"counters": .., "formulas": .., "vectors": ..} object, names
      * in order: the "stats" of a bench JSON cell and of a served result
      * (common/json.hh). With `only` nonempty, just the statistics it
@@ -175,7 +122,8 @@ struct StatSnapshot
 
 /**
  * The self-registering stat registry. Components register *views* onto
- * their own counters (the registry stores pointers, not values), so
+ * their own counters, vectors and histograms — never derived values —
+ * (the registry stores pointers, not values), so
  * registration happens once at construction and reads are always
  * current. Names are hierarchical dotted paths; `StatGroup` carries a
  * prefix so a component never spells its parent's name.
@@ -195,15 +143,8 @@ class StatRegistry
     void addHistogram(const std::string &name, const Histogram *h,
                       const std::string &desc = "");
 
-    /** Register a derived value, evaluated at snapshot time. */
-    void addFormula(const std::string &name, std::function<double()> fn,
-                    const std::string &desc = "");
-
     /** Copy every current value out. */
     StatSnapshot snapshot() const;
-
-    /** Deterministic "name = value" text dump of all scalars. */
-    std::string format() const;
 
   private:
     void claimName(const std::string &name);
@@ -216,12 +157,10 @@ class StatRegistry
         std::string desc;
     };
     struct HistRef { const Histogram *h; std::string desc; };
-    struct FormulaRef { std::function<double()> fn; std::string desc; };
 
     std::map<std::string, CounterRef> counterRefs;
     std::map<std::string, VectorRef> vectorRefs;
     std::map<std::string, HistRef> histRefs;
-    std::map<std::string, FormulaRef> formulaRefs;
 };
 
 /**
@@ -262,13 +201,6 @@ class StatGroup
               const std::string &desc = "") const
     {
         reg->addHistogram(prefix + name, h, desc);
-    }
-
-    void
-    formula(const std::string &name, std::function<double()> fn,
-            const std::string &desc = "") const
-    {
-        reg->addFormula(prefix + name, std::move(fn), desc);
     }
 
   private:

@@ -86,23 +86,22 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
     hierarchy.l2().restoreTags(from->l2);
 }
 
-void
-OooCore::clearStats()
-{
-    coreStats.reset();
-    hierarchy.clearStats();
-    fetch.clearStats();
-    lsq.clearStats();
-}
-
 bool
 OooCore::run(Cycle max_cycles, std::uint64_t max_insts)
 {
-    instLimit = max_insts;
+    // Budgets past the end of the counters' range saturate to "none"
+    // (a served request may carry any u64 maxCycles).
+    const Cycle end =
+        max_cycles > neverCycle - now ? neverCycle : now + max_cycles;
+    const std::uint64_t retired = coreStats.retired;
+    instLimit = max_insts == 0 ? 0
+                : max_insts > ~std::uint64_t{0} - retired
+                    ? ~std::uint64_t{0}
+                    : retired + max_insts;
     limitHit = false;
     Cycle last_progress = now;
-    std::uint64_t last_retired = 0;
-    while (!haltRetired && !limitHit && coreStats.cycles < max_cycles) {
+    std::uint64_t last_retired = retired;
+    while (!haltRetired && !limitHit && now < end) {
         cycle();
         if (coreStats.retired != last_retired) {
             last_retired = coreStats.retired;
@@ -127,7 +126,7 @@ OooCore::run(Cycle max_cycles, std::uint64_t max_insts)
         } else if (!config.wakeupOracle) {
             // Oracle mode steps every cycle, so comparing its snapshot
             // with a plain run's also checks the idle skip.
-            maybeSkipIdle(max_cycles, last_progress);
+            maybeSkipIdle(end, last_progress);
         }
     }
     return haltRetired;
@@ -159,7 +158,7 @@ OooCore::diagnoseDeadlock() const
 }
 
 void
-OooCore::maybeSkipIdle(Cycle max_cycles, Cycle last_progress)
+OooCore::maybeSkipIdle(Cycle end, Cycle last_progress)
 {
     // Anything latched for this cycle's select means work now.
     if (sched.anyReady() || sched.anyAttention())
@@ -224,11 +223,11 @@ OooCore::maybeSkipIdle(Cycle max_cycles, Cycle last_progress)
 
     // A target of neverCycle with in-flight state means a genuine
     // deadlock: fast-forward straight into the watchdog window. Either
-    // way, never overrun the watchdog or the caller's cycle budget, so
-    // aborted and budget-capped runs report the same cycle counts as a
-    // cycle-by-cycle (oracle-mode) simulation.
+    // way, never overrun the watchdog or the end of the run's cycle
+    // budget, so aborted and budget-capped runs report the same cycle
+    // counts as a cycle-by-cycle (oracle-mode) simulation.
     target = std::min(target, last_progress + config.deadlockCycles - 1);
-    target = std::min(target, max_cycles);
+    target = std::min(target, end);
     if (target <= now)
         return;
 
@@ -330,23 +329,6 @@ OooCore::registerStats(StatRegistry &reg) const
                    "instructions retired per cycle");
     core.histogram("fetchSlots", &s.fetchSlots,
                    "instructions fetched per cycle");
-    core.formula("ipc", [&s] { return s.ipc(); },
-                 "retired instructions per cycle");
-    core.formula("branchAccuracy",
-                 [&s] {
-                     return s.condBranches
-                                ? 1.0 - double(s.condMispredicts) /
-                                            double(s.condBranches)
-                                : 1.0;
-                 },
-                 "conditional-branch prediction accuracy");
-    core.formula("issueWaitMean",
-                 [&s] {
-                     return s.retired ? double(s.issueWaitSum) /
-                                            double(s.retired)
-                                      : 0.0;
-                 },
-                 "mean dispatch-to-issue wait of retired instructions");
 
     hierarchy.registerStats(reg);
     fetch.registerStats(reg);

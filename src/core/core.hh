@@ -91,32 +91,6 @@ struct CoreStats
                                //!< by availability holes
     Histogram retireSlots{17}; //!< per cycle: instructions retired
     Histogram fetchSlots{17};  //!< per cycle: instructions fetched
-
-    double ipc() const
-    { return cycles ? double(retired) / double(cycles) : 0.0; }
-
-    /** Zero everything in place, allocation-free. Every counter and
-     * histogram keeps its address, so stat-registry views registered
-     * once at construction stay valid when a warmup leg ends
-     * (OooCore::clearStats). */
-    void
-    reset()
-    {
-        cycles = retired = fetched = dispatched = issued = squashed = 0;
-        condBranches = condMispredicts = flushes = jmpFetchStalls = 0;
-        loads = stores = loadForwards = 0;
-        rbPathExecs = rbBogusCorrections = 0;
-        table1.fill(0);
-        bypassCase.fill(0);
-        withBypassedSource = withAnySource = 0;
-        bypassSlotUsed.fill(0);
-        issueWaitSum = holeWaitCycles = 0;
-        deadlockAborts = 0;
-        issueWait.reset();
-        holeWait.reset();
-        retireSlots.reset();
-        fetchSlots.reset();
-    }
 };
 
 /** The core. */
@@ -151,11 +125,19 @@ class OooCore
     }
 
     /**
-     * Attach a pipeline tracer (may be nullptr to detach). Must be done
-     * before the first cycle; tracing mid-run leaves earlier
+     * Attach a pipeline tracer (may be nullptr to detach) and hand it
+     * the program's code base and this machine's front-end depths. Must
+     * be done before the first cycle; tracing mid-run leaves earlier
      * instructions untraced. The tracer must outlive the run.
      */
-    void attachTracer(trace::Tracer *t) { tracer = t; }
+    void
+    attachTracer(trace::Tracer *t)
+    {
+        tracer = t;
+        if (t)
+            t->setGeometry(program.codeBase, config.fetchDecodeDepth,
+                           config.renameDepth);
+    }
 
     /**
      * Attach a host-time per-stage profiler (may be nullptr to detach;
@@ -173,23 +155,17 @@ class OooCore
     void traceInFlight(const char *why);
 
     /**
-     * Zero every registered statistic of the core and its subcomponents
-     * without touching any model state (tags, predictor tables, queue
-     * contents, `now`). Ends a warmup leg: the following measurement
-     * window's counters — including cycles, so core.ipc — cover only
-     * post-clear work.
-     */
-    void clearStats();
-
-    /**
-     * Run until HALT retires, `max_cycles` elapse, or — when `max_insts`
-     * is nonzero — coreStats.retired reaches `max_insts` (counted from
-     * construction or the last clearStats(); see instLimitHit()).
+     * Run until HALT retires, `max_cycles` more cycles elapse, or — when
+     * `max_insts` is nonzero — `max_insts` more instructions retire
+     * (see instLimitHit()). Both budgets count from this call, so a
+     * second call on the same core gets budgets of its own; one past
+     * the cycle counter's range means no limit. Statistics keep
+     * counting across calls.
      * @return true if the program halted cleanly
      */
     bool run(Cycle max_cycles, std::uint64_t max_insts = 0);
 
-    /** True when the last run() stopped on its instruction budget
+    /** True when the last run() stopped on its own instruction budget
      * (distinguishes a budget stop from a cycle-budget or watchdog
      * abort). */
     bool instLimitHit() const { return limitHit; }
@@ -269,7 +245,7 @@ class OooCore
     void verifyWakeupOracle();
     bool operandsReadyPure(const RobEntry &e) const;
     bool holeClassPure(const RobEntry &e) const;
-    void maybeSkipIdle(Cycle max_cycles, Cycle last_progress);
+    void maybeSkipIdle(Cycle end, Cycle last_progress);
     void diagnoseDeadlock() const;
 
     const MachineConfig &config;
@@ -372,8 +348,8 @@ class OooCore
     unsigned classRr = 0; //!< round-robin cursor for ClassPartition
     std::uint64_t nextSeq = 1;
     bool haltRetired = false;
-    //! Retired-instruction budget of the current run() (0 = none),
-    //! against coreStats.retired; doRetire stops at the boundary.
+    //! coreStats.retired at which the current run() stops (0 = no
+    //! budget); doRetire stops at the boundary.
     std::uint64_t instLimit = 0;
     bool limitHit = false;
     unsigned frontPipeCap;

@@ -5,16 +5,83 @@
 namespace rbsim
 {
 
+namespace
+{
+
+/** The one table of machine-kind names. */
+constexpr struct
+{
+    MachineKind kind;
+    const char *label; //!< as in the paper's figures
+    const char *alias; //!< short command-line and wire form
+} kindNames[] = {
+    {MachineKind::Baseline, "Baseline", "base"},
+    {MachineKind::RbLimited, "RB-limited", "rblim"},
+    {MachineKind::RbFull, "RB-full", "rbfull"},
+    {MachineKind::Ideal, "Ideal", "ideal"},
+};
+
+/** The one table of steering-policy names. */
+constexpr struct
+{
+    Steering steering;
+    const char *name;
+} steeringNames[] = {
+    {Steering::RoundRobinPairs, "rr-pairs"},
+    {Steering::DependenceAware, "dep-aware"},
+    {Steering::ClassPartition, "class-partition"},
+};
+
+} // namespace
+
 const char *
 machineName(MachineKind kind)
 {
-    switch (kind) {
-      case MachineKind::Baseline: return "Baseline";
-      case MachineKind::RbLimited: return "RB-limited";
-      case MachineKind::RbFull: return "RB-full";
-      case MachineKind::Ideal: return "Ideal";
-      default: return "<bad>";
+    for (const auto &k : kindNames) {
+        if (k.kind == kind)
+            return k.label;
     }
+    return "<bad>";
+}
+
+const char *
+machineAlias(MachineKind kind)
+{
+    for (const auto &k : kindNames) {
+        if (k.kind == kind)
+            return k.alias;
+    }
+    return "<bad>";
+}
+
+std::optional<MachineKind>
+machineKindFromName(const std::string &name)
+{
+    for (const auto &k : kindNames) {
+        if (name == k.label || name == k.alias)
+            return k.kind;
+    }
+    return std::nullopt;
+}
+
+const char *
+steeringName(Steering s)
+{
+    for (const auto &n : steeringNames) {
+        if (n.steering == s)
+            return n.name;
+    }
+    return "<bad>";
+}
+
+std::optional<Steering>
+steeringFromName(const std::string &name)
+{
+    for (const auto &n : steeringNames) {
+        if (name == n.name)
+            return n.steering;
+    }
+    return std::nullopt;
 }
 
 namespace

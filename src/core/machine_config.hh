@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/types.hh"
@@ -47,6 +48,13 @@ enum class MachineKind : unsigned char
 /** Printable machine name as used in the paper's figures. */
 const char *machineName(MachineKind kind);
 
+/** Short alias of a machine kind: "base", "rblim", "rbfull", "ideal". */
+const char *machineAlias(MachineKind kind);
+
+/** The machine kind whose figure label or short alias is `name`;
+ * nullopt for any other name. */
+std::optional<MachineKind> machineKindFromName(const std::string &name);
+
 /** Dispatch steering policy. */
 enum class Steering : unsigned char
 {
@@ -58,6 +66,13 @@ enum class Steering : unsigned char
                      //!< RB-output classes use the lower half of the
                      //!< schedulers, TC-only classes the upper half
 };
+
+/** Name of a steering policy as serve requests and fuzz repro headers
+ * spell it: "rr-pairs", "dep-aware", "class-partition". */
+const char *steeringName(Steering s);
+
+/** The steering policy named `name`; nullopt for any other name. */
+std::optional<Steering> steeringFromName(const std::string &name);
 
 /** Early/late result availability latencies (select-to-select cycles). */
 struct LatencyPair

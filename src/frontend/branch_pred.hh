@@ -139,9 +139,6 @@ class HybridPredictor
         chooser = s.chooser;
     }
 
-    /** Zero the lookup tallies only (measurement windows). */
-    void clearStats() { lookups = gshareChosen = localChosen = 0; }
-
     /** Bind predictor stats into `g` (the "bpred" group). */
     void
     registerStats(StatGroup g) const

@@ -78,15 +78,6 @@ class FetchEngine
         lastLine = ~Addr{0};
     }
 
-    /** Zero the stall/lookup counters only, leaving predictor and icache
-     * state warm (measurement windows after a warmup leg). */
-    void
-    clearStats()
-    {
-        icacheStallCycles = 0;
-        predictor.clearStats();
-    }
-
     /** True when fetch is parked (HALT fetched, unpredicted JMP, or PC
      * off the end of the code). */
     bool parked() const { return stopped; }

@@ -18,40 +18,6 @@ namespace
 
 constexpr const char *metaPrefix = "; rbsim-repro-";
 
-const char *
-steeringName(Steering s)
-{
-    switch (s) {
-      case Steering::RoundRobinPairs: return "rr-pairs";
-      case Steering::DependenceAware: return "dep-aware";
-      case Steering::ClassPartition: return "class-partition";
-      default: return "<bad>";
-    }
-}
-
-Steering
-steeringFromName(const std::string &name)
-{
-    if (name == "rr-pairs")
-        return Steering::RoundRobinPairs;
-    if (name == "dep-aware")
-        return Steering::DependenceAware;
-    if (name == "class-partition")
-        return Steering::ClassPartition;
-    throw std::invalid_argument("unknown steering '" + name + "'");
-}
-
-MachineKind
-kindFromName(const std::string &name)
-{
-    for (MachineKind k : {MachineKind::Baseline, MachineKind::RbLimited,
-                          MachineKind::RbFull, MachineKind::Ideal}) {
-        if (name == machineName(k))
-            return k;
-    }
-    throw std::invalid_argument("unknown machine kind '" + name + "'");
-}
-
 /** One-line form of a note (details never need embedded newlines). */
 std::string
 flatten(const std::string &s)
@@ -95,7 +61,11 @@ configFromJson(const std::string &text)
         return v ? v->asString() : dflt;
     };
 
-    const MachineKind kind = kindFromName(str("kind", "Ideal"));
+    const std::string kind_name = str("kind", "Ideal");
+    const std::optional<MachineKind> kind = machineKindFromName(kind_name);
+    if (!kind)
+        throw std::invalid_argument("unknown machine kind '" + kind_name +
+                                    "'");
     const std::uint64_t width =
         j.find("width") ? j.find("width")->asU64() : 8;
     if (width != 4 && width != 8 && width != 16)
@@ -103,7 +73,7 @@ configFromJson(const std::string &text)
                                     std::to_string(width) +
                                     " is not 4, 8, or 16");
     MachineConfig cfg =
-        MachineConfig::make(kind, static_cast<unsigned>(width));
+        MachineConfig::make(*kind, static_cast<unsigned>(width));
     if (const Json *v = j.find("bypassMask")) {
         if (v->asU64() > 0b111)
             throw std::invalid_argument("config bypassMask " +
@@ -113,7 +83,11 @@ configFromJson(const std::string &text)
     }
     if (const Json *v = j.find("holeAware"))
         cfg.holeAwareScheduling = v->asBool();
-    cfg.steering = steeringFromName(str("steering", "rr-pairs"));
+    const std::string steering = str("steering", "rr-pairs");
+    const std::optional<Steering> s = steeringFromName(steering);
+    if (!s)
+        throw std::invalid_argument("unknown steering '" + steering + "'");
+    cfg.steering = *s;
     cfg.label = str("label", cfg.label);
     return cfg;
 }

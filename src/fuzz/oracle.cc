@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/core.hh"
 #include "rb/convert.hh"
 #include "rb/digit_slice.hh"
 #include "rb/rbalu.hh"
@@ -94,8 +93,7 @@ fileTag(const std::string &label)
 class TraceRun
 {
   public:
-    TraceRun(const TraceSpec &spec_, const MachineConfig &cfg,
-             const Program &prog)
+    TraceRun(const TraceSpec &spec_, const MachineConfig &cfg)
         : spec(spec_)
     {
         if (!spec.enabled())
@@ -108,23 +106,12 @@ class TraceRun
                 topts.stream = &out;
         }
         topts.ringCap = spec.ringLast;
-        topts.codeBase = prog.codeBase;
-        topts.decodeDepth = cfg.fetchDecodeDepth;
-        topts.renameDepth = cfg.renameDepth;
         tracer = std::make_unique<trace::Tracer>(topts);
     }
 
+    /** The tracer for SimOptions::tracer (nullptr when disabled); the
+     * run settles it. */
     trace::Tracer *get() const { return tracer.get(); }
-
-    /** Flush after a direct OooCore run (simulate() settles its own). */
-    void
-    settle(OooCore &core, const char *why)
-    {
-        if (!tracer)
-            return;
-        core.traceInFlight(why);
-        tracer->finish();
-    }
 
     /** Dump the ring buffer and name every artifact written; the return
      * value is appended to the oracle's failure detail. */
@@ -175,38 +162,37 @@ class CosimOracle : public Oracle
             return runWindowed(prog, configs);
         std::vector<Word> golden;
         for (const MachineConfig &cfg : configs) {
-            OooCore core(cfg, prog);
-            TraceRun tr(traceSpec, cfg, prog);
-            core.attachTracer(tr.get());
-            CosimChecker checker(prog);
-            core.onRetire([&checker](const RobEntry &e) {
-                checker.onRetire(e);
-            });
+            TraceRun tr(traceSpec, cfg);
+            SimOptions opts;
+            opts.maxCycles = fuzzMaxCycles;
+            opts.tracer = tr.get();
+            Simulator sim(cfg);
+            SimResult r;
             try {
-                if (!core.run(fuzzMaxCycles)) {
-                    tr.settle(core, "run-aborted");
-                    return {true, cfg.label + ": no clean halt (" +
-                                (core.deadlocked()
-                                     ? "retirement deadlock watchdog"
-                                     : "cycle budget exhausted") + ")" +
-                                tr.noteFailure()};
-                }
+                r = sim.run(prog, opts);
             } catch (const CosimMismatch &e) {
-                tr.settle(core, "cosim-mismatch");
                 return {true,
                         cfg.label + ": " + e.what() + tr.noteFailure()};
             }
-            tr.settle(core, "post-halt");
-            if (checker.checked() != core.stats().retired) {
+            if (!r.halted) {
+                return {true, cfg.label + ": no clean halt (" +
+                            (r.counter("core.deadlockAborts")
+                                 ? "retirement deadlock watchdog"
+                                 : "cycle budget exhausted") + ")" +
+                            tr.noteFailure()};
+            }
+            const std::uint64_t checked = r.counter("cosim.checked");
+            const std::uint64_t retired = r.counter("core.retired");
+            if (checked != retired) {
                 return {true, cfg.label + ": checked " +
-                            std::to_string(checker.checked()) + " of " +
-                            std::to_string(core.stats().retired) +
-                            " retired" + tr.noteFailure()};
+                            std::to_string(checked) + " of " +
+                            std::to_string(retired) + " retired" +
+                            tr.noteFailure()};
             }
 
             std::vector<Word> mem(checksumWords);
             for (unsigned i = 0; i < checksumWords; ++i)
-                mem[i] = core.committedMem().read64(
+                mem[i] = sim.committedMem().read64(
                     fuzzSandboxBase + Addr{i} * 8);
             if (golden.empty()) {
                 golden = std::move(mem);
@@ -349,7 +335,7 @@ class SchedOracle : public Oracle
 
         // Trace the checked run: an oracle mismatch stops it mid-cycle,
         // and its ring shows what was in flight at the divergence.
-        TraceRun tr(traceSpec, checked, prog);
+        TraceRun tr(traceSpec, checked);
         SimOptions opts;
         opts.maxCycles = fuzzMaxCycles;
         opts.tracer = tr.get();

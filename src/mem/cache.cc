@@ -21,13 +21,6 @@ CacheModel::registerStats(StatGroup g) const
 {
     g.counter("accesses", &accesses, "tag array accesses");
     g.counter("misses", &misses, "tag array misses");
-    g.formula("missRate",
-              [this] {
-                  return accesses
-                             ? double(misses) / double(accesses)
-                             : 0.0;
-              },
-              "misses / accesses");
 }
 
 unsigned

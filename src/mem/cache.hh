@@ -78,10 +78,6 @@ class CacheModel
         useClock = state.useClock;
     }
 
-    /** Zero the hit/miss counters without touching tags (measurement
-     * windows after a warmup leg). */
-    void clearStats() { accesses = misses = 0; }
-
     /** Geometry introspection. */
     unsigned numSets() const { return sets; }
     unsigned numWays() const { return ways; }

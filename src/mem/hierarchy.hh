@@ -64,17 +64,6 @@ class MemHierarchy
     CacheModel &dl1() { return dl1Cache; }
     CacheModel &l2() { return l2Cache; }
 
-    /** Zero every cache/DRAM counter without touching tags or bank
-     * timestamps (measurement windows after a warmup leg). */
-    void
-    clearStats()
-    {
-        il1Cache.clearStats();
-        dl1Cache.clearStats();
-        l2Cache.clearStats();
-        memAccesses = 0;
-    }
-
     /** Accumulated memory (DRAM) accesses. */
     std::uint64_t memAccesses = 0;
 

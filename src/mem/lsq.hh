@@ -69,10 +69,6 @@ class LoadStoreQueue
     explicit LoadStoreQueue(unsigned max_entries,
                             unsigned seq_window = 4096);
 
-    /** Zero the stat counters without touching queue contents
-     * (measurement windows after a warmup leg). */
-    void clearStats() { inserted = searches = forwards = 0; }
-
     /** True if another entry can be inserted. */
     bool hasSpace() const { return size() < capacity; }
 

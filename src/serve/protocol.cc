@@ -77,59 +77,6 @@ asBoolField(const Json &v, const std::string &key)
     return v.asBool();
 }
 
-const char *
-steeringName(Steering s)
-{
-    // Same wire names as the fuzz corpus headers (src/fuzz/corpus.cc).
-    switch (s) {
-      case Steering::RoundRobinPairs: return "rr-pairs";
-      case Steering::DependenceAware: return "dep-aware";
-      case Steering::ClassPartition: return "class-partition";
-      default: return "<bad>";
-    }
-}
-
-Steering
-steeringFromName(const std::string &name)
-{
-    if (name == "rr-pairs")
-        return Steering::RoundRobinPairs;
-    if (name == "dep-aware")
-        return Steering::DependenceAware;
-    if (name == "class-partition")
-        return Steering::ClassPartition;
-    bad("unknown steering policy \"" + name + "\"");
-}
-
-const char *
-kindName(MachineKind kind)
-{
-    switch (kind) {
-      case MachineKind::Baseline: return "base";
-      case MachineKind::RbLimited: return "rblim";
-      case MachineKind::RbFull: return "rbfull";
-      case MachineKind::Ideal: return "ideal";
-      default: return "<bad>";
-    }
-}
-
-/** Accepts both the short aliases and the paper's figure labels. */
-bool
-kindFromName(const std::string &name, MachineKind &out)
-{
-    if (name == "base" || name == "Baseline")
-        out = MachineKind::Baseline;
-    else if (name == "rblim" || name == "RB-limited")
-        out = MachineKind::RbLimited;
-    else if (name == "rbfull" || name == "RB-full")
-        out = MachineKind::RbFull;
-    else if (name == "ideal" || name == "Ideal")
-        out = MachineKind::Ideal;
-    else
-        return false;
-    return true;
-}
-
 Json
 cacheToJson(const CacheParams &c)
 {
@@ -277,15 +224,16 @@ requestConfig(const JobRequest &req)
     if (!req.config.isNull()) {
         cfg = configFromJson(req.config);
     } else {
-        MachineKind kind;
-        if (!kindFromName(req.machine, kind))
+        const std::optional<MachineKind> kind =
+            machineKindFromName(req.machine);
+        if (!kind)
             throw RequestError(ErrorCode::UnknownMachine,
                                "unknown machine \"" + req.machine +
                                    "\" (want base/rblim/rbfull/ideal or a "
                                    "figure label)");
         if (req.width != 4 && req.width != 8 && req.width != 16)
             bad("\"width\" must be 4, 8, or 16");
-        cfg = MachineConfig::make(kind, req.width);
+        cfg = MachineConfig::make(*kind, req.width);
     }
 
     // The scheduler mode rides on top of whichever machine was named;
@@ -308,7 +256,7 @@ Json
 configToJson(const MachineConfig &cfg)
 {
     Json j = Json::object();
-    j["kind"] = Json(kindName(cfg.kind));
+    j["kind"] = Json(machineAlias(cfg.kind));
     j["label"] = Json(cfg.label);
     j["width"] = Json(std::uint64_t{cfg.width});
     j["num_schedulers"] = Json(std::uint64_t{cfg.numSchedulers});
@@ -365,8 +313,9 @@ configFromJson(const Json &j)
     const Json *kindField = j.find("kind");
     if (!kindField || !kindField->isString())
         bad("\"config\" requires a string \"kind\"");
-    MachineKind kind;
-    if (!kindFromName(kindField->asString(), kind))
+    const std::optional<MachineKind> kind =
+        machineKindFromName(kindField->asString());
+    if (!kind)
         throw RequestError(ErrorCode::UnknownMachine,
                            "unknown config kind \"" +
                                kindField->asString() + "\"");
@@ -376,7 +325,7 @@ configFromJson(const Json &j)
                    : 4u;
     if (width != 4 && width != 8 && width != 16)
         bad("\"width\" must be 4, 8, or 16");
-    MachineConfig cfg = MachineConfig::make(kind, width);
+    MachineConfig cfg = MachineConfig::make(*kind, width);
 
     for (const auto &[key, v] : j.items()) {
         if (key == "kind" || key == "width") {
@@ -430,7 +379,11 @@ configFromJson(const Json &j)
         } else if (key == "hole_aware_scheduling") {
             cfg.holeAwareScheduling = asBoolField(v, key);
         } else if (key == "steering") {
-            cfg.steering = steeringFromName(asStringField(v, key));
+            const std::string name = asStringField(v, key);
+            const std::optional<Steering> s = steeringFromName(name);
+            if (!s)
+                bad("unknown steering policy \"" + name + "\"");
+            cfg.steering = *s;
         } else if (key == "wakeup_oracle") {
             cfg.wakeupOracle = asBoolField(v, key);
         } else if (key == "deadlock_cycles") {

@@ -103,7 +103,7 @@ struct Campaign
                                       statsByWindow[i]);
                 ++out.result.windows;
             }
-            finalizeMergedStats(out.result.merged);
+            deriveFormulas(out.result.merged);
             out.result.ipcMean = arithmeticMean(out.result.windowIpc);
             out.result.ipcCi95 = ci95HalfWidth(out.result.windowIpc);
         }

@@ -127,9 +127,6 @@ SimService::submit(JobSpec spec, std::function<void(JobOutcome)> done)
         if (spec.traceLast && !spec.opts.tracer) {
             trace::Tracer::Options ring_opts;
             ring_opts.ringCap = spec.traceLast;
-            ring_opts.codeBase = spec.prog.codeBase;
-            ring_opts.decodeDepth = spec.cfg.fetchDecodeDepth;
-            ring_opts.renameDepth = spec.cfg.renameDepth;
             spec.opts.tracer = &ring.emplace(ring_opts);
         }
         try {

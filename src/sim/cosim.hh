@@ -82,9 +82,6 @@ class CosimChecker
      * retired architectural state from here). */
     const Interp &ref() const { return interp; }
 
-    /** Zero the `checked` tally (measurement windows). */
-    void clearStats() { count = 0; }
-
     /** Instructions verified. */
     std::uint64_t checked() const { return count; }
 

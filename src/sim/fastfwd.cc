@@ -109,26 +109,4 @@ FastForward::capture(ArchCheckpoint &out) const
     out.l2 = warmMem.l2().saveTags();
 }
 
-void
-FastForward::restore(const ArchCheckpoint &ck)
-{
-    if (ck.progHash != interp.decoded().progHash)
-        throw std::runtime_error(
-            "checkpoint/program mismatch in FastForward::restore");
-    // The geometry-checked tables first: a checkpoint of another
-    // machine throws before the architectural state moves.
-    predictor.restoreState(ck.bpred);
-    btb.restoreEntries(ck.btb);
-    warmMem.il1().restoreTags(ck.il1);
-    warmMem.dl1().restoreTags(ck.dl1);
-    warmMem.l2().restoreTags(ck.l2);
-    ras.restore(ck.ras);
-    interp.mem().restorePages(ck.pages);
-    for (unsigned r = 0; r < numArchRegs; ++r)
-        interp.setReg(r, ck.regs[r]);
-    interp.setPc(ck.pc);
-    lastLine = ~Addr{0};
-    insts = ck.instsExecuted;
-}
-
 } // namespace rbsim

@@ -31,7 +31,12 @@
 namespace rbsim
 {
 
-/** The functional fast-forward engine. */
+/**
+ * The functional fast-forward engine. It only moves forward, from the
+ * program entry: a campaign captures each sampling point's checkpoint
+ * from one pass, and the detailed windows resume from those
+ * (SimOptions::startFrom), never the engine.
+ */
 class FastForward
 {
   public:
@@ -51,19 +56,11 @@ class FastForward
     /** True once the program halted (HALT or ran off the code). */
     bool halted() const { return interp.halted(); }
 
-    /** Architectural instructions executed since the program entry
-     * (a restore sets the checkpoint's count). */
+    /** Architectural instructions executed since the program entry. */
     std::uint64_t instsExecuted() const { return insts; }
 
     /** Capture the current point as a checkpoint. @pre !halted() */
     void capture(ArchCheckpoint &out) const;
-
-    /** Resume from a checkpoint (restartable sampling campaigns). The
-     * checkpoint must come from the same program (std::runtime_error
-     * otherwise) and a machine of the same predictor, BTB and cache
-     * geometry (std::invalid_argument otherwise; the engine's warm
-     * tables are then unspecified until the next restore). */
-    void restore(const ArchCheckpoint &ck);
 
     /** The reference interpreter (tests compare architectural state). */
     const Interp &ref() const { return interp; }

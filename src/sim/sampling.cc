@@ -98,38 +98,6 @@ accumulateWindowStats(StatSnapshot &into, const StatSnapshot &win)
         for (std::size_t i = 0; i < kv.second.size(); ++i)
             dst[i] += kv.second[i];
     }
-    // Carry the formula keys so the merged snapshot has the same schema;
-    // values are recomputed from the summed counters in finalize.
-    for (const auto &kv : win.formulas)
-        into.formulas.emplace(kv.first, 0.0);
-}
-
-void
-finalizeMergedStats(StatSnapshot &merged)
-{
-    auto ratio = [&merged](const char *num, const char *den, double dflt) {
-        const std::uint64_t d = merged.counter(den);
-        return d ? static_cast<double>(merged.counter(num)) /
-                       static_cast<double>(d)
-                 : dflt;
-    };
-    auto set = [&merged](const std::string &name, double v) {
-        auto it = merged.formulas.find(name);
-        if (it != merged.formulas.end())
-            it->second = v;
-    };
-    set("core.ipc", ratio("core.retired", "core.cycles", 0.0));
-    set("core.branchAccuracy",
-        merged.counter("core.condBranches")
-            ? 1.0 - ratio("core.condMispredicts", "core.condBranches", 0.0)
-            : 1.0);
-    set("core.issueWaitMean",
-        ratio("core.issueWaitSum", "core.retired", 0.0));
-    for (const char *c : {"il1", "dl1", "l2"}) {
-        set(std::string(c) + ".missRate",
-            ratio((std::string(c) + ".misses").c_str(),
-                  (std::string(c) + ".accesses").c_str(), 0.0));
-    }
 }
 
 SampledResult
@@ -154,7 +122,7 @@ simulateSampled(const MachineConfig &cfg, const Program &prog,
         });
     res.ffInsts = end.ffInsts;
     res.completed = end.completed;
-    finalizeMergedStats(res.merged);
+    deriveFormulas(res.merged);
     res.ipcMean = arithmeticMean(res.windowIpc);
     res.ipcCi95 = ci95HalfWidth(res.windowIpc);
     const auto t1 = std::chrono::steady_clock::now();

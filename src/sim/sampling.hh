@@ -52,9 +52,9 @@ struct SampledResult
     double ipcCi95 = 0.0;        //!< 95% CI half-width of that mean
     double hostSeconds = 0.0;    //!< wall clock, fast-forward included
     std::vector<double> windowIpc; //!< per-window IPC, in stream order
-    //! Counters/vectors summed across measured windows, with the known
-    //! derived formulas (core.ipc, missRates, ...) recomputed from the
-    //! merged counters. Describes the sampled subset, not the program.
+    //! Counters/vectors summed across measured windows, with the derived
+    //! formulas (core.ipc, missRates, ...; deriveFormulas) computed from
+    //! the sums. Describes the sampled subset, not the program.
     StatSnapshot merged;
 };
 
@@ -100,13 +100,9 @@ SimOptions windowOptions(const SamplingOptions &opts);
 double ci95HalfWidth(const std::vector<double> &xs);
 
 /** Element-wise accumulate one measured window's counters/vectors into
- * `into` (formula keys are carried over; recompute via
- * finalizeMergedStats once all windows are in). */
+ * `into`. Once all windows are in, deriveFormulas(into) sets the
+ * merged ratios — ratios of sums, not means of ratios. */
 void accumulateWindowStats(StatSnapshot &into, const StatSnapshot &win);
-
-/** Recompute the derived formulas of a merged snapshot from its summed
- * counters (ratios of sums, not means of ratios). */
-void finalizeMergedStats(StatSnapshot &merged);
 
 /**
  * Run a whole sampling campaign in-process: each detailed window runs

@@ -97,7 +97,6 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
             "checkpoint/program mismatch in Simulator::runInto");
     machine.emplace(cfg, prog, progHash, from, opts.cosim);
     OooCore &core = machine->core;
-    CosimChecker &checker = machine->checker;
     instBase = from ? from->instsExecuted : 0;
     cosimOn = opts.cosim;
 
@@ -107,21 +106,21 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     out.instLimited = false;
     core.attachTracer(opts.tracer);
     core.attachProfiler(opts.profiler);
+    std::optional<StatSnapshot> warm;
     const std::uint64_t allocs0 = alloccount::threadCount();
     const auto t0 = std::chrono::steady_clock::now();
     try {
         if (opts.warmupInsts) {
-            // Detailed-warmup leg: run, then zero the stats in place so
-            // the measured window's counters (cycles included — and with
-            // them core.ipc) cover only post-warmup work. Model state
-            // stays warm. A program that halts or aborts during warmup
-            // skips the measured leg; the caller sees it via
+            // Detailed-warmup leg: run, then snapshot where the measured
+            // window begins, so its statistics (cycles included — and
+            // with them core.ipc) cover only post-warmup work. Model
+            // state stays warm. A program that halts or aborts during
+            // warmup skips the measured leg; the caller sees it via
             // halted/instLimited.
             out.halted = core.run(opts.maxCycles, opts.warmupInsts);
             if (!out.halted && !core.deadlocked() &&
                 core.instLimitHit()) {
-                core.clearStats();
-                checker.clearStats();
+                warm = machine->reg.snapshot();
                 out.halted = core.run(opts.maxCycles, opts.maxInsts);
             }
         } else {
@@ -157,6 +156,9 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     core.attachTracer(nullptr);
     core.attachProfiler(nullptr);
     out.stats = machine->reg.snapshot();
+    if (warm)
+        out.stats = out.stats.since(*warm);
+    deriveFormulas(out.stats);
 }
 
 void
@@ -189,6 +191,37 @@ Simulator::checkpoint(ArchCheckpoint &out) const
     out.il1 = mh.il1().saveTags();
     out.dl1 = mh.dl1().saveTags();
     out.l2 = mh.l2().saveTags();
+}
+
+const MemImage &
+Simulator::committedMem() const
+{
+    if (!machine)
+        throw std::logic_error("no run to read memory from");
+    return machine->core.committedMem();
+}
+
+void
+deriveFormulas(StatSnapshot &s)
+{
+    static const struct
+    {
+        const char *name, *num, *den;
+    } ratios[] = {
+        {"core.ipc", "core.retired", "core.cycles"},
+        {"core.issueWaitMean", "core.issueWaitSum", "core.retired"},
+        {"il1.missRate", "il1.misses", "il1.accesses"},
+        {"dl1.missRate", "dl1.misses", "dl1.accesses"},
+        {"l2.missRate", "l2.misses", "l2.accesses"},
+    };
+    for (const auto &r : ratios) {
+        if (s.counters.count(r.den))
+            s.formulas[r.name] = s.ratio(r.num, r.den);
+    }
+    // With no conditional branch retired, none was mispredicted.
+    if (s.counters.count("core.condBranches"))
+        s.formulas["core.branchAccuracy"] =
+            1.0 - s.ratio("core.condMispredicts", "core.condBranches");
 }
 
 SimResult

@@ -55,9 +55,7 @@ struct SimResult
     double
     branchAccuracy() const
     {
-        return stats.counter("core.condBranches")
-                   ? stats.value("core.branchAccuracy")
-                   : 1.0;
+        return stats.value("core.branchAccuracy");
     }
 
     /** Any registered counter by dotted name (0 when absent). */
@@ -102,9 +100,10 @@ struct SimOptions
     //! Retired-instruction budget (0 = run to HALT). With warmupInsts,
     //! this is the MEASURED window length after the warmup leg.
     std::uint64_t maxInsts = 0;
-    //! Detailed-warmup leg: run this many instructions, then zero every
-    //! statistic (state stays warm) before the measured window. Each leg
-    //! gets its own maxCycles budget.
+    //! Detailed-warmup leg: run this many instructions, snapshot the
+    //! statistics, and go on (state stays warm) into the measured
+    //! window, whose statistics are the end snapshot since that one
+    //! (StatSnapshot::since). Each leg gets its own maxCycles budget.
     std::uint64_t warmupInsts = 0;
     //! Resume from this checkpoint instead of the program entry
     //! (shared so one checkpoint fans out to many jobs without copies).
@@ -178,6 +177,13 @@ class Simulator
      */
     void checkpoint(ArchCheckpoint &out) const;
 
+    /**
+     * The committed memory of the machine the last run() left behind
+     * (what its retired stores wrote). Throws std::logic_error before a
+     * run, and after a run that threw before its machine was built.
+     */
+    const MemImage &committedMem() const;
+
   private:
     /** One run's machine. Built in place and never moved: the core and
      * checker hold references to the Simulator's `cfg` and `prog`, and
@@ -203,6 +209,16 @@ class Simulator
     //! reference's step count so positions stay absolute across chains.
     std::uint64_t instBase = 0;
 };
+
+/**
+ * The one definition of the derived statistics: set core.ipc,
+ * core.branchAccuracy, core.issueWaitMean and il1/dl1/l2.missRate in
+ * `s` from its counters, leaving out each one whose denominator counter
+ * `s` lacks. Every run's snapshot goes through it — whole runs,
+ * measured windows and merged sampled windows — so a ratio is always
+ * a ratio of the counters beside it.
+ */
+void deriveFormulas(StatSnapshot &s);
 
 /**
  * Run `prog` to completion on `cfg` (one-shot convenience: constructs a

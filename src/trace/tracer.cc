@@ -61,10 +61,10 @@ Tracer::expand(const Record &r) const
     TraceEntry t;
     t.id = r.id;
     t.seq = r.seq;
-    t.pc = opts.codeBase + 4 * r.pcIndex;
+    t.pc = codeBase + 4 * r.pcIndex;
     t.fetch = r.fetch;
-    t.decode = r.fetch + opts.decodeDepth;
-    t.rename = t.decode + opts.renameDepth;
+    t.decode = r.fetch + decodeDepth;
+    t.rename = t.decode + renameDepth;
     t.dispatch = r.dispatch;
     t.issued = r.issued;
     t.issue = r.issued ? r.issue : 0;
@@ -172,7 +172,7 @@ void
 Tracer::emit(const Record &r)
 {
     if (opts.stream)
-        *opts.stream << render(expand(r), opts.ticksPerCycle);
+        *opts.stream << render(expand(r));
     if (opts.ringCap) {
         if (ringBuf.size() == opts.ringCap)
             ringBuf.pop_front();
@@ -195,9 +195,9 @@ Tracer::finish()
 }
 
 std::string
-Tracer::render(const TraceEntry &e, Cycle ticksPerCycle)
+Tracer::render(const TraceEntry &e)
 {
-    const auto tick = [ticksPerCycle](Cycle c, bool reached) -> Cycle {
+    const auto tick = [](Cycle c, bool reached) -> Cycle {
         return reached ? (c + 1) * ticksPerCycle : 0;
     };
     std::ostringstream os;
@@ -229,7 +229,7 @@ Tracer::renderRing() const
 {
     std::string out;
     for (const TraceEntry &t : ring())
-        out += render(t, opts.ticksPerCycle);
+        out += render(t);
     return out;
 }
 

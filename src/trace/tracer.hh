@@ -50,6 +50,12 @@ constexpr std::uint8_t srcUnknown = 0xff; //!< never issued / untraced
 constexpr std::uint8_t srcLevelMask = 0x0f; //!< bypass level; 0 = RF
 constexpr std::uint8_t srcRbForm = 0x40; //!< arrived in redundant binary
 
+//! O3PipeView ticks per simulated cycle. Stage ticks are (cycle + 1) *
+//! ticksPerCycle so tick 0 can mean "stage never happened" (gem5's
+//! convention for squashed instructions) even for instructions fetched
+//! at cycle 0.
+constexpr Cycle ticksPerCycle = 1000;
+
 /** One finalized dynamic instruction, ready to render. */
 struct TraceEntry
 {
@@ -77,8 +83,9 @@ struct TraceEntry
 
 /**
  * The tracer. Constructed with a sink configuration, attached to an
- * OooCore (OooCore::attachTracer) before the run; call finish() after
- * the run (and OooCore::traceInFlight first, if the run did not drain
+ * OooCore (OooCore::attachTracer, which also hands it the run's code
+ * base and front-end depths) before the run; call finish() after the
+ * run (and OooCore::traceInFlight first, if the run did not drain
  * cleanly) to flush instructions still buffered for in-order emission.
  */
 class Tracer
@@ -88,17 +95,21 @@ class Tracer
     {
         std::ostream *stream = nullptr; //!< O3PipeView text sink
         std::size_t ringCap = 0;        //!< keep last N entries (0 = off)
-        //! O3PipeView ticks per simulated cycle. Stage ticks are
-        //! (cycle + 1) * ticksPerCycle so tick 0 can mean "stage never
-        //! happened" (gem5's convention for squashed instructions) even
-        //! for instructions fetched at cycle 0.
-        Cycle ticksPerCycle = 1000;
-        Addr codeBase = 0x10000;  //!< Program::codeBase of the run
-        unsigned decodeDepth = 6; //!< MachineConfig::fetchDecodeDepth
-        unsigned renameDepth = 2; //!< MachineConfig::renameDepth
     };
 
     explicit Tracer(const Options &opts_);
+
+    /** The geometry stage timestamps and PCs are rebuilt from: the
+     * program's code base and the machine's fetch-to-decode and rename
+     * depths (OooCore::attachTracer sets it). */
+    void
+    setGeometry(Addr code_base, unsigned decode_depth,
+                unsigned rename_depth)
+    {
+        codeBase = code_base;
+        decodeDepth = decode_depth;
+        renameDepth = rename_depth;
+    }
 
     // ------------------------------------------------------ core hooks
 
@@ -141,7 +152,7 @@ class Tracer
     std::uint64_t finalized() const { return numFinalized; }
 
     /** Render one entry as an O3PipeView block (7 lines). */
-    static std::string render(const TraceEntry &e, Cycle ticksPerCycle);
+    static std::string render(const TraceEntry &e);
 
   private:
     enum class Fate : std::uint8_t
@@ -187,6 +198,9 @@ class Tracer
     void emit(const Record &r);
 
     Options opts;
+    Addr codeBase = 0x10000;  //!< Program::codeBase of the run
+    unsigned decodeDepth = 6; //!< MachineConfig::fetchDecodeDepth
+    unsigned renameDepth = 2; //!< MachineConfig::renameDepth
     std::uint64_t nextId = 1;
     std::uint64_t nextEmit = 1;
     std::uint64_t numFinalized = 0;

@@ -72,9 +72,6 @@ expectZeroSteadyStateAllocs(MachineConfig cfg, std::size_t ring_cap)
     if (ring_cap) {
         trace::Tracer::Options opts;
         opts.ringCap = ring_cap;
-        opts.codeBase = prog.codeBase;
-        opts.decodeDepth = cfg.fetchDecodeDepth;
-        opts.renameDepth = cfg.renameDepth;
         core.attachTracer(&ring.emplace(opts));
     }
 

@@ -12,6 +12,8 @@
  *    to completion under cosim lockstep — bit-exactness against the
  *    reference model on every retired instruction — across the Figure 12
  *    machine grid, plain and in wakeup-oracle mode;
+ *  - a resumed window measured after a detailed warm-up leg reports
+ *    the pinned statistics of the same window;
  *  - Simulator::checkpoint() captures a detailed run stopped mid-flight
  *    (occupied ROB/LSQ, possibly wrapped) and the chain keeps absolute
  *    dynamic-stream positions;
@@ -27,6 +29,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "common/json.hh"
 #include "func/interp.hh"
 #include "isa/builder.hh"
 #include "sim/checkpoint.hh"
@@ -255,31 +258,6 @@ TEST(FastForwardEngine, TracksTheReferenceInterpreter)
         EXPECT_EQ(ff.ref().reg(r), plain.reg(r)) << "r" << r;
 }
 
-TEST(FastForwardEngine, RestoreRewindsToTheCapturedPoint)
-{
-    const Program prog = testProgram();
-    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
-
-    FastForward ff(cfg, prog);
-    ff.run(2000);
-    ArchCheckpoint ck;
-    ff.capture(ck);
-
-    ff.run(4000); // move past the capture point
-    ff.restore(ck);
-    EXPECT_EQ(ff.instsExecuted(), 2000u);
-    EXPECT_EQ(ff.ref().pc(), ck.pc);
-
-    // Replaying from the restore reaches the same state as a straight
-    // run to the same position.
-    ff.run(1000);
-    Interp plain(prog);
-    plain.run(3000);
-    EXPECT_EQ(ff.ref().pc(), plain.pc());
-    for (unsigned r = 0; r < numArchRegs; ++r)
-        EXPECT_EQ(ff.ref().reg(r), plain.reg(r)) << "r" << r;
-}
-
 TEST(FastForwardEngine, CaptureAfterHaltThrows)
 {
     const Program prog = testProgram();
@@ -362,9 +340,9 @@ TEST(CheckpointResume, WrongProgramAndHaltedCheckpointsAreRejected)
     EXPECT_EQ(resumed.stats, simulate(cfg, prog, opts).stats);
 
     // A checkpoint of a machine with another DL1 geometry cannot be
-    // installed: its tag array has another shape. Both the detailed
-    // resume and the fast-forward restore refuse it with an exception,
-    // and both then still take a checkpoint that fits.
+    // installed: its tag array has another shape. The detailed resume
+    // refuses it with an exception and then still takes a checkpoint
+    // that fits.
     MachineConfig bigDl1 = cfg;
     bigDl1.dl1.sizeBytes *= 2;
     auto foreign = std::make_shared<ArchCheckpoint>(
@@ -376,15 +354,59 @@ TEST(CheckpointResume, WrongProgramAndHaltedCheckpointsAreRejected)
     EXPECT_THROW(sim.run(prog, opts), std::invalid_argument);
     ArchCheckpoint none;
     EXPECT_THROW(sim.checkpoint(none), std::logic_error);
-    FastForward ff(cfg, prog);
-    EXPECT_THROW(ff.restore(*foreign), std::invalid_argument);
-    ff.restore(*ck);
-    EXPECT_EQ(ff.instsExecuted(), ck->instsExecuted);
-    ArchCheckpoint again;
-    ff.capture(again);
-    EXPECT_EQ(again.fingerprint(), ck->fingerprint());
     opts.startFrom = ck;
     EXPECT_EQ(sim.run(prog, opts).stats, resumed.stats);
+}
+
+TEST(CheckpointResume, WarmupWindowStatsArePinned)
+{
+    // A sampling window: resume gcc at instruction 20,000, warm the
+    // pipeline for 2,000 instructions, measure 10,000. Recorded when
+    // the warm-up leg ended by zeroing every counter in place; the
+    // window is now its end snapshot since the warm-up's, and every
+    // counter, bucket and derived ratio must come out the same.
+    const Program prog = testProgram("gcc");
+    const MachineConfig cfg =
+        MachineConfig::make(MachineKind::RbLimited, 4);
+    SimOptions opts;
+    opts.startFrom =
+        std::make_shared<ArchCheckpoint>(captureAt(cfg, prog, 20'000));
+    opts.warmupInsts = 2'000;
+    opts.maxInsts = 10'000;
+    const SimResult r = simulate(cfg, prog, opts);
+    EXPECT_FALSE(r.halted);
+    EXPECT_TRUE(r.instLimited);
+    EXPECT_EQ(r.stats.toJson().dump(),
+        "{\"counters\":{\"bpred.gshareChosen\":21169,"
+        "\"bpred.localChosen\":3779,\"bpred.lookups\":24948,"
+        "\"core.condBranches\":3871,\"core.condMispredicts\":482,"
+        "\"core.cycles\":18953,\"core.deadlockAborts\":0,"
+        "\"core.dispatched\":44212,\"core.fetched\":65579,"
+        "\"core.flushes\":770,\"core.holeWaitCycles\":4820,"
+        "\"core.issueWaitSum\":108823,\"core.issued\":23871,"
+        "\"core.jmpFetchStalls\":0,\"core.loadForwards\":0,"
+        "\"core.loads\":2543,\"core.rbBogusCorrections\":0,"
+        "\"core.rbPathExecs\":8207,\"core.retired\":10000,"
+        "\"core.squashed\":55495,\"core.stores\":0,"
+        "\"core.withAnySource\":8787,\"core.withBypassedSource\":6956,"
+        "\"cosim.checked\":10000,\"dl1.accesses\":6268,\"dl1.misses\":484,"
+        "\"fetch.icacheStallCycles\":0,\"il1.accesses\":17970,"
+        "\"il1.misses\":0,\"l2.accesses\":484,\"l2.misses\":197,"
+        "\"lsq.forwards\":0,\"lsq.inserted\":11369,\"lsq.searches\":12536,"
+        "\"mem.accesses\":197},"
+        "\"formulas\":{\"core.branchAccuracy\":0.87548437096357534,"
+        "\"core.ipc\":0.52762095710441614,"
+        "\"core.issueWaitMean\":10.882300000000001,"
+        "\"dl1.missRate\":0.077217613273771538,\"il1.missRate\":0,"
+        "\"l2.missRate\":0.40702479338842973},"
+        "\"vectors\":{\"bypass.case\":[461,3782,2713,0],"
+        "\"bypass.slot\":[6921,0,35,817,48,21,1,828],"
+        "\"core.fetchSlots\":[1868,0,0,8117,7401,292,0,36,1239,0,0,0,0,0,0,0,"
+        "0],\"core.holeWait\":[9105,299,473,123,0,0,0,0,0,0,0,0,0,0,0,0],"
+        "\"core.issueWait\":[1993,457,446,719,380,529,744,364,233,410,636,"
+        "470,241,233,339,1806],\"core.retireSlots\":[15653,1477,438,332,84,"
+        "285,173,236,275,0,0,0,0,0,0,0,0],\"core.table1\":[1562,0,231,2543,0,"
+        "0,3871,1793]}}");
 }
 
 TEST(CheckpointResume, WarmSimulatorBindsByContentNotByName)

@@ -4,7 +4,8 @@
  * real programs to completion under lockstep co-simulation, and the
  * relative timing of the four machines matches the paper's reasoning
  * (dependent chains: Ideal < RB < Baseline latency; independent ops:
- * equal bandwidth).
+ * equal bandwidth). Each OooCore::run call counts its budgets from its
+ * own start.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace rbsim
 {
@@ -382,6 +384,44 @@ TEST(Core, BackToBackRunsDoNotLeakAcrossCores)
     EXPECT_EQ(c1.stats().cycles, c2.stats().cycles);
     EXPECT_EQ(c1.memoryHierarchy().dl1().misses,
               c2.memoryHierarchy().dl1().misses);
+}
+
+TEST(OooCore, RunBudgetsCountFromEachCall)
+{
+    // A measured window after a warm-up leg is a second run() on the
+    // same core: it must retire its own max_insts within its own
+    // max_cycles, and idle-skip up to the end of its own budget. The
+    // second call starts with `now` already past its max_cycles.
+    const Program prog = findWorkload("li").build(WorkloadParams{});
+    const MachineConfig cfg =
+        MachineConfig::make(MachineKind::RbLimited, 4);
+    OooCore core(cfg, prog);
+    ASSERT_FALSE(core.run(1'000'000, 15'000));
+    ASSERT_TRUE(core.instLimitHit());
+    EXPECT_EQ(core.stats().retired, 15'000u);
+    const Cycle first = core.stats().cycles;
+    const Cycle skipped = core.idleSkippedCycles();
+
+    constexpr Cycle budget = 20'000;
+    ASSERT_GT(first, budget);
+    ASSERT_FALSE(core.run(budget, 5'000));
+    EXPECT_TRUE(core.instLimitHit());
+    EXPECT_EQ(core.stats().retired, 20'000u);
+    EXPECT_LT(core.stats().cycles - first, budget);
+    EXPECT_GT(core.idleSkippedCycles(), skipped); // all past `budget`
+
+    // The cycle budget runs out on its own count too.
+    const Cycle before = core.stats().cycles;
+    EXPECT_FALSE(core.run(100));
+    EXPECT_FALSE(core.instLimitHit());
+    EXPECT_EQ(core.stats().cycles, before + 100);
+
+    // A budget past the cycle counter's range is no budget: it must not
+    // wrap to a small one (served requests may carry any u64).
+    const std::uint64_t retired = core.stats().retired;
+    ASSERT_FALSE(core.run(neverCycle, 1'000));
+    EXPECT_TRUE(core.instLimitHit());
+    EXPECT_EQ(core.stats().retired, retired + 1'000);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the core's bookkeeping structures: rename table with
  * walk-based recovery, ROB, scoreboard, scheduler bank, and the machine
- * configuration factory.
+ * configuration factory and name tables.
  */
 
 #include <gtest/gtest.h>
@@ -236,6 +236,30 @@ TEST(MachineConfig, IdealLimitedLabels)
               "Ideal No-1,2");
     EXPECT_EQ(MachineConfig::makeIdealLimited(8, 0b001).label,
               "Ideal No-2,3");
+}
+
+TEST(MachineConfig, OneNameTableForKindsAndSteering)
+{
+    // Every caller that parses a machine or steering name (serve, fuzz
+    // repro headers, run_asm, workload_explorer) reads these tables.
+    for (const MachineKind k :
+         {MachineKind::Baseline, MachineKind::RbLimited,
+          MachineKind::RbFull, MachineKind::Ideal}) {
+        EXPECT_EQ(machineKindFromName(machineName(k)), k);
+        EXPECT_EQ(machineKindFromName(machineAlias(k)), k);
+        EXPECT_EQ(MachineConfig::make(k, 4).label, machineName(k));
+    }
+    EXPECT_STREQ(machineName(MachineKind::RbLimited), "RB-limited");
+    EXPECT_STREQ(machineAlias(MachineKind::RbLimited), "rblim");
+    for (const char *bad : {"", "foo", "rb-full", "RBFULL", "Ideal "})
+        EXPECT_FALSE(machineKindFromName(bad)) << bad;
+
+    for (const Steering s :
+         {Steering::RoundRobinPairs, Steering::DependenceAware,
+          Steering::ClassPartition})
+        EXPECT_EQ(steeringFromName(steeringName(s)), s);
+    EXPECT_STREQ(steeringName(Steering::DependenceAware), "dep-aware");
+    EXPECT_FALSE(steeringFromName("round-robin"));
 }
 
 } // namespace

@@ -233,29 +233,7 @@ TEST(Stats, Means)
 {
     EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);
     EXPECT_NEAR(harmonicMean({1.0, 2.0, 4.0}), 3.0 / 1.75, 1e-12);
-    EXPECT_NEAR(geometricMean({1.0, 4.0}), 2.0, 1e-12);
     EXPECT_EQ(arithmeticMean({}), 0.0);
-}
-
-TEST(Stats, StatSetAndHistogram)
-{
-    StatSet s;
-    s.add("a");
-    s.add("a", 4);
-    s.add("b", 10);
-    EXPECT_EQ(s.get("a"), 5u);
-    EXPECT_EQ(s.get("missing"), 0u);
-    EXPECT_DOUBLE_EQ(s.ratio("a", "b"), 0.5);
-    EXPECT_NE(s.format().find("a = 5"), std::string::npos);
-
-    Histogram h(4);
-    h.record(0);
-    h.record(1);
-    h.record(1);
-    h.record(99); // clamps into the last bucket
-    EXPECT_EQ(h.samples(), 4u);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.5);
-    EXPECT_EQ(h.raw()[3], 1u);
 }
 
 TEST(Strutil, Helpers)

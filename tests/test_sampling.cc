@@ -4,8 +4,8 @@
  *  - checkpoint collection lands on the systematic sampling grid and
  *    reports the true functional stream length;
  *  - the 95% CI math matches hand-computed Student t values;
- *  - merged window stats are sums with formulas recomputed as ratios of
- *    sums;
+ *  - merged window stats are sums with formulas derived as ratios of
+ *    sums, and a pinned compress campaign keeps every bit;
  *  - THE ACCEPTANCE CHECK: a sampled run and a full-detail run of the
  *    same workload agree on IPC within the sampled run's reported 95%
  *    CI, across the Figure 12 machine grid;
@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "common/json.hh"
 #include "func/interp.hh"
 #include "isa/builder.hh"
 #include "serve/sampled.hh"
@@ -138,7 +139,8 @@ TEST(MergedStats, SumsCountersAndRecomputesRatios)
 
     accumulateWindowStats(merged, a);
     accumulateWindowStats(merged, b);
-    finalizeMergedStats(merged);
+    EXPECT_TRUE(merged.formulas.empty()); // windows' ratios are not summed
+    deriveFormulas(merged);
 
     EXPECT_EQ(merged.counter("core.retired"), 200u);
     EXPECT_EQ(merged.counter("core.cycles"), 200u);
@@ -146,6 +148,87 @@ TEST(MergedStats, SumsCountersAndRecomputesRatios)
     EXPECT_DOUBLE_EQ(merged.value("core.ipc"), 1.0);
     const std::vector<std::uint64_t> want = {5, 7, 6};
     EXPECT_EQ(merged.vec("core.retireHist"), want);
+}
+
+TEST(MergedStats, FormulaWithoutItsDenominatorIsLeftOut)
+{
+    StatSnapshot s;
+    s.counters["core.retired"] = 100;
+    s.counters["core.cycles"] = 0;
+    s.counters["dl1.misses"] = 3; // no dl1.accesses
+    deriveFormulas(s);
+    // A zero denominator gives the formula's value for "nothing yet";
+    // an absent one gives no formula at all.
+    EXPECT_EQ(s.formulas.at("core.ipc"), 0.0);
+    EXPECT_EQ(s.formulas.at("core.issueWaitMean"), 0.0);
+    EXPECT_EQ(s.formulas.count("core.branchAccuracy"), 0u);
+    EXPECT_EQ(s.formulas.count("il1.missRate"), 0u);
+    EXPECT_EQ(s.formulas.count("dl1.missRate"), 0u);
+    EXPECT_EQ(s.formulas.count("l2.missRate"), 0u);
+    EXPECT_EQ(s.formulas.size(), 2u);
+
+    // A campaign with no window merges to nothing and derives nothing.
+    StatSnapshot empty;
+    deriveFormulas(empty);
+    EXPECT_EQ(empty, StatSnapshot{});
+}
+
+TEST(MergedStats, CompressCampaignIsPinned)
+{
+    // Recorded when a warm-up leg ended by zeroing every counter in
+    // place and the merge restated each ratio by hand: a window
+    // measured as a snapshot difference, with its ratios derived once,
+    // must give back every bit of the window IPCs and merged stats.
+    const Program prog = testProgram();
+    const MachineConfig cfg =
+        MachineConfig::make(MachineKind::RbLimited, 4);
+    SamplingOptions opts;
+    opts.periodInsts = 20'000;
+    opts.warmupInsts = 2'000;
+    opts.measureInsts = 5'000;
+    const SampledResult res = simulateSampled(cfg, prog, opts);
+
+    EXPECT_EQ(res.windows, 12u);
+    EXPECT_EQ(res.ffInsts, 221'718u);
+    const std::vector<double> ipc = {
+        0x1.2b585ddfe902ap+0, 0x1.f23f9394c6e69p-1, 0x1.1e0894bcc8393p+0,
+        0x1.169fd1a30d0a2p+0, 0x1.089277962bd03p+0, 0x1.28a3bebd418ebp+0,
+        0x1.ca9df29bbf0f5p+0, 0x1.ca1fe2ae165b4p+0, 0x1.c6b4f92dece7p+0,
+        0x1.c6625426e531p+0,  0x1.c68ba2e8ba2e9p+0, 0x1.e822186f60e35p+0};
+    EXPECT_EQ(res.windowIpc, ipc);
+    EXPECT_EQ(res.ipcMean, 0x1.723ccd8706ce7p+0);
+    EXPECT_EQ(res.ipcCi95, 0x1.eab4cf17d159bp-3);
+    EXPECT_EQ(res.merged.toJson().dump(),
+        "{\"counters\":{\"bpred.gshareChosen\":8040,"
+        "\"bpred.localChosen\":330,\"bpred.lookups\":8370,"
+        "\"core.condBranches\":4719,\"core.condMispredicts\":355,"
+        "\"core.cycles\":42570,\"core.deadlockAborts\":0,"
+        "\"core.dispatched\":83853,\"core.fetched\":98271,"
+        "\"core.flushes\":730,\"core.holeWaitCycles\":7284,"
+        "\"core.issueWaitSum\":2402256,\"core.issued\":68684,"
+        "\"core.jmpFetchStalls\":0,\"core.loadForwards\":27,"
+        "\"core.loads\":4716,\"core.rbBogusCorrections\":0,"
+        "\"core.rbPathExecs\":31977,\"core.retired\":56718,"
+        "\"core.squashed\":41568,\"core.stores\":415,"
+        "\"core.withAnySource\":52938,\"core.withBypassedSource\":42072,"
+        "\"cosim.checked\":56718,\"dl1.accesses\":5518,\"dl1.misses\":866,"
+        "\"fetch.icacheStallCycles\":0,\"il1.accesses\":7792,"
+        "\"il1.misses\":0,\"l2.accesses\":866,\"l2.misses\":183,"
+        "\"lsq.forwards\":68,\"lsq.inserted\":7859,\"lsq.searches\":10274,"
+        "\"mem.accesses\":183},"
+        "\"formulas\":{\"core.branchAccuracy\":0.92477219749947026,"
+        "\"core.ipc\":1.3323467230443975,"
+        "\"core.issueWaitMean\":42.354384851369936,"
+        "\"dl1.missRate\":0.15694092062341428,\"il1.missRate\":0,"
+        "\"l2.missRate\":0.2113163972286374},"
+        "\"vectors\":{\"bypass.case\":[9440,14314,9969,8349],"
+        "\"bypass.slot\":[41753,0,319,3437,300,155,1317,5647],"
+        "\"core.fetchSlots\":[27906,0,345,32,42,5120,245,793,8087,0,0,0,0,0,"
+        "0,0,0],\"core.holeWait\":[53662,626,2153,277,0,0,0,0,0,0,0,0,0,0,0,"
+        "0],\"core.issueWait\":[9620,3264,830,523,488,445,1030,744,140,107,"
+        "285,497,318,183,132,38112],\"core.retireSlots\":[24566,9158,685,"
+        "2504,1009,812,16,74,3746,0,0,0,0,0,0,0,0],\"core.table1\":[17409,0,"
+        "0,5131,4192,526,4719,24741]}}");
 }
 
 // ----------------------------------------------- the acceptance check

@@ -1,7 +1,7 @@
 /**
  * @file
- * Statistics toolkit: means, StatSet, Histogram, the self-registering
- * registry, and StatSnapshot's JSON rendering.
+ * Statistics toolkit: means, Histogram, the self-registering registry,
+ * and StatSnapshot's window difference and JSON rendering.
  */
 
 #include <gtest/gtest.h>
@@ -20,14 +20,12 @@ TEST(Means, EmptyInputsAreZero)
 {
     EXPECT_EQ(arithmeticMean({}), 0.0);
     EXPECT_EQ(harmonicMean({}), 0.0);
-    EXPECT_EQ(geometricMean({}), 0.0);
 }
 
 TEST(Means, SingletonIsIdentity)
 {
     EXPECT_DOUBLE_EQ(arithmeticMean({2.5}), 2.5);
     EXPECT_DOUBLE_EQ(harmonicMean({2.5}), 2.5);
-    EXPECT_DOUBLE_EQ(geometricMean({2.5}), 2.5);
 }
 
 TEST(Means, DegenerateEqualSamples)
@@ -35,7 +33,6 @@ TEST(Means, DegenerateEqualSamples)
     const std::vector<double> xs(7, 3.0);
     EXPECT_DOUBLE_EQ(arithmeticMean(xs), 3.0);
     EXPECT_DOUBLE_EQ(harmonicMean(xs), 3.0);
-    EXPECT_DOUBLE_EQ(geometricMean(xs), 3.0);
 }
 
 TEST(Means, KnownValuesAndOrdering)
@@ -43,32 +40,8 @@ TEST(Means, KnownValuesAndOrdering)
     const std::vector<double> xs{1.0, 4.0};
     EXPECT_DOUBLE_EQ(arithmeticMean(xs), 2.5);
     EXPECT_DOUBLE_EQ(harmonicMean(xs), 1.6);
-    EXPECT_DOUBLE_EQ(geometricMean(xs), 2.0);
-    // HM <= GM <= AM for non-equal positive samples.
-    EXPECT_LT(harmonicMean(xs), geometricMean(xs));
-    EXPECT_LT(geometricMean(xs), arithmeticMean(xs));
-}
-
-// -------------------------------------------------------------- StatSet
-
-TEST(StatSet, AddGetRatio)
-{
-    StatSet s;
-    EXPECT_EQ(s.get("absent"), 0u);
-    s.add("hits");
-    s.add("hits", 4);
-    s.add("misses", 5);
-    EXPECT_EQ(s.get("hits"), 5u);
-    EXPECT_DOUBLE_EQ(s.ratio("hits", "misses"), 1.0);
-    EXPECT_DOUBLE_EQ(s.ratio("hits", "absent"), 0.0);
-}
-
-TEST(StatSet, FormatIsSortedAndDeterministic)
-{
-    StatSet s;
-    s.add("zeta", 2);
-    s.add("alpha", 1);
-    EXPECT_EQ(s.format(), "alpha = 1\nzeta = 2\n");
+    // HM < AM for non-equal positive samples.
+    EXPECT_LT(harmonicMean(xs), arithmeticMean(xs));
 }
 
 // ------------------------------------------------------------ Histogram
@@ -80,17 +53,10 @@ TEST(Histogram, RecordsAndClampsToLastBucket)
     h.record(1);
     h.record(3);
     h.record(99); // clamps into bucket 3
-    EXPECT_EQ(h.samples(), 4u);
     EXPECT_EQ(h.raw(), (std::vector<std::uint64_t>{1, 1, 0, 2}));
-    EXPECT_DOUBLE_EQ(h.fraction(3), 0.5);
-    EXPECT_DOUBLE_EQ(h.fraction(7), 0.0); // out of range
-}
-
-TEST(Histogram, EmptyFractionIsZero)
-{
-    Histogram h(4);
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
+    h.record(2, 5); // five samples at once (idle-cycle skip)
+    h.record(40, 3);
+    EXPECT_EQ(h.raw(), (std::vector<std::uint64_t>{1, 1, 5, 5}));
 }
 
 // ------------------------------------------------------------- registry
@@ -108,9 +74,6 @@ TEST(StatRegistry, SnapshotSeesCurrentValues)
     core.counter("cycles", &cycles);
     core.vector("table", table, 3);
     core.histogram("waits", &hist);
-    core.formula("ipc", [&] {
-        return cycles ? double(retired) / double(cycles) : 0.0;
-    });
 
     // Values read at snapshot time, not registration time.
     retired = 30;
@@ -121,7 +84,7 @@ TEST(StatRegistry, SnapshotSeesCurrentValues)
     const StatSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter("core.retired"), 30u);
     EXPECT_EQ(snap.counter("core.absent"), 0u);
-    EXPECT_DOUBLE_EQ(snap.value("core.ipc"), 3.0);
+    EXPECT_TRUE(snap.formulas.empty()); // derived values are not registered
     EXPECT_DOUBLE_EQ(snap.value("core.cycles"), 10.0); // counter fallback
     EXPECT_EQ(snap.vec("core.table"),
               (std::vector<std::uint64_t>{0, 7, 0}));
@@ -142,10 +105,49 @@ TEST(StatRegistry, DuplicateNamesThrow)
 {
     std::uint64_t v = 0;
     StatRegistry reg;
+    Histogram h(2);
     reg.addCounter("x", &v);
     EXPECT_THROW(reg.addCounter("x", &v), std::logic_error);
-    EXPECT_THROW(reg.addFormula("x", [] { return 0.0; }),
-                 std::logic_error);
+    EXPECT_THROW(reg.addVector("x", &v, 1), std::logic_error);
+    EXPECT_THROW(reg.addHistogram("x", &h), std::logic_error);
+}
+
+// ------------------------------------------------------- window deltas
+
+TEST(StatSnapshot, SinceSubtractsCountersAndBuckets)
+{
+    std::uint64_t retired = 0;
+    std::uint64_t table[3] = {0, 0, 0};
+    Histogram hist(4);
+    StatRegistry reg;
+    StatGroup core = statGroup(reg, "core");
+    core.counter("retired", &retired);
+    core.vector("table", table, 3);
+    core.histogram("waits", &hist);
+
+    retired = 40;
+    table[0] = 5;
+    hist.record(1, 7);
+    const StatSnapshot start = reg.snapshot();
+    retired = 100;
+    table[0] = 9;
+    table[2] = 4;
+    hist.record(1);
+    hist.record(3, 2);
+    const StatSnapshot window = reg.snapshot().since(start);
+
+    EXPECT_EQ(window.counter("core.retired"), 60u);
+    EXPECT_EQ(window.vec("core.table"),
+              (std::vector<std::uint64_t>{4, 0, 4}));
+    EXPECT_EQ(window.vec("core.waits"),
+              (std::vector<std::uint64_t>{0, 1, 0, 2}));
+    // A snapshot since itself is all zeros, with every name kept.
+    const StatSnapshot none = start.since(start);
+    EXPECT_EQ(none.counters.size(), start.counters.size());
+    EXPECT_EQ(none.counter("core.retired"), 0u);
+    EXPECT_EQ(none.vec("core.waits"),
+              (std::vector<std::uint64_t>{0, 0, 0, 0}));
+    EXPECT_TRUE(none.formulas.empty());
 }
 
 // ---------------------------------------------------------- JSON travel
@@ -160,8 +162,8 @@ TEST(StatSnapshot, RendersTheStatsObject)
     StatGroup g = statGroup(reg, "core");
     g.counter("big", &big);
     g.histogram("h", &hist);
-    g.formula("f", [] { return 0.125; });
-    const StatSnapshot snap = reg.snapshot();
+    StatSnapshot snap = reg.snapshot();
+    snap.formulas["core.f"] = 0.125;
 
     EXPECT_EQ(snap.toJson().dump(),
               "{\"counters\":{\"core.big\":18446744073709551600},"

@@ -60,22 +60,12 @@ constexpr MachineKind allMachines[] = {
     MachineKind::Baseline, MachineKind::RbLimited, MachineKind::RbFull,
     MachineKind::Ideal};
 
-trace::Tracer::Options
-tracerOptions(const MachineConfig &cfg, const Program &p)
-{
-    trace::Tracer::Options topts;
-    topts.codeBase = p.codeBase;
-    topts.decodeDepth = cfg.fetchDecodeDepth;
-    topts.renameDepth = cfg.renameDepth;
-    return topts;
-}
-
 /** Stream-trace one simulate() run. */
 std::string
 traceRun(const MachineConfig &cfg, const Program &p)
 {
     std::ostringstream os;
-    trace::Tracer::Options topts = tracerOptions(cfg, p);
+    trace::Tracer::Options topts;
     topts.stream = &os;
     trace::Tracer tracer(topts);
     SimOptions opts;
@@ -125,7 +115,7 @@ TEST(PipeView, StatSnapshotsBitIdenticalWithTracerAttached)
         const SimResult plain = simulate(cfg, p);
 
         std::ostringstream os;
-        trace::Tracer::Options topts = tracerOptions(cfg, p);
+        trace::Tracer::Options topts;
         topts.stream = &os;
         topts.ringCap = 32;
         trace::Tracer tracer(topts);
@@ -208,7 +198,7 @@ TEST(PipeView, RingBufferKeepsLastN)
     const Program p = goldenProgram();
     const MachineConfig cfg =
         MachineConfig::make(MachineKind::RbFull, 4);
-    trace::Tracer::Options topts = tracerOptions(cfg, p);
+    trace::Tracer::Options topts;
     topts.ringCap = 8;
     trace::Tracer tracer(topts);
     SimOptions opts;
@@ -294,7 +284,7 @@ TEST(PipeView, RingEqualsStreamTail)
         for (const Cycle budget : {Cycle{250}, Cycle{100'000}}) {
             SCOPED_TRACE(cfg.label + " budget " + std::to_string(budget));
             std::ostringstream os;
-            trace::Tracer::Options topts = tracerOptions(cfg, p);
+            trace::Tracer::Options topts;
             topts.stream = &os;
             topts.ringCap = ringCap;
             trace::Tracer tracer(topts);
@@ -329,7 +319,7 @@ TEST(PipeView, RetiredRecordsAreCompleteAndCountedByCosim)
     for (const MachineKind kind : allMachines) {
         const MachineConfig cfg = MachineConfig::make(kind, 4);
         SCOPED_TRACE(cfg.label);
-        trace::Tracer::Options topts = tracerOptions(cfg, p);
+        trace::Tracer::Options topts;
         topts.ringCap = 4096; // holds the whole run
         trace::Tracer tracer(topts);
         SimOptions opts;
