@@ -109,57 +109,37 @@ StatSnapshot::toJson(const std::vector<std::string> &only) const
     return j;
 }
 
-// ------------------------------------------------------------- registry
+// --------------------------------------------------------------- writer
 
-void
-StatRegistry::claimName(const std::string &name)
+std::string
+StatGroup::freshName(std::string_view name) const
 {
-    if (counterRefs.count(name) || vectorRefs.count(name) ||
-        histRefs.count(name)) {
-        throw std::logic_error("duplicate stat name: " + name);
-    }
+    std::string full;
+    full.reserve(prefix.size() + 1 + name.size());
+    full.append(prefix).append(1, '.').append(name);
+    if (snap->counters.count(full) || snap->vectors.count(full))
+        throw std::logic_error("duplicate stat name: " + full);
+    return full;
 }
 
 void
-StatRegistry::addCounter(const std::string &name, const std::uint64_t *v,
-                         const std::string &desc)
+StatGroup::counter(std::string_view name, std::uint64_t v) const
 {
-    assert(v);
-    claimName(name);
-    counterRefs[name] = CounterRef{v, desc};
+    snap->counters.emplace(freshName(name), v);
 }
 
 void
-StatRegistry::addVector(const std::string &name, const std::uint64_t *v,
-                        std::size_t n, const std::string &desc)
+StatGroup::vector(std::string_view name, const std::uint64_t *v,
+                  std::size_t n) const
 {
-    assert(v);
-    claimName(name);
-    vectorRefs[name] = VectorRef{v, n, desc};
+    snap->vectors.emplace(freshName(name),
+                          std::vector<std::uint64_t>(v, v + n));
 }
 
 void
-StatRegistry::addHistogram(const std::string &name, const Histogram *h,
-                           const std::string &desc)
+StatGroup::histogram(std::string_view name, const Histogram &h) const
 {
-    assert(h);
-    claimName(name);
-    histRefs[name] = HistRef{h, desc};
-}
-
-StatSnapshot
-StatRegistry::snapshot() const
-{
-    StatSnapshot snap;
-    for (const auto &[name, ref] : counterRefs)
-        snap.counters[name] = *ref.v;
-    for (const auto &[name, ref] : vectorRefs)
-        snap.vectors[name].assign(ref.v, ref.v + ref.n);
-    for (const auto &[name, ref] : histRefs) {
-        const std::vector<std::uint64_t> &raw = ref.h->raw();
-        snap.vectors[name].assign(raw.begin(), raw.end());
-    }
-    return snap;
+    snap->vectors.emplace(freshName(name), h.raw());
 }
 
 } // namespace rbsim

@@ -1,18 +1,17 @@
 /**
  * @file
- * Statistics toolkit: means, histograms, the self-registering stat
- * registry, and the snapshot a run reports.
+ * Statistics toolkit: means, histograms, and the snapshot a run reports.
  *
- * The registry is the instrumentation backbone (gem5-style): each
- * pipeline component binds its named counters, vectors and histograms
- * into a `StatRegistry` under a hierarchical dotted prefix
- * ("core.retired", "dl1.misses", "bypass.slot"). A run ends by taking a
- * `StatSnapshot` — a plain value copy that outlives the components,
- * compares for equality (determinism tests), subtracts (a measured
- * window is the end snapshot minus the one taken where it began), and
- * renders the JSON "stats" object of bench cells and served results.
- * Ratios derived from the counters (IPC, miss rates) are not registered;
- * the sim layer computes them into the snapshot (sim/simulator.hh,
+ * Each pipeline component keeps its counters, vectors and histograms as
+ * plain fields and, when a snapshot is taken, writes their current
+ * values into it through a `StatGroup` under a dotted prefix
+ * ("core.retired", "dl1.misses", "bypass.slot"). A `StatSnapshot` is a
+ * plain value copy that outlives the components, compares for equality
+ * (determinism tests), subtracts (a measured window is the end snapshot
+ * minus the one taken where it began), and renders the JSON "stats"
+ * object of bench cells and served results. Ratios derived from the
+ * counters (IPC, miss rates) are not written by components; the sim
+ * layer computes them into the snapshot (sim/simulator.hh,
  * deriveFormulas).
  */
 
@@ -22,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rbsim
@@ -73,10 +73,10 @@ class Histogram
 };
 
 /**
- * A point-in-time value copy of every registered statistic. Snapshots
- * are plain data: they survive the components they were taken from,
- * compare for equality, subtract, and render as JSON. A registry
- * snapshot has no formulas; the sim layer derives them from the
+ * A point-in-time value copy of every statistic the components wrote.
+ * Snapshots are plain data: they survive the components they were
+ * taken from, compare for equality, subtract, and render as JSON.
+ * Components write no formulas; the sim layer derives them from the
  * counters (deriveFormulas).
  */
 struct StatSnapshot
@@ -100,7 +100,7 @@ struct StatSnapshot
     double ratio(const std::string &num, const std::string &den) const;
 
     /**
-     * What was counted after `start`, a snapshot of the same registry
+     * What was counted after `start`, a snapshot of the same components
      * taken earlier: every counter and every vector/histogram bucket
      * minus its value in `start`. Counters only grow, so a measured
      * window is its end snapshot since its start. Formulas are not
@@ -121,99 +121,36 @@ struct StatSnapshot
 };
 
 /**
- * The self-registering stat registry. Components register *views* onto
- * their own counters, vectors and histograms — never derived values —
- * (the registry stores pointers, not values), so
- * registration happens once at construction and reads are always
- * current. Names are hierarchical dotted paths; `StatGroup` carries a
- * prefix so a component never spells its parent's name.
- */
-class StatRegistry
-{
-  public:
-    /** Register a scalar counter view. Names must be unique. */
-    void addCounter(const std::string &name, const std::uint64_t *v,
-                    const std::string &desc = "");
-
-    /** Register a fixed-size vector-of-counters view. */
-    void addVector(const std::string &name, const std::uint64_t *v,
-                   std::size_t n, const std::string &desc = "");
-
-    /** Register a histogram view (snapshots its buckets). */
-    void addHistogram(const std::string &name, const Histogram *h,
-                      const std::string &desc = "");
-
-    /** Copy every current value out. */
-    StatSnapshot snapshot() const;
-
-  private:
-    void claimName(const std::string &name);
-
-    struct CounterRef { const std::uint64_t *v; std::string desc; };
-    struct VectorRef
-    {
-        const std::uint64_t *v;
-        std::size_t n;
-        std::string desc;
-    };
-    struct HistRef { const Histogram *h; std::string desc; };
-
-    std::map<std::string, CounterRef> counterRefs;
-    std::map<std::string, VectorRef> vectorRefs;
-    std::map<std::string, HistRef> histRefs;
-};
-
-/**
- * A dotted-prefix handle into a registry: `group("core").counter(
- * "retired", ..)` registers "core.retired". Cheap to copy; components
- * take one by value in their registerStats() hook.
+ * A dotted-prefix writer into a snapshot: `StatGroup(snap, "core")
+ * .counter("retired", n)` writes n as "core.retired". Components take
+ * one by value in their writeStats() hook and write their current
+ * values straight in. A group refers to its snapshot and its prefix
+ * (a string literal) without owning them, so it lives only within the
+ * hook that made it. Writing one name twice into a snapshot (as a
+ * counter, vector or histogram alike) throws std::logic_error:
+ * collisions are a bug, not a merge.
  */
 class StatGroup
 {
   public:
-    StatGroup(StatRegistry &r, std::string prefix_)
-        : reg(&r), prefix(std::move(prefix_))
+    StatGroup(StatSnapshot &s, std::string_view prefix_)
+        : snap(&s), prefix(prefix_)
     {}
 
-    /** A child group ("core" -> "core.bypass"). */
-    StatGroup
-    group(const std::string &sub) const
-    {
-        return StatGroup(*reg, prefix + sub + ".");
-    }
+    void counter(std::string_view name, std::uint64_t v) const;
 
-    void
-    counter(const std::string &name, const std::uint64_t *v,
-            const std::string &desc = "") const
-    {
-        reg->addCounter(prefix + name, v, desc);
-    }
+    void vector(std::string_view name, const std::uint64_t *v,
+                std::size_t n) const;
 
-    void
-    vector(const std::string &name, const std::uint64_t *v,
-           std::size_t n, const std::string &desc = "") const
-    {
-        reg->addVector(prefix + name, v, n, desc);
-    }
-
-    void
-    histogram(const std::string &name, const Histogram *h,
-              const std::string &desc = "") const
-    {
-        reg->addHistogram(prefix + name, h, desc);
-    }
+    void histogram(std::string_view name, const Histogram &h) const;
 
   private:
-    StatRegistry *reg;
-    std::string prefix; //!< includes the trailing dot
-};
+    /** "<prefix>.<name>", which no statistic in the snapshot has yet. */
+    std::string freshName(std::string_view name) const;
 
-/** Root-level group ("core", "dl1", ...) of a registry. */
-inline StatGroup
-statGroup(StatRegistry &reg, const std::string &name)
-{
-    return StatGroup(reg, name + ".");
-}
+    StatSnapshot *snap;
+    std::string_view prefix; //!< without the trailing dot
+};
 
 } // namespace rbsim
 

@@ -274,65 +274,42 @@ OooCore::cycle()
 }
 
 void
-OooCore::registerStats(StatRegistry &reg) const
+OooCore::writeStats(StatSnapshot &snap) const
 {
     const CoreStats &s = coreStats;
-    StatGroup core = statGroup(reg, "core");
-    core.counter("cycles", &s.cycles, "simulated cycles");
-    core.counter("retired", &s.retired, "instructions retired");
-    core.counter("fetched", &s.fetched, "instructions fetched");
-    core.counter("dispatched", &s.dispatched,
-                 "instructions renamed and dispatched");
-    core.counter("issued", &s.issued, "instructions issued");
-    core.counter("squashed", &s.squashed,
-                 "in-flight instructions squashed");
-    core.counter("condBranches", &s.condBranches,
-                 "conditional branches retired");
-    core.counter("condMispredicts", &s.condMispredicts,
-                 "conditional branches mispredicted");
-    core.counter("flushes", &s.flushes, "pipeline flushes fired");
-    core.counter("jmpFetchStalls", &s.jmpFetchStalls,
-                 "mispredicted JMPs that also stalled fetch");
-    core.counter("loads", &s.loads, "loads retired");
-    core.counter("stores", &s.stores, "stores retired");
-    core.counter("loadForwards", &s.loadForwards,
-                 "retired loads served by store forwarding");
-    core.counter("rbPathExecs", &s.rbPathExecs,
-                 "retired instructions executed on the RB datapath");
-    core.counter("rbBogusCorrections", &s.rbBogusCorrections,
-                 "section 3.5 bogus-overflow corrections");
-    core.counter("deadlockAborts", &s.deadlockAborts,
-                 "runs aborted by the retirement-progress watchdog");
-    core.counter("withBypassedSource", &s.withBypassedSource,
-                 "retired instructions with >= 1 bypassed source");
-    core.counter("withAnySource", &s.withAnySource,
-                 "retired instructions with >= 1 register source");
-    core.counter("issueWaitSum", &s.issueWaitSum,
-                 "total cycles between dispatch and issue");
-    core.counter("holeWaitCycles", &s.holeWaitCycles,
-                 "entry-cycles blocked only by availability holes");
-    core.vector("table1", s.table1.data(), s.table1.size(),
-                "retired instructions per paper Table 1 row");
-    StatGroup bypass = statGroup(reg, "bypass");
-    bypass.vector("case", s.bypassCase.data(), s.bypassCase.size(),
-                  "Figure 13 classification of last-arriving bypassed "
-                  "sources");
-    bypass.vector("slot", s.bypassSlotUsed.data(),
-                  s.bypassSlotUsed.size(),
-                  "bypass level serving the last-arriving operand "
-                  "(last bucket = register file)");
-    core.histogram("issueWait", &s.issueWait,
-                   "per-instruction cycles from dispatch to issue");
-    core.histogram("holeWait", &s.holeWait,
-                   "per-instruction cycles waiting only on holes");
-    core.histogram("retireSlots", &s.retireSlots,
-                   "instructions retired per cycle");
-    core.histogram("fetchSlots", &s.fetchSlots,
-                   "instructions fetched per cycle");
+    const StatGroup core(snap, "core");
+    core.counter("cycles", s.cycles);
+    core.counter("retired", s.retired);
+    core.counter("fetched", s.fetched);
+    core.counter("dispatched", s.dispatched);
+    core.counter("issued", s.issued);
+    core.counter("squashed", s.squashed);
+    core.counter("condBranches", s.condBranches);
+    core.counter("condMispredicts", s.condMispredicts);
+    core.counter("flushes", s.flushes);
+    core.counter("jmpFetchStalls", s.jmpFetchStalls);
+    core.counter("loads", s.loads);
+    core.counter("stores", s.stores);
+    core.counter("loadForwards", s.loadForwards);
+    core.counter("rbPathExecs", s.rbPathExecs);
+    core.counter("rbBogusCorrections", s.rbBogusCorrections);
+    core.counter("deadlockAborts", s.deadlockAborts);
+    core.counter("withBypassedSource", s.withBypassedSource);
+    core.counter("withAnySource", s.withAnySource);
+    core.counter("issueWaitSum", s.issueWaitSum);
+    core.counter("holeWaitCycles", s.holeWaitCycles);
+    core.vector("table1", s.table1.data(), s.table1.size());
+    const StatGroup bypass(snap, "bypass");
+    bypass.vector("case", s.bypassCase.data(), s.bypassCase.size());
+    bypass.vector("slot", s.bypassSlotUsed.data(), s.bypassSlotUsed.size());
+    core.histogram("issueWait", s.issueWait);
+    core.histogram("holeWait", s.holeWait);
+    core.histogram("retireSlots", s.retireSlots);
+    core.histogram("fetchSlots", s.fetchSlots);
 
-    hierarchy.registerStats(reg);
-    fetch.registerStats(reg);
-    lsq.registerStats(statGroup(reg, "lsq"));
+    hierarchy.writeStats(snap);
+    fetch.writeStats(snap);
+    lsq.writeStats(StatGroup(snap, "lsq"));
 }
 
 // ---------------------------------------------------------------- flush

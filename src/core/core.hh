@@ -51,19 +51,20 @@ struct CoreStats
     std::uint64_t fetched = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t issued = 0;
-    std::uint64_t squashed = 0;
+    std::uint64_t squashed = 0; //!< in-flight instructions squashed
 
     std::uint64_t condBranches = 0;
     std::uint64_t condMispredicts = 0;
     std::uint64_t flushes = 0;
-    std::uint64_t jmpFetchStalls = 0;
+    std::uint64_t jmpFetchStalls = 0; //!< mispredicted JMPs that also
+                                      //!< stalled fetch
 
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
-    std::uint64_t loadForwards = 0;
+    std::uint64_t loadForwards = 0; //!< served by store forwarding
 
-    std::uint64_t rbPathExecs = 0;
-    std::uint64_t rbBogusCorrections = 0;
+    std::uint64_t rbPathExecs = 0; //!< executed on the RB datapath
+    std::uint64_t rbBogusCorrections = 0; //!< section 3.5 corrections
 
     //! Retired-instruction counts per paper Table 1 row.
     std::array<std::uint64_t, numTable1Rows> table1{};
@@ -71,7 +72,7 @@ struct CoreStats
     //! Figure 13: last-arriving bypassed source classification (retired).
     std::array<std::uint64_t, numBypassCases> bypassCase{};
     std::uint64_t withBypassedSource = 0; //!< >= 1 bypassed source
-    std::uint64_t withAnySource = 0;
+    std::uint64_t withAnySource = 0; //!< >= 1 register source
 
     //! Which bypass slot (cycles past first availability) served the
     //! last-arriving operand; [numBypassLevels] means register file.
@@ -180,7 +181,7 @@ class OooCore
     bool deadlocked() const { return coreStats.deadlockAborts != 0; }
 
     /** Cycles fast-forwarded by idle skipping (host-perf telemetry; not
-     * a registered statistic so stepped oracle-mode and idle-skipping
+     * a written statistic so stepped oracle-mode and idle-skipping
      * snapshots compare equal). Always 0 in oracle mode. */
     Cycle idleSkippedCycles() const { return idleSkipped; }
 
@@ -192,11 +193,11 @@ class OooCore
     const CoreStats &stats() const { return coreStats; }
 
     /**
-     * Self-register every statistic of the core and its subcomponents
-     * (memory hierarchy, fetch/predictor, LSQ) into `reg`. The registry
-     * must not outlive the core.
+     * Write the current value of every statistic of the core and its
+     * subcomponents (memory hierarchy, fetch/predictor, LSQ) into
+     * `snap`.
      */
-    void registerStats(StatRegistry &reg) const;
+    void writeStats(StatSnapshot &snap) const;
 
     /** The memory hierarchy (cache stats). */
     const MemHierarchy &memoryHierarchy() const { return hierarchy; }
@@ -339,7 +340,7 @@ class OooCore
     //! Per ROB slot: producers still unknown (not yet issued).
     std::vector<std::uint8_t> slotPendingOps;
 
-    // Host-perf telemetry; deliberately NOT registered statistics, so
+    // Host-perf telemetry; deliberately NOT written statistics, so
     // oracle-mode and plain StatSnapshots stay bit-identical.
     Cycle idleSkipped = 0;
     std::uint64_t oracleChecks = 0;

@@ -139,24 +139,21 @@ class HybridPredictor
         chooser = s.chooser;
     }
 
-    /** Bind predictor stats into `g` (the "bpred" group). */
+    /** Write predictor stats into `g` (the "bpred" group). */
     void
-    registerStats(StatGroup g) const
+    writeStats(StatGroup g) const
     {
-        g.counter("lookups", &lookups,
-                  "direction predictions (wrong path included)");
-        g.counter("gshareChosen", &gshareChosen,
-                  "lookups the chooser sent to gshare");
-        g.counter("localChosen", &localChosen,
-                  "lookups the chooser sent to PAs");
+        g.counter("lookups", lookups);
+        g.counter("gshareChosen", gshareChosen);
+        g.counter("localChosen", localChosen);
     }
 
   private:
     // Lookup tallies live in const predict(); wrong-path predictions
     // are counted, matching the hardware's table activity.
     mutable std::uint64_t lookups = 0;
-    mutable std::uint64_t gshareChosen = 0;
-    mutable std::uint64_t localChosen = 0;
+    mutable std::uint64_t gshareChosen = 0; //!< chooser picked gshare
+    mutable std::uint64_t localChosen = 0;  //!< chooser picked PAs
 
     static constexpr unsigned ghistBits = 17;
     static constexpr std::uint32_t ghistMask = (1u << ghistBits) - 1;

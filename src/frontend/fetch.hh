@@ -99,15 +99,14 @@ class FetchEngine
     /** Fetch stall cycles due to instruction-cache misses (stats). */
     std::uint64_t icacheStallCycles = 0;
 
-    /** Register fetch + branch predictor stats as root groups of
-     * `reg`. */
+    /** Write fetch + branch predictor stats into `snap` ("fetch.*",
+     * "bpred.*"). */
     void
-    registerStats(StatRegistry &reg) const
+    writeStats(StatSnapshot &snap) const
     {
-        statGroup(reg, "fetch").counter(
-            "icacheStallCycles", &icacheStallCycles,
-            "fetch cycles lost to instruction-cache misses");
-        predictor.registerStats(statGroup(reg, "bpred"));
+        StatGroup(snap, "fetch").counter("icacheStallCycles",
+                                         icacheStallCycles);
+        predictor.writeStats(StatGroup(snap, "bpred"));
     }
 
   private:

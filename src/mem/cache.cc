@@ -17,10 +17,10 @@ CacheModel::CacheModel(const CacheParams &params)
 }
 
 void
-CacheModel::registerStats(StatGroup g) const
+CacheModel::writeStats(StatGroup g) const
 {
-    g.counter("accesses", &accesses, "tag array accesses");
-    g.counter("misses", &misses, "tag array misses");
+    g.counter("accesses", accesses);
+    g.counter("misses", misses);
 }
 
 unsigned

@@ -94,8 +94,8 @@ class CacheModel
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
 
-    /** Bind this cache's stats into `g` (e.g. the "dl1" group). */
-    void registerStats(StatGroup g) const;
+    /** Write this cache's stats into `g` (e.g. the "dl1" group). */
+    void writeStats(StatGroup g) const;
 
   private:
     unsigned setOf(Addr addr) const;

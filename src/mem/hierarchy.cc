@@ -16,13 +16,12 @@ MemHierarchy::MemHierarchy(const MachineConfig &cfg)
 }
 
 void
-MemHierarchy::registerStats(StatRegistry &reg) const
+MemHierarchy::writeStats(StatSnapshot &snap) const
 {
-    il1Cache.registerStats(statGroup(reg, "il1"));
-    dl1Cache.registerStats(statGroup(reg, "dl1"));
-    l2Cache.registerStats(statGroup(reg, "l2"));
-    statGroup(reg, "mem").counter("accesses", &memAccesses,
-                                  "DRAM accesses");
+    il1Cache.writeStats(StatGroup(snap, "il1"));
+    dl1Cache.writeStats(StatGroup(snap, "dl1"));
+    l2Cache.writeStats(StatGroup(snap, "l2"));
+    StatGroup(snap, "mem").counter("accesses", memAccesses);
 }
 
 Cycle

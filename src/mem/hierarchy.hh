@@ -67,8 +67,8 @@ class MemHierarchy
     /** Accumulated memory (DRAM) accesses. */
     std::uint64_t memAccesses = 0;
 
-    /** Register il1/dl1/l2/mem stats as root groups of `reg`. */
-    void registerStats(StatRegistry &reg) const;
+    /** Write il1/dl1/l2/mem stats into `snap` ("il1.*", ..., "mem.*"). */
+    void writeStats(StatSnapshot &snap) const;
 
   private:
     /** L2 access beginning at `start`; returns data-ready cycle. */

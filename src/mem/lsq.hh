@@ -109,15 +109,13 @@ class LoadStoreQueue
     std::size_t size() const
     { return static_cast<std::size_t>(tailPos - headPos); }
 
-    /** Bind queue stats into `g` (the "lsq" group). */
+    /** Write queue stats into `g` (the "lsq" group). */
     void
-    registerStats(StatGroup g) const
+    writeStats(StatGroup g) const
     {
-        g.counter("inserted", &inserted, "entries inserted at dispatch");
-        g.counter("searches", &searches,
-                  "load disambiguation/forwarding searches");
-        g.counter("forwards", &forwards,
-                  "searches served by store-to-load forwarding");
+        g.counter("inserted", inserted);
+        g.counter("searches", searches);
+        g.counter("forwards", forwards);
     }
 
   private:

@@ -1,6 +1,9 @@
 #include "serve/protocol.hh"
 
 #include <cstdio>
+#include <limits>
+
+#include "common/bitutil.hh"
 
 namespace rbsim::serve
 {
@@ -50,17 +53,19 @@ asU64Field(const Json &v, const std::string &key)
 }
 
 /**
- * A structural machine size: an integer in [lo, hi]. The upper bounds
- * sit well above every committed machine (ROB 256, 640 physical
- * registers, 16-wide) yet keep the core's construction-time storage
- * bounded and every scheduler slot addressable by SlotRef's 16-bit
- * fields; the bypass fields stay within the 8-bit level mask. Out-of-
- * range values would trip a core assertion (or shift past a word) and
- * take the whole server down, so they are a bad request instead.
+ * An integer in [lo, hi], by default any value an `unsigned` holds, so
+ * no size is silently truncated. The structural machine sizes pass
+ * tighter bounds: they sit well above every committed machine (ROB 256,
+ * 640 physical registers, 16-wide) yet keep the core's construction-
+ * time storage bounded and every scheduler slot addressable by
+ * SlotRef's 16-bit fields; the bypass fields stay within the 8-bit
+ * level mask. Out-of-range values would trip a core assertion (or shift
+ * past a word) and take the whole server down, so they are a bad
+ * request instead.
  */
 unsigned
-asSizeField(const Json &v, const std::string &key, std::uint64_t lo,
-            std::uint64_t hi)
+asSizeField(const Json &v, const std::string &key, std::uint64_t lo = 0,
+            std::uint64_t hi = std::numeric_limits<unsigned>::max())
 {
     const std::uint64_t n = asU64Field(v, key);
     if (n < lo || n > hi)
@@ -90,28 +95,40 @@ cacheToJson(const CacheParams &c)
     return j;
 }
 
+/**
+ * Overlay the keys of cache object `j` on `c`, the named machine's
+ * cache, and check that CacheModel (and, for the DL1, the SAM decoder)
+ * can build the result: a whole, power-of-two number of sets of
+ * power-of-two lines, and at least one bank. A geometry that cannot be
+ * built would divide by zero or trip an assertion and take the whole
+ * server down, so it is a bad request instead.
+ */
 CacheParams
-cacheFromJson(const Json &j, const std::string &key)
+cacheFromJson(const Json &j, const std::string &key, CacheParams c)
 {
     if (!j.isObject())
         bad("\"" + key + "\" must be an object");
-    CacheParams c;
     for (const auto &[k, v] : j.items()) {
         if (k == "size_bytes")
-            c.sizeBytes = static_cast<std::uint32_t>(asU64Field(v, k));
+            c.sizeBytes = asSizeField(v, k);
         else if (k == "assoc")
-            c.assoc = static_cast<std::uint32_t>(asU64Field(v, k));
+            c.assoc = asSizeField(v, k, 1);
         else if (k == "line_bytes")
-            c.lineBytes = static_cast<std::uint32_t>(asU64Field(v, k));
+            c.lineBytes = asSizeField(v, k, 1);
         else if (k == "latency")
-            c.latency = static_cast<unsigned>(asU64Field(v, k));
+            c.latency = asSizeField(v, k);
         else if (k == "banks")
-            c.banks = static_cast<unsigned>(asU64Field(v, k));
+            c.banks = asSizeField(v, k, 1);
         else if (k == "bank_busy")
-            c.bankBusy = static_cast<unsigned>(asU64Field(v, k));
+            c.bankBusy = asSizeField(v, k);
         else
             bad("unknown key \"" + k + "\" in \"" + key + "\"");
     }
+    const std::uint64_t way_bytes = std::uint64_t{c.assoc} * c.lineBytes;
+    if (!isPow2(c.lineBytes) || c.sizeBytes % way_bytes != 0 ||
+        !isPow2(c.sizeBytes / way_bytes))
+        bad("\"" + key + "\" needs a power-of-two line_bytes and "
+            "size_bytes / (assoc * line_bytes) a power of two");
     return c;
 }
 
@@ -148,12 +165,12 @@ parseRequest(const Json &j)
             sawProgram = true;
             req.programAsm = asStringField(v, key);
         } else if (key == "scale") {
-            req.scale = static_cast<unsigned>(asU64Field(v, key));
+            req.scale = asSizeField(v, key);
         } else if (key == "machine") {
             sawMachine = true;
             req.machine = asStringField(v, key);
         } else if (key == "width") {
-            req.width = static_cast<unsigned>(asU64Field(v, key));
+            req.width = asSizeField(v, key);
         } else if (key == "config") {
             sawConfig = true;
             if (!v.isObject())
@@ -320,9 +337,7 @@ configFromJson(const Json &j)
                            "unknown config kind \"" +
                                kindField->asString() + "\"");
     const Json *widthField = j.find("width");
-    const unsigned width =
-        widthField ? static_cast<unsigned>(asU64Field(*widthField, "width"))
-                   : 4u;
+    const unsigned width = widthField ? asSizeField(*widthField, "width") : 4u;
     if (width != 4 && width != 8 && width != 16)
         bad("\"width\" must be 4, 8, or 16");
     MachineConfig cfg = MachineConfig::make(*kind, width);
@@ -339,14 +354,13 @@ configFromJson(const Json &j)
         } else if (key == "select_width") {
             cfg.selectWidth = asSizeField(v, key, 1, 64);
         } else if (key == "num_clusters") {
-            cfg.numClusters = static_cast<unsigned>(asU64Field(v, key));
+            cfg.numClusters = asSizeField(v, key);
         } else if (key == "cross_cluster_delay") {
-            cfg.crossClusterDelay =
-                static_cast<unsigned>(asU64Field(v, key));
+            cfg.crossClusterDelay = asSizeField(v, key);
         } else if (key == "fetch_width") {
             cfg.fetchWidth = asSizeField(v, key, 1, 64);
         } else if (key == "fetch_blocks") {
-            cfg.fetchBlocks = static_cast<unsigned>(asU64Field(v, key));
+            cfg.fetchBlocks = asSizeField(v, key);
         } else if (key == "rename_width") {
             cfg.renameWidth = asSizeField(v, key, 1, 64);
         } else if (key == "retire_width") {
@@ -365,7 +379,7 @@ configFromJson(const Json &j)
         } else if (key == "rename_depth") {
             cfg.renameDepth = asSizeField(v, key, 0, 64);
         } else if (key == "rf_read_depth") {
-            cfg.rfReadDepth = static_cast<unsigned>(asU64Field(v, key));
+            cfg.rfReadDepth = asSizeField(v, key);
         } else if (key == "num_bypass_levels") {
             // Level k is bit k-1 of the 8-bit level mask.
             cfg.numBypassLevels = asSizeField(v, key, 1, 8);
@@ -389,17 +403,17 @@ configFromJson(const Json &j)
         } else if (key == "deadlock_cycles") {
             cfg.deadlockCycles = asU64Field(v, key);
         } else if (key == "il1") {
-            cfg.il1 = cacheFromJson(v, key);
+            cfg.il1 = cacheFromJson(v, key, cfg.il1);
         } else if (key == "dl1") {
-            cfg.dl1 = cacheFromJson(v, key);
+            cfg.dl1 = cacheFromJson(v, key, cfg.dl1);
         } else if (key == "l2") {
-            cfg.l2 = cacheFromJson(v, key);
+            cfg.l2 = cacheFromJson(v, key, cfg.l2);
         } else if (key == "mem_latency") {
-            cfg.memLatency = static_cast<unsigned>(asU64Field(v, key));
+            cfg.memLatency = asSizeField(v, key);
         } else if (key == "mem_banks") {
-            cfg.memBanks = static_cast<unsigned>(asU64Field(v, key));
+            cfg.memBanks = asSizeField(v, key, 1);
         } else if (key == "mem_bank_busy") {
-            cfg.memBankBusy = static_cast<unsigned>(asU64Field(v, key));
+            cfg.memBankBusy = asSizeField(v, key);
         } else if (key == "latency") {
             if (!v.isArray() || v.size() != cfg.latency.size())
                 bad("\"latency\" must be an array of " +
@@ -409,14 +423,11 @@ configFromJson(const Json &j)
                 const Json &pair = v.elements()[i];
                 if (!pair.isArray() || pair.size() != 2)
                     bad("\"latency\" entries must be [early, late] pairs");
-                cfg.latency[i].early = static_cast<unsigned>(
-                    asU64Field(pair.elements()[0], key));
-                cfg.latency[i].late = static_cast<unsigned>(
-                    asU64Field(pair.elements()[1], key));
+                cfg.latency[i].early = asSizeField(pair.elements()[0], key);
+                cfg.latency[i].late = asSizeField(pair.elements()[1], key);
             }
         } else if (key == "store_complete_lat") {
-            cfg.storeCompleteLat =
-                static_cast<unsigned>(asU64Field(v, key));
+            cfg.storeCompleteLat = asSizeField(v, key);
         } else {
             bad("unknown config key \"" + key + "\"");
         }

@@ -83,7 +83,7 @@ struct JobRequest
     bool sampled = false;
     SamplingOptions sample; //!< regimen (sample.cosim mirrors `cosim`)
     //! Stat-name filter for the response ("core.ipc", ...); empty keeps
-    //! every registered stat.
+    //! every stat.
     std::vector<std::string> statSelect;
 };
 

@@ -1,15 +1,16 @@
 /**
  * @file
- * Sharded sampling campaigns: run one long workload's SMARTS windows
- * (src/sim/sampling.hh) across the SimService worker pool.
+ * Sampling campaigns: run one long workload's SMARTS windows
+ * (src/sim/sampling.hh) across the SimService worker pool. This is the
+ * one campaign driver: sampled_sweep, rbsim-serve and perfbench all run
+ * campaigns through it.
  *
  * Because the functional model carries all inter-window state, every
  * detailed window is an independent (checkpoint -> warmup -> measure)
  * job; sharding them across workers is embarrassingly parallel and
  * bit-reproducible: window results are accumulated in stream order, so
- * a sharded campaign merges to exactly the in-process
- * simulateSampled() numbers regardless of completion order (pinned by
- * tests/test_sampling.cc).
+ * a campaign merges to the same numbers on any number of workers,
+ * regardless of completion order (pinned by tests/test_sampling.cc).
  */
 
 #ifndef RBSIM_SERVE_SAMPLED_HH

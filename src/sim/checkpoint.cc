@@ -1,8 +1,5 @@
 #include "sim/checkpoint.hh"
 
-#include <cstring>
-#include <stdexcept>
-
 namespace rbsim
 {
 
@@ -10,8 +7,7 @@ namespace
 {
 
 // Little-endian byte stream helpers. The format is versioned by a magic
-// header; every vector is length-prefixed so deserialize() can validate
-// before allocating.
+// header, and every vector is length-prefixed.
 constexpr char ckptMagic[8] = {'R', 'B', 'C', 'K', '0', '0', '0', '1'};
 
 /** serialize()'s byte sink: appends to the image string. */
@@ -66,59 +62,6 @@ putU32(Sink &out, std::uint32_t v)
         out.byte(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-struct Reader
-{
-    const unsigned char *p;
-    const unsigned char *end;
-
-    void
-    need(std::size_t n) const
-    {
-        if (static_cast<std::size_t>(end - p) < n)
-            throw std::runtime_error("truncated checkpoint image");
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-        p += 8;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-        p += 4;
-        return v;
-    }
-
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return *p++;
-    }
-
-    /** Bounded length prefix: counts over this cap cannot be a valid
-     * image and would otherwise drive a bad-alloc-sized resize. */
-    std::size_t
-    count(std::uint64_t cap)
-    {
-        const std::uint64_t n = u64();
-        if (n > cap)
-            throw std::runtime_error("malformed checkpoint image");
-        return static_cast<std::size_t>(n);
-    }
-};
-
 template <class Sink>
 void
 putTagState(Sink &out, const CacheModel::TagState &t)
@@ -130,20 +73,6 @@ putTagState(Sink &out, const CacheModel::TagState &t)
         putU64(out, w.lastUse);
     }
     putU64(out, t.useClock);
-}
-
-CacheModel::TagState
-getTagState(Reader &r)
-{
-    CacheModel::TagState t;
-    t.array.resize(r.count(1u << 24));
-    for (CacheModel::Way &w : t.array) {
-        w.valid = r.u8() != 0;
-        w.tag = r.u64();
-        w.lastUse = r.u64();
-    }
-    t.useClock = r.u64();
-    return t;
 }
 
 /**
@@ -214,70 +143,6 @@ ArchCheckpoint::serialize() const
     StringSink sink{out};
     writeImage(sink, *this);
     return out;
-}
-
-ArchCheckpoint
-ArchCheckpoint::deserialize(const std::string &bytes)
-{
-    Reader r{reinterpret_cast<const unsigned char *>(bytes.data()),
-             reinterpret_cast<const unsigned char *>(bytes.data()) +
-                 bytes.size()};
-    r.need(sizeof(ckptMagic));
-    if (std::memcmp(r.p, ckptMagic, sizeof(ckptMagic)) != 0)
-        throw std::runtime_error("not a checkpoint image (bad magic)");
-    r.p += sizeof(ckptMagic);
-
-    ArchCheckpoint ck;
-    ck.progHash = r.u64();
-    ck.pc = r.u64();
-    ck.instsExecuted = r.u64();
-    for (Word &w : ck.regs)
-        w = r.u64();
-
-    const std::size_t npages = r.count(1u << 24);
-    for (std::size_t i = 0; i < npages; ++i) {
-        const Addr pageNo = r.u64();
-        r.need(pageSize);
-        auto page = std::make_shared<Page>();
-        std::memcpy(page->data(), r.p, pageSize);
-        r.p += pageSize;
-        ck.pages.emplace(pageNo, std::move(page));
-    }
-
-    ck.bpred.ghist = r.u32();
-    ck.bpred.gshare.resize(r.count(1u << 24));
-    for (std::uint8_t &v : ck.bpred.gshare)
-        v = r.u8();
-    ck.bpred.localHist.resize(r.count(1u << 24));
-    for (std::uint16_t &v : ck.bpred.localHist)
-        v = static_cast<std::uint16_t>(r.u32());
-    ck.bpred.localPht.resize(r.count(1u << 24));
-    for (std::uint8_t &v : ck.bpred.localPht)
-        v = r.u8();
-    ck.bpred.chooser.resize(r.count(1u << 24));
-    for (std::uint8_t &v : ck.bpred.chooser)
-        v = r.u8();
-
-    ck.btb.resize(r.count(1u << 24));
-    for (Btb::Entry &e : ck.btb) {
-        e.valid = r.u8() != 0;
-        e.tag = r.u32();
-        e.target = r.u64();
-    }
-
-    ck.ras.rasTop = r.u8();
-    // Ras::pop reads the stack at rasTop: it must index the stack.
-    if (ck.ras.rasTop >= ck.ras.ras.size())
-        throw std::runtime_error("malformed checkpoint image (RAS top)");
-    for (Addr &a : ck.ras.ras)
-        a = r.u64();
-
-    ck.il1 = getTagState(r);
-    ck.dl1 = getTagState(r);
-    ck.l2 = getTagState(r);
-    if (r.p != r.end)
-        throw std::runtime_error("trailing bytes in checkpoint image");
-    return ck;
 }
 
 std::uint64_t

@@ -10,10 +10,11 @@
  * Checkpoints are immutable after capture and cheap to hold: memory
  * pages are shared with the image they were captured from (the first
  * write on either side clones the touched page), and the warm tables are
- * flat copies (~1 MiB for the paper's Table 2 machine). serialize() /
- * deserialize() give a stable little-endian binary form whose round-trip
- * is bit-exact (tests/test_checkpoint.cc), and fingerprint() hashes that
- * form for result-cache identity.
+ * flat copies (~1 MiB for the paper's Table 2 machine). serialize()
+ * gives a stable little-endian binary form (its bytes are pinned by
+ * tests/test_checkpoint.cc), and fingerprint() hashes that form for
+ * result-cache identity. Nothing reads an image back: checkpoints live
+ * in memory only.
  */
 
 #ifndef RBSIM_SIM_CHECKPOINT_HH
@@ -48,10 +49,6 @@ struct ArchCheckpoint
 
     /** Stable binary form (little-endian, pages in address order). */
     std::string serialize() const;
-
-    /** Rebuild from serialize() output. Throws std::runtime_error on a
-     * malformed or truncated image. */
-    static ArchCheckpoint deserialize(const std::string &bytes);
 
     /**
      * FNV-1a hash of the serialized form: the checkpoint's result-cache

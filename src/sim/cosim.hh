@@ -85,12 +85,11 @@ class CosimChecker
     /** Instructions verified. */
     std::uint64_t checked() const { return count; }
 
-    /** Bind checker stats into `g` (the "cosim" group). */
+    /** Write checker stats into `g` (the "cosim" group). */
     void
-    registerStats(StatGroup g) const
+    writeStats(StatGroup g) const
     {
-        g.counter("checked", &count,
-                  "retired instructions architecturally verified");
+        g.counter("checked", count);
     }
 
   private:

@@ -1,6 +1,5 @@
 #include "sim/sampling.hh"
 
-#include <chrono>
 #include <cmath>
 
 #include "sim/fastfwd.hh"
@@ -98,36 +97,6 @@ accumulateWindowStats(StatSnapshot &into, const StatSnapshot &win)
         for (std::size_t i = 0; i < kv.second.size(); ++i)
             dst[i] += kv.second[i];
     }
-}
-
-SampledResult
-simulateSampled(const MachineConfig &cfg, const Program &prog,
-                const SamplingOptions &opts)
-{
-    SampledResult res;
-    res.machine = cfg.label;
-    res.workload = prog.name;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    Simulator sim(cfg);
-    SimResult window;
-    SimOptions wopts = windowOptions(opts);
-    const FastForwardEnd end = sampleCheckpoints(
-        cfg, prog, opts, [&](std::shared_ptr<const ArchCheckpoint> ck) {
-            wopts.startFrom = std::move(ck);
-            sim.runInto(prog, wopts, window);
-            res.windowIpc.push_back(window.ipc());
-            accumulateWindowStats(res.merged, window.stats);
-            ++res.windows;
-        });
-    res.ffInsts = end.ffInsts;
-    res.completed = end.completed;
-    deriveFormulas(res.merged);
-    res.ipcMean = arithmeticMean(res.windowIpc);
-    res.ipcCi95 = ci95HalfWidth(res.windowIpc);
-    const auto t1 = std::chrono::steady_clock::now();
-    res.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
-    return res;
 }
 
 } // namespace rbsim

@@ -7,9 +7,12 @@
  *
  * The functional model advances through the WHOLE program; detailed
  * windows run "on the side" from checkpoints captured at each sampling
- * point. That makes the windows independent of one another — they can
- * run sequentially here or be sharded across the serve worker pool
- * (src/serve/sampled.hh) with identical results.
+ * point. That makes the windows independent of one another, so the one
+ * campaign driver, serve::submitSampled (src/serve/sampled.hh), shards
+ * them across the worker pool and merges them in stream order with
+ * results that do not depend on the worker count. This file holds the
+ * pieces it is built from: the fast-forward/capture pass, the window
+ * options, the CI math and the merge.
  *
  * Methodology, bias sources, and CI interpretation: docs/EXPERIMENTS.md.
  */
@@ -103,16 +106,6 @@ double ci95HalfWidth(const std::vector<double> &xs);
  * `into`. Once all windows are in, deriveFormulas(into) sets the
  * merged ratios — ratios of sums, not means of ratios. */
 void accumulateWindowStats(StatSnapshot &into, const StatSnapshot &win);
-
-/**
- * Run a whole sampling campaign in-process: each detailed window runs
- * on one Simulator, bound once to the program, as soon as its
- * checkpoint is captured, and the windows merge in stream order.
- * Throws CosimMismatch if any window diverges (cosim enabled).
- */
-SampledResult simulateSampled(const MachineConfig &cfg,
-                              const Program &prog,
-                              const SamplingOptions &opts);
 
 } // namespace rbsim
 

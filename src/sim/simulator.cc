@@ -55,10 +55,15 @@ Simulator::Machine::Machine(const MachineConfig &cfg, const Program &prog,
 {
     if (cosim)
         core.onRetire([this](const RobEntry &e) { checker.onRetire(e); });
-    // Every component self-registers its statistics; the registry
-    // stores pointers into the core/checker.
-    core.registerStats(reg);
-    checker.registerStats(statGroup(reg, "cosim"));
+}
+
+StatSnapshot
+Simulator::Machine::snapshot() const
+{
+    StatSnapshot s;
+    core.writeStats(s);
+    checker.writeStats(StatGroup(s, "cosim"));
+    return s;
 }
 
 SimResult
@@ -120,7 +125,7 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
             out.halted = core.run(opts.maxCycles, opts.warmupInsts);
             if (!out.halted && !core.deadlocked() &&
                 core.instLimitHit()) {
-                warm = machine->reg.snapshot();
+                warm = machine->snapshot();
                 out.halted = core.run(opts.maxCycles, opts.maxInsts);
             }
         } else {
@@ -155,7 +160,7 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     }
     core.attachTracer(nullptr);
     core.attachProfiler(nullptr);
-    out.stats = machine->reg.snapshot();
+    out.stats = machine->snapshot();
     if (warm)
         out.stats = out.stats.since(*warm);
     deriveFormulas(out.stats);

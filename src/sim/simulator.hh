@@ -22,10 +22,10 @@ namespace rbsim
 
 /**
  * Everything a run produces: identification plus a snapshot of every
- * statistic the pipeline components registered (core.*, bypass.*,
+ * statistic the pipeline components wrote (core.*, bypass.*,
  * il1/dl1/l2/mem.*, fetch.*, bpred.*, lsq.*, cosim.*). There are no
  * hand-flattened counter fields; the named accessors below are thin
- * views over the registry snapshot.
+ * views over the snapshot.
  */
 struct SimResult
 {
@@ -58,14 +58,14 @@ struct SimResult
         return stats.value("core.branchAccuracy");
     }
 
-    /** Any registered counter by dotted name (0 when absent). */
+    /** Any counter by dotted name (0 when absent). */
     std::uint64_t
     counter(const std::string &name) const
     {
         return stats.counter(name);
     }
 
-    /** Any registered vector/histogram by dotted name. */
+    /** Any vector/histogram by dotted name. */
     const std::vector<std::uint64_t> &
     vec(const std::string &name) const
     {
@@ -119,11 +119,12 @@ struct SimOptions
 
 /**
  * A simulator for one machine configuration (docs/SERVING.md). Every
- * run builds its machine fresh — an OooCore, a CosimChecker and a
- * StatRegistry — from the program entry or from SimOptions::startFrom,
- * after destroying the last run's, so nothing is rewound and peak
- * memory holds one machine. The machine is kept after the run so
- * checkpoint() can read where it stopped.
+ * run builds its machine fresh — an OooCore and a CosimChecker — from
+ * the program entry or from SimOptions::startFrom, after destroying the
+ * last run's, so nothing is rewound and peak memory holds one machine.
+ * A run's statistics are read from the machine at most twice: where a
+ * warm-up leg ends and where the run ends. The machine is kept after
+ * the run so checkpoint() can read where it stopped.
  *
  * What a Simulator keeps across runs is its program binding: a program
  * equal in content to the bound one (Program::sameContent) keeps the
@@ -186,17 +187,18 @@ class Simulator
 
   private:
     /** One run's machine. Built in place and never moved: the core and
-     * checker hold references to the Simulator's `cfg` and `prog`, and
-     * the registry holds pointers into their counters. */
+     * checker hold references to the Simulator's `cfg` and `prog`. */
     struct Machine
     {
         Machine(const MachineConfig &cfg, const Program &prog,
                 std::uint64_t prog_hash, const ArchCheckpoint *from,
                 bool cosim);
 
+        /** Every statistic's current value: the core's, then "cosim.*". */
+        StatSnapshot snapshot() const;
+
         OooCore core;
         CosimChecker checker;
-        StatRegistry reg;
     };
 
     MachineConfig cfg;

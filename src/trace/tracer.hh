@@ -24,7 +24,7 @@
  * Tracing is zero-cost when disabled: the core holds a raw
  * `trace::Tracer *` (nullptr by default) and every hook sits behind a
  * single pointer test — no virtual calls, no allocation, no stats. A
- * tracer must be attached before the core runs and adds no registered
+ * tracer must be attached before the core runs and writes no
  * statistics, so traced and untraced runs produce bit-identical
  * StatSnapshots.
  */

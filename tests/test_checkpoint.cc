@@ -5,9 +5,8 @@
  *  - MemImage copy-on-write page sharing: snapshots stay intact under
  *    writes on either side, restores re-share, and runs that store into
  *    a program's initialized data never write its image;
- *  - serialize()/deserialize() round-trips bit-exactly, fingerprint()
- *    identifies content, malformed images throw, and a vortex capture's
- *    bytes are pinned;
+ *  - serialize() is stable, fingerprint() identifies content, and a
+ *    vortex capture's bytes are pinned;
  *  - a checkpoint captured mid-program resumes on a fresh core and runs
  *    to completion under cosim lockstep — bit-exactness against the
  *    reference model on every retired instruction — across the Figure 12
@@ -139,7 +138,7 @@ TEST(MemImageCow, RunsNeverWriteTheProgramImage)
         EXPECT_EQ(*page, built.at(page_no)) << "page " << page_no;
 }
 
-// ----------------------------------------------- serialized round-trip
+// ----------------------------------------------------- serialized form
 
 ArchCheckpoint
 captureAt(const MachineConfig &cfg, const Program &prog,
@@ -152,27 +151,18 @@ captureAt(const MachineConfig &cfg, const Program &prog,
     return ck;
 }
 
-TEST(CheckpointSerialize, RoundTripIsBitExact)
+TEST(CheckpointSerialize, SerializeIsStable)
 {
     const Program prog = testProgram();
     const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
     const ArchCheckpoint ck = captureAt(cfg, prog, 5000);
+    EXPECT_EQ(ck.progHash, prog.hash());
+    EXPECT_EQ(ck.instsExecuted, 5000u);
 
-    const std::string bytes = ck.serialize();
-    const ArchCheckpoint back = ArchCheckpoint::deserialize(bytes);
-
-    EXPECT_EQ(back.serialize(), bytes);
-    EXPECT_EQ(back.fingerprint(), ck.fingerprint());
-    EXPECT_EQ(back.progHash, prog.hash());
-    EXPECT_EQ(back.pc, ck.pc);
-    EXPECT_EQ(back.instsExecuted, 5000u);
-    EXPECT_EQ(back.regs, ck.regs);
-    ASSERT_EQ(back.pages.size(), ck.pages.size());
-    for (const auto &[page, data] : ck.pages) {
-        const auto it = back.pages.find(page);
-        ASSERT_NE(it, back.pages.end());
-        EXPECT_EQ(*it->second, *data);
-    }
+    // A copy shares the captured pages and serializes to the same bytes.
+    const ArchCheckpoint copy = ck;
+    EXPECT_EQ(copy.serialize(), ck.serialize());
+    EXPECT_EQ(copy.fingerprint(), ck.fingerprint());
 }
 
 TEST(CheckpointSerialize, FingerprintIdentifiesContent)
@@ -193,38 +183,6 @@ TEST(CheckpointSerialize, FingerprintIdentifiesContent)
         h *= 0x100000001b3ull;
     }
     EXPECT_EQ(c.fingerprint(), h ? h : 1);
-}
-
-TEST(CheckpointSerialize, MalformedImagesThrow)
-{
-    const Program prog = testProgram();
-    const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
-    const std::string bytes = captureAt(cfg, prog, 1000).serialize();
-
-    EXPECT_THROW(ArchCheckpoint::deserialize(""), std::runtime_error);
-    EXPECT_THROW(
-        ArchCheckpoint::deserialize(bytes.substr(0, bytes.size() / 2)),
-        std::runtime_error);
-    std::string badMagic = bytes;
-    badMagic[0] ^= 0xff;
-    EXPECT_THROW(ArchCheckpoint::deserialize(badMagic),
-                 std::runtime_error);
-    EXPECT_THROW(ArchCheckpoint::deserialize(bytes + "x"),
-                 std::runtime_error);
-
-    // A RAS top past the 16-entry stack would make the first return
-    // prediction after a resume read past it.
-    const ArchCheckpoint good = ArchCheckpoint::deserialize(bytes);
-    for (const unsigned top : {16u, 255u}) {
-        ArchCheckpoint bad = good;
-        bad.ras.rasTop = static_cast<std::uint8_t>(top);
-        EXPECT_THROW(ArchCheckpoint::deserialize(bad.serialize()),
-                     std::runtime_error)
-            << "rasTop " << top;
-    }
-    ArchCheckpoint last = good;
-    last.ras.rasTop = 15;
-    EXPECT_EQ(ArchCheckpoint::deserialize(last.serialize()).ras.rasTop, 15);
 }
 
 TEST(CheckpointSerialize, VortexCaptureBytesArePinned)

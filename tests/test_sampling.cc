@@ -9,8 +9,8 @@
  *  - THE ACCEPTANCE CHECK: a sampled run and a full-detail run of the
  *    same workload agree on IPC within the sampled run's reported 95%
  *    CI, across the Figure 12 machine grid;
- *  - a campaign sharded across the SimService worker pool merges to
- *    exactly the in-process simulateSampled() numbers;
+ *  - a campaign sharded across four workers of the SimService pool
+ *    merges to exactly the numbers of the same campaign on one worker;
  *  - windows stream to the pool during the fast-forward pass, and a
  *    pass that throws after windows were submitted reaches the caller
  *    without ever running the completion callback.
@@ -50,6 +50,21 @@ dynLength(const Program &prog)
     while (!interp.halted())
         interp.run(1u << 20);
     return interp.instsExecuted();
+}
+
+/** A whole campaign through the one campaign driver, serve::runSampled,
+ * on a fresh one-worker service with no result cache (every window
+ * executes). Rethrows a fast-forward fault. */
+SampledResult
+runCampaign(const MachineConfig &cfg, const Program &prog,
+            const SamplingOptions &opts)
+{
+    serve::SimService service(
+        serve::SimService::Options{/*workers=*/1, /*cacheCapacity=*/0});
+    serve::SampledOutcome out =
+        serve::runSampled(service, cfg, prog, opts);
+    EXPECT_TRUE(out.ok) << out.error;
+    return std::move(out.result);
 }
 
 /** A regimen scaled to the program: ~`windows` windows, half of each
@@ -186,7 +201,7 @@ TEST(MergedStats, CompressCampaignIsPinned)
     opts.periodInsts = 20'000;
     opts.warmupInsts = 2'000;
     opts.measureInsts = 5'000;
-    const SampledResult res = simulateSampled(cfg, prog, opts);
+    const SampledResult res = runCampaign(cfg, prog, opts);
 
     EXPECT_EQ(res.windows, 12u);
     EXPECT_EQ(res.ffInsts, 221'718u);
@@ -251,7 +266,7 @@ TEST(SampledVsFull, AgreeWithinCi95OnTheFig12Grid)
         const SimResult full = simulate(cfg, prog);
         ASSERT_TRUE(full.halted);
 
-        const SampledResult sampled = simulateSampled(cfg, prog, opts);
+        const SampledResult sampled = runCampaign(cfg, prog, opts);
         ASSERT_GE(sampled.windows, 2u) << cfg.label;
         EXPECT_TRUE(sampled.completed);
         EXPECT_EQ(sampled.ffInsts, len);
@@ -270,7 +285,7 @@ TEST(SampledVsFull, MeasuredWindowsHaveTheRequestedLength)
     const SamplingOptions opts = regimenFor(len, 8);
     const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
 
-    const SampledResult res = simulateSampled(cfg, prog, opts);
+    const SampledResult res = runCampaign(cfg, prog, opts);
     ASSERT_GE(res.windows, 2u);
     // Every window but possibly the last measures exactly measureInsts
     // retired instructions (the budget stops retirement at the boundary;
@@ -287,14 +302,14 @@ TEST(SampledVsFull, MeasuredWindowsHaveTheRequestedLength)
 
 // ------------------------------------------------- sharded campaigns
 
-TEST(ShardedSampling, MergesToExactlyTheInProcessNumbers)
+TEST(ShardedSampling, FourWorkersMergeToExactlyTheOneWorkerNumbers)
 {
     const Program prog = testProgram();
     const std::uint64_t len = dynLength(prog);
     const SamplingOptions opts = regimenFor(len, 6);
     const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
 
-    const SampledResult inproc = simulateSampled(cfg, prog, opts);
+    const SampledResult one = runCampaign(cfg, prog, opts);
 
     serve::SimService service(
         serve::SimService::Options{/*workers=*/4, /*cacheCapacity=*/64});
@@ -302,15 +317,15 @@ TEST(ShardedSampling, MergesToExactlyTheInProcessNumbers)
         serve::runSampled(service, cfg, prog, opts);
 
     ASSERT_TRUE(sharded.ok) << sharded.error;
-    EXPECT_EQ(sharded.result.windows, inproc.windows);
-    EXPECT_EQ(sharded.result.ffInsts, inproc.ffInsts);
-    EXPECT_EQ(sharded.result.completed, inproc.completed);
+    EXPECT_EQ(sharded.result.windows, one.windows);
+    EXPECT_EQ(sharded.result.ffInsts, one.ffInsts);
+    EXPECT_EQ(sharded.result.completed, one.completed);
     // Stream-order merge: bit-equal window IPCs, merged stats, mean, CI
     // regardless of which worker finished which window first.
-    EXPECT_EQ(sharded.result.windowIpc, inproc.windowIpc);
-    EXPECT_EQ(sharded.result.merged, inproc.merged);
-    EXPECT_EQ(sharded.result.ipcMean, inproc.ipcMean);
-    EXPECT_EQ(sharded.result.ipcCi95, inproc.ipcCi95);
+    EXPECT_EQ(sharded.result.windowIpc, one.windowIpc);
+    EXPECT_EQ(sharded.result.merged, one.merged);
+    EXPECT_EQ(sharded.result.ipcMean, one.ipcMean);
+    EXPECT_EQ(sharded.result.ipcCi95, one.ipcCi95);
 
     // Windows are cacheable (keyed by checkpoint fingerprint): a repeat
     // campaign executes nothing new.
@@ -360,7 +375,6 @@ TEST(ShardedSampling, FastForwardFaultReachesTheCallerAndDoneNeverRuns)
     const Program bad = faultAfterLoop(5'000); // 10 windows, then the JMP
     const SamplingOptions opts = faultRegimen();
     const MachineConfig cfg = MachineConfig::make(MachineKind::RbFull, 4);
-    EXPECT_THROW(simulateSampled(cfg, bad, opts), InterpError);
 
     // No result cache, so every window executes on a worker.
     serve::SimService service(
@@ -382,17 +396,17 @@ TEST(ShardedSampling, FastForwardFaultReachesTheCallerAndDoneNeverRuns)
     EXPECT_THROW(serve::runSampled(service, cfg, bad, opts), InterpError);
     service.wait();
 
-    // The same service then runs a normal campaign to the in-process
-    // numbers.
+    // The same service then runs a normal campaign to the numbers of a
+    // fresh one-worker service.
     const Program good = testProgram();
     const SamplingOptions gopts = regimenFor(dynLength(good), 6);
-    const SampledResult inproc = simulateSampled(cfg, good, gopts);
+    const SampledResult fresh = runCampaign(cfg, good, gopts);
     const serve::SampledOutcome after =
         serve::runSampled(service, cfg, good, gopts);
     ASSERT_TRUE(after.ok) << after.error;
-    EXPECT_EQ(after.result.windows, inproc.windows);
-    EXPECT_EQ(after.result.windowIpc, inproc.windowIpc);
-    EXPECT_EQ(after.result.merged, inproc.merged);
+    EXPECT_EQ(after.result.windows, fresh.windows);
+    EXPECT_EQ(after.result.windowIpc, fresh.windowIpc);
+    EXPECT_EQ(after.result.merged, fresh.merged);
     EXPECT_EQ(doneRuns.load(), 0);
 }
 

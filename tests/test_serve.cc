@@ -389,6 +389,18 @@ TEST(ServeProtocol, ConfigJsonRoundTrips)
     EXPECT_EQ(round.bypassLevelMask, 0b001);
 }
 
+TEST(ServeProtocol, PartialCacheObjectOverlaysTheNamedMachine)
+{
+    // A cache object keeps the named machine's values for the keys it
+    // leaves out, like the config object around it.
+    const MachineConfig cfg = serve::configFromJson(Json::parse(
+        R"({"kind":"Baseline","dl1":{"assoc":4},"l2":{"banks":4}})"));
+    MachineConfig want = MachineConfig::make(MachineKind::Baseline, 4);
+    want.dl1.assoc = 4;
+    want.l2.banks = 4;
+    EXPECT_EQ(serve::configKey(cfg), serve::configKey(want));
+}
+
 TEST(ServeProtocol, RequestParsing)
 {
     const serve::JobRequest req = serve::parseRequest(std::string(
@@ -542,21 +554,65 @@ TEST(ServeServer, OutOfRangeMachineSizesAreBadRequests)
         {"bypass_level_mask", 256}, {"bypass_level_mask", 263},
     };
     unsigned n = 0;
-    for (const Case &c : cases) {
-        SCOPED_TRACE(std::string(c.field) + "=" + std::to_string(c.value));
+    const auto expectBadThenOk = [&](const std::string &bad_job) {
         const std::string id = std::to_string(n++);
-        expectError(ts.roundTrip(R"({"id":"bad)" + id +
-                                 R"(","workload":"compress","config":)"
-                                 R"({"kind":"Baseline",")" +
-                                 c.field + "\":" +
-                                 std::to_string(c.value) + "}}"),
+        expectError(ts.roundTrip(R"({"id":"bad)" + id + "\"," + bad_job +
+                                 "}"),
                     "bad-request");
         const auto ok = ts.roundTrip(R"({"id":"ok)" + id +
                                      R"(","workload":"compress",)"
                                      R"("machine":"base","max_insts":2000})");
         ASSERT_EQ(ok.size(), 1u);
         EXPECT_TRUE(ok[0].find("ok")->asBool());
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.field) + "=" + std::to_string(c.value));
+        expectBadThenOk(R"("workload":"compress","config":)"
+                        R"({"kind":"Baseline",")" +
+                        std::string(c.field) + "\":" +
+                        std::to_string(c.value) + "}");
     }
+
+    // A cache or memory geometry that CacheModel or the DL1 SAM decoder
+    // cannot build would divide by zero or trip an assertion; an integer
+    // wider than its field would be truncated into another machine.
+    const char *configs[] = {
+        R"("dl1":{"assoc":0})",
+        R"("dl1":{"line_bytes":0})",
+        R"("dl1":{"line_bytes":48})",
+        R"("dl1":{"size_bytes":0})",
+        R"("dl1":{"size_bytes":100})",
+        R"("dl1":{"size_bytes":12288})",
+        R"("dl1":{"assoc":65536,"line_bytes":65536})",
+        R"("dl1":{"size_bytes":4294967296})",
+        R"("il1":{"assoc":3})",
+        R"("il1":{"banks":0})",
+        R"("l2":{"banks":0})",
+        R"("l2":{"latency":4294967296})",
+        R"("mem_banks":0)",
+        R"("mem_latency":4294967296)",
+        R"("num_clusters":4294967297)",
+    };
+    for (const char *c : configs) {
+        SCOPED_TRACE(c);
+        expectBadThenOk(R"("workload":"compress","config":)"
+                        R"({"kind":"Baseline",)" +
+                        std::string(c) + "}");
+    }
+    for (const char *req : {R"("width":4294967300)",
+                            R"("scale":4294967297)"}) {
+        SCOPED_TRACE(req);
+        expectBadThenOk(R"("workload":"compress","machine":"base",)" +
+                        std::string(req));
+    }
+
+    // A partial cache object keeps the named machine's other fields.
+    const auto partial = ts.roundTrip(
+        R"({"id":"dl1-assoc","workload":"compress","max_insts":2000,)"
+        R"("config":{"kind":"Baseline","dl1":{"assoc":4},)"
+        R"("l2":{"banks":1}}})");
+    ASSERT_EQ(partial.size(), 1u);
+    EXPECT_TRUE(partial[0].find("ok")->asBool());
 
     // The committed machines' largest sizes stay accepted.
     const auto big = ts.roundTrip(

@@ -1,10 +1,12 @@
 /**
  * @file
- * Statistics toolkit: means, Histogram, the self-registering registry,
+ * Statistics toolkit: means, Histogram, the StatGroup snapshot writer,
  * and StatSnapshot's window difference and JSON rendering.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -59,32 +61,36 @@ TEST(Histogram, RecordsAndClampsToLastBucket)
     EXPECT_EQ(h.raw(), (std::vector<std::uint64_t>{1, 1, 5, 5}));
 }
 
-// ------------------------------------------------------------- registry
+// --------------------------------------------------------------- writer
 
-TEST(StatRegistry, SnapshotSeesCurrentValues)
+/** What a component's writeStats() hook does: write its current values
+ * under "core". */
+void
+writeCore(StatSnapshot &snap, std::uint64_t retired, std::uint64_t cycles,
+          const std::uint64_t (&table)[3], const Histogram &hist)
 {
-    std::uint64_t retired = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t table[3] = {0, 0, 0};
-    Histogram hist(4);
-
-    StatRegistry reg;
-    StatGroup core = statGroup(reg, "core");
-    core.counter("retired", &retired);
-    core.counter("cycles", &cycles);
+    const StatGroup core(snap, "core");
+    core.counter("retired", retired);
+    core.counter("cycles", cycles);
     core.vector("table", table, 3);
-    core.histogram("waits", &hist);
+    core.histogram("waits", hist);
+}
 
-    // Values read at snapshot time, not registration time.
-    retired = 30;
-    cycles = 10;
-    table[1] = 7;
+TEST(StatGroup, SnapshotHoldsTheValuesWritten)
+{
+    std::uint64_t table[3] = {0, 7, 0};
+    Histogram hist(4);
     hist.record(2);
 
-    const StatSnapshot snap = reg.snapshot();
+    StatSnapshot snap;
+    writeCore(snap, 30, 10, table, hist);
+    // A snapshot is a copy: what the component counts next is not in it.
+    table[1] = 9;
+    hist.record(2);
+
     EXPECT_EQ(snap.counter("core.retired"), 30u);
     EXPECT_EQ(snap.counter("core.absent"), 0u);
-    EXPECT_TRUE(snap.formulas.empty()); // derived values are not registered
+    EXPECT_TRUE(snap.formulas.empty()); // components write no ratios
     EXPECT_DOUBLE_EQ(snap.value("core.cycles"), 10.0); // counter fallback
     EXPECT_EQ(snap.vec("core.table"),
               (std::vector<std::uint64_t>{0, 7, 0}));
@@ -93,48 +99,45 @@ TEST(StatRegistry, SnapshotSeesCurrentValues)
     EXPECT_DOUBLE_EQ(snap.ratio("core.retired", "core.cycles"), 3.0);
 }
 
-TEST(StatRegistry, ChildGroupsNest)
+TEST(StatGroup, DuplicateNamesThrow)
 {
-    std::uint64_t v = 9;
-    StatRegistry reg;
-    statGroup(reg, "core").group("bypass").counter("uses", &v);
-    EXPECT_EQ(reg.snapshot().counter("core.bypass.uses"), 9u);
-}
-
-TEST(StatRegistry, DuplicateNamesThrow)
-{
-    std::uint64_t v = 0;
-    StatRegistry reg;
+    const std::uint64_t v = 0;
     Histogram h(2);
-    reg.addCounter("x", &v);
-    EXPECT_THROW(reg.addCounter("x", &v), std::logic_error);
-    EXPECT_THROW(reg.addVector("x", &v, 1), std::logic_error);
-    EXPECT_THROW(reg.addHistogram("x", &h), std::logic_error);
+    StatSnapshot snap;
+    const StatGroup g(snap, "core");
+    g.counter("x", 1);
+    g.vector("y", &v, 1);
+    g.histogram("z", h);
+    for (const char *name : {"x", "y", "z"}) {
+        SCOPED_TRACE(name);
+        EXPECT_THROW(g.counter(name, 2), std::logic_error);
+        EXPECT_THROW(g.vector(name, &v, 1), std::logic_error);
+        EXPECT_THROW(g.histogram(name, h), std::logic_error);
+    }
+    // The first write of each name stands; a leaf name under another
+    // prefix is another statistic.
+    EXPECT_EQ(snap.counter("core.x"), 1u);
+    StatGroup(snap, "lsq").counter("x", 3);
+    EXPECT_EQ(snap.counters.size(), 2u);
+    EXPECT_EQ(snap.vectors.size(), 2u);
 }
 
 // ------------------------------------------------------- window deltas
 
 TEST(StatSnapshot, SinceSubtractsCountersAndBuckets)
 {
-    std::uint64_t retired = 0;
-    std::uint64_t table[3] = {0, 0, 0};
+    std::uint64_t table[3] = {5, 0, 0};
     Histogram hist(4);
-    StatRegistry reg;
-    StatGroup core = statGroup(reg, "core");
-    core.counter("retired", &retired);
-    core.vector("table", table, 3);
-    core.histogram("waits", &hist);
-
-    retired = 40;
-    table[0] = 5;
     hist.record(1, 7);
-    const StatSnapshot start = reg.snapshot();
-    retired = 100;
+    StatSnapshot start;
+    writeCore(start, 40, 0, table, hist);
     table[0] = 9;
     table[2] = 4;
     hist.record(1);
     hist.record(3, 2);
-    const StatSnapshot window = reg.snapshot().since(start);
+    StatSnapshot end;
+    writeCore(end, 100, 0, table, hist);
+    const StatSnapshot window = end.since(start);
 
     EXPECT_EQ(window.counter("core.retired"), 60u);
     EXPECT_EQ(window.vec("core.table"),
@@ -154,15 +157,13 @@ TEST(StatSnapshot, SinceSubtractsCountersAndBuckets)
 
 TEST(StatSnapshot, RendersTheStatsObject)
 {
-    std::uint64_t big = 0xffff'ffff'ffff'fff0ull; // needs exact u64
     Histogram hist(3);
     hist.record(1);
 
-    StatRegistry reg;
-    StatGroup g = statGroup(reg, "core");
-    g.counter("big", &big);
-    g.histogram("h", &hist);
-    StatSnapshot snap = reg.snapshot();
+    StatSnapshot snap;
+    const StatGroup g(snap, "core");
+    g.counter("big", 0xffff'ffff'ffff'fff0ull); // needs exact u64
+    g.histogram("h", hist);
     snap.formulas["core.f"] = 0.125;
 
     EXPECT_EQ(snap.toJson().dump(),
