@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace rbsim
 {
@@ -47,7 +48,8 @@ Json::asU64() const
         throw JsonError("not a number");
     if (integral)
         return unum;
-    if (num < 0 || num != std::floor(num))
+    // Casting 2^64 or more to std::uint64_t is undefined behavior.
+    if (num < 0 || num != std::floor(num) || num >= 0x1p64)
         throw JsonError("not an unsigned integer");
     return static_cast<std::uint64_t>(num);
 }
@@ -432,6 +434,45 @@ Json::parse(const std::string &text)
     if (p.pos != text.size())
         p.fail("trailing content");
     return j;
+}
+
+// ------------------------------------------------------- checked readers
+
+std::string
+asStringField(const Json &v, std::string_view key)
+{
+    if (!v.isString())
+        throw std::invalid_argument("\"" + std::string(key) +
+                                    "\" must be a string");
+    return v.asString();
+}
+
+bool
+asBoolField(const Json &v, std::string_view key)
+{
+    if (!v.isBool())
+        throw std::invalid_argument("\"" + std::string(key) +
+                                    "\" must be a boolean");
+    return v.asBool();
+}
+
+std::uint64_t
+asU64Field(const Json &v, std::string_view key)
+{
+    if (!v.isIntegral())
+        throw std::invalid_argument("\"" + std::string(key) +
+                                    "\" must be a non-negative integer");
+    return v.asU64();
+}
+
+unsigned
+asSizeField(const Json &v, std::string_view key)
+{
+    const std::uint64_t n = asU64Field(v, key);
+    if (n > std::numeric_limits<unsigned>::max())
+        throw std::invalid_argument("\"" + std::string(key) +
+                                    "\" must fit in 32 bits");
+    return static_cast<unsigned>(n);
 }
 
 } // namespace rbsim

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -114,6 +115,16 @@ class Json
     std::vector<Json> arr;
     std::vector<std::pair<std::string, Json>> obj;
 };
+
+/** Checked readers for one field of a decoded document: each throws
+ * std::invalid_argument naming `key` when `v` is not of its kind. */
+std::string asStringField(const Json &v, std::string_view key);
+bool asBoolField(const Json &v, std::string_view key);
+
+/** A non-negative integer, not in a fractional or exponent form (8.0,
+ * 1e3); asSizeField's also fits an `unsigned`, so none is truncated. */
+std::uint64_t asU64Field(const Json &v, std::string_view key);
+unsigned asSizeField(const Json &v, std::string_view key);
 
 } // namespace rbsim
 

@@ -66,19 +66,17 @@ StatSnapshot::ratio(const std::string &num, const std::string &den) const
     return d == 0 ? 0.0 : static_cast<double>(counter(num)) / d;
 }
 
-StatSnapshot
-StatSnapshot::since(const StatSnapshot &start) const
+void
+StatSnapshot::subtract(const StatSnapshot &start)
 {
-    StatSnapshot d;
-    for (const auto &[name, v] : counters)
-        d.counters[name] = v - start.counter(name);
-    for (const auto &[name, buckets] : vectors) {
-        std::vector<std::uint64_t> &out = (d.vectors[name] = buckets);
+    for (auto &[name, v] : counters)
+        v -= start.counter(name);
+    for (auto &[name, buckets] : vectors) {
         const std::vector<std::uint64_t> &before = start.vec(name);
-        for (std::size_t i = 0; i < before.size() && i < out.size(); ++i)
-            out[i] -= before[i];
+        for (std::size_t i = 0; i < before.size() && i < buckets.size(); ++i)
+            buckets[i] -= before[i];
     }
-    return d;
+    formulas.clear();
 }
 
 Json

@@ -100,14 +100,12 @@ struct StatSnapshot
     double ratio(const std::string &num, const std::string &den) const;
 
     /**
-     * What was counted after `start`, a snapshot of the same components
-     * taken earlier: every counter and every vector/histogram bucket
-     * minus its value in `start`. Counters only grow, so a measured
-     * window is its end snapshot since its start. Formulas are not
-     * differenced (a difference of ratios is no ratio); the result has
-     * none until they are derived from its counters.
+     * Keep what was counted after `start`, an earlier snapshot of the
+     * same components: every counter and vector/histogram bucket loses
+     * its value in `start`, in place. Formulas are dropped (a difference
+     * of ratios is no ratio) until they are derived again.
      */
-    StatSnapshot since(const StatSnapshot &start) const;
+    void subtract(const StatSnapshot &start);
 
     /**
      * The {"counters": .., "formulas": .., "vectors": ..} object, names

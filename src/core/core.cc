@@ -14,7 +14,7 @@ namespace rbsim
 
 OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
                  const ArchCheckpoint *from)
-    : config(cfg), program(prog),
+    : config(checkConfig(cfg)), program(prog),
       hierarchy(cfg),
       fetch(cfg, prog, hierarchy),
       rename(cfg.physRegs),

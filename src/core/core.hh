@@ -107,9 +107,10 @@ class OooCore
      * and the three cache tag arrays installed. A core runs one program
      * once; a new run builds a new core.
      *
-     * Throws std::logic_error for a checkpoint of a halted program
-     * (nothing to resume), and std::invalid_argument for one whose
-     * predictor, BTB or cache-tag geometry does not fit `cfg`.
+     * Throws std::invalid_argument for a `cfg` that fails checkConfig
+     * (before any component is built) or a checkpoint whose predictor,
+     * BTB or cache-tag geometry does not fit it; std::logic_error for a
+     * checkpoint of a halted program (nothing to resume).
      *
      * @param cfg machine configuration (must outlive the core)
      * @param prog program to run (must outlive the core)

@@ -1,6 +1,10 @@
 #include "core/machine_config.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+
+#include "common/bitutil.hh"
 
 namespace rbsim
 {
@@ -147,7 +151,8 @@ MachineConfig::make(MachineKind kind, unsigned width)
 {
     // 4 and 8 are the paper's machines; 16 is this reproduction's
     // scaling extension (4 clusters, scaled front end and window).
-    assert(width == 4 || width == 8 || width == 16);
+    if (width != 4 && width != 8 && width != 16)
+        throw std::invalid_argument("\"width\" must be 4, 8, or 16");
     MachineConfig cfg;
     cfg.kind = kind;
     cfg.label = machineName(kind);
@@ -185,6 +190,215 @@ MachineConfig::makeIdealLimited(unsigned width, std::uint8_t level_mask)
     }
     cfg.label = missing.empty() ? "Ideal (full)" : ("Ideal No-" + missing);
     return cfg;
+}
+
+// ------------------------------------------------------------ JSON codec
+
+namespace
+{
+
+/** Throw unless `n` is in the range of field `f` of `object`. */
+template <class S>
+void
+checkRange(std::uint64_t n, const Field<S> &f, std::string_view object)
+{
+    if (n >= f.lo && n <= f.hi && (!f.pow2 || isPow2(n)))
+        return;
+    throw std::invalid_argument(
+        "\"" + (object.empty() ? "" : std::string(object) + ".") +
+        std::string(f.key) + "\" must be " +
+        (f.pow2 ? "a power of two " : "") + "in [" + std::to_string(f.lo) +
+        ", " + std::to_string(f.hi) + "]");
+}
+
+template <class S, std::size_t N>
+void overlay(S &s, const Field<S> (&fields)[N], const Json &j,
+             const std::string &object);
+
+/** Read the JSON value of field `f` of `object` into `out`. */
+template <class S, class T>
+void
+decode(const Json &v, const Field<S> &f, const std::string &object, T &out)
+{
+    const std::string name =
+        (object.empty() ? "" : object + ".") + std::string(f.key);
+    if constexpr (std::is_same_v<T, MachineKind> ||
+                  std::is_same_v<T, Steering>) {
+        const std::string s = asStringField(v, name);
+        std::optional<T> e;
+        if constexpr (std::is_same_v<T, MachineKind>)
+            e = machineKindFromName(s);
+        else
+            e = steeringFromName(s);
+        if (!e)
+            throw std::invalid_argument("unknown " + name + " \"" + s + "\"");
+        out = *e;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out = asStringField(v, name);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out = asBoolField(v, name);
+    } else if constexpr (std::is_same_v<T, CacheParams>) {
+        overlay(out, cacheFields, v, name); // keeps the keys left out
+    } else if constexpr (std::is_same_v<T, LatencyTable>) {
+        const std::vector<Json> &rows = v.elements();
+        if (rows.size() != out.size() ||
+            !std::all_of(rows.begin(), rows.end(), [](const Json &r) {
+                return r.elements().size() == 2;
+            }))
+            throw std::invalid_argument("\"" + name + "\" must be " +
+                                        std::to_string(out.size()) +
+                                        " [early, late] pairs");
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = {asSizeField(rows[i].elements()[0], name),
+                      asSizeField(rows[i].elements()[1], name)};
+    } else {
+        const std::uint64_t n = asU64Field(v, name);
+        checkRange(n, f, object);
+        out = static_cast<T>(n);
+    }
+}
+
+/** Overlay the keys of `j` on `s`, the value of `object` ("" for the
+ * config itself). */
+template <class S, std::size_t N>
+void
+overlay(S &s, const Field<S> (&fields)[N], const Json &j,
+        const std::string &object)
+{
+    if (!j.isObject())
+        throw std::invalid_argument("\"" + object + "\" must be an object");
+    for (const auto &[key, v] : j.items()) {
+        const Field<S> *f =
+            std::find_if(fields, fields + N,
+                         [&k = key](const Field<S> &x) { return x.key == k; });
+        if (f == fields + N)
+            throw std::invalid_argument("unknown config key \"" +
+                                        (object.empty() ? "" : object + ".") +
+                                        key + "\"");
+        std::visit([&](auto m) { decode(v, *f, object, s.*m); }, f->member);
+    }
+}
+
+/** Every number of `s`, the value of `object`, in its field's range. */
+template <class S, std::size_t N>
+void
+check(const S &s, const Field<S> (&fields)[N], std::string_view object)
+{
+    for (const Field<S> &f : fields) {
+        std::visit(
+            [&](auto m) {
+                using T = std::remove_cvref_t<decltype(s.*m)>;
+                if constexpr (std::is_same_v<T, CacheParams>) {
+                    const CacheParams &c = s.*m;
+                    check(c, cacheFields, f.key);
+                    // CacheModel and the DL1's SAM decoder index a
+                    // power-of-two number of sets.
+                    const std::uint64_t way =
+                        std::uint64_t{c.assoc} * c.lineBytes;
+                    if (c.sizeBytes % way != 0 || !isPow2(c.sizeBytes / way))
+                        throw std::invalid_argument(
+                            "\"" + std::string(f.key) +
+                            "\" needs size_bytes / (assoc * line_bytes) "
+                            "a power of two");
+                } else if constexpr (std::is_integral_v<T> &&
+                                     !std::is_same_v<T, bool>) {
+                    checkRange(s.*m, f, object);
+                }
+            },
+            f.member);
+    }
+}
+
+/** The JSON form of one field's value. */
+template <class T>
+Json
+encode(const T &v)
+{
+    if constexpr (std::is_same_v<T, MachineKind>) {
+        return Json(machineAlias(v));
+    } else if constexpr (std::is_same_v<T, Steering>) {
+        return Json(steeringName(v));
+    } else if constexpr (std::is_same_v<T, LatencyTable>) {
+        Json rows = Json::array();
+        for (const LatencyPair &p : v) {
+            Json pair = Json::array();
+            pair.push(Json(p.early));
+            pair.push(Json(p.late));
+            rows.push(std::move(pair));
+        }
+        return rows;
+    } else if constexpr (std::is_same_v<T, bool> ||
+                         std::is_same_v<T, std::string>) {
+        return Json(v);
+    } else {
+        return Json(std::uint64_t{v});
+    }
+}
+
+/** The fields of `s` that differ from `base`, and the first `always`. */
+template <class S, std::size_t N>
+Json
+diff(const S &s, const S &base, const Field<S> (&fields)[N],
+     std::size_t always = 0)
+{
+    Json j = Json::object();
+    for (std::size_t i = 0; i < N; ++i) {
+        std::visit(
+            [&](auto m) {
+                using T = std::remove_cvref_t<decltype(s.*m)>;
+                if constexpr (std::is_same_v<T, CacheParams>) {
+                    Json sub = diff(s.*m, base.*m, cacheFields);
+                    if (sub.size())
+                        j[std::string(fields[i].key)] = std::move(sub);
+                } else if (i < always || !(s.*m == base.*m)) {
+                    j[std::string(fields[i].key)] = encode(s.*m);
+                }
+            },
+            fields[i].member);
+    }
+    return j;
+}
+
+} // namespace
+
+const MachineConfig &
+checkConfig(const MachineConfig &cfg)
+{
+    check(cfg, configFields, {});
+    return cfg;
+}
+
+Json
+configToJson(const MachineConfig &cfg)
+{
+    // kind and width, the first two fields, pick the base machine.
+    return diff(cfg, MachineConfig::make(cfg.kind, cfg.width), configFields,
+                2);
+}
+
+MachineConfig
+configFromJson(const Json &j)
+{
+    const Json *kind = j.find("kind");
+    if (!kind)
+        throw std::invalid_argument(
+            "a machine config is an object with a \"kind\"");
+    // The base machine first; the width defaults to 4, as a request's
+    // "machine" shorthand does.
+    MachineConfig cfg;
+    cfg.width = 4;
+    decode(*kind, configFields[0], "", cfg.kind);
+    if (const Json *width = j.find("width"))
+        decode(*width, configFields[1], "", cfg.width);
+    cfg = MachineConfig::make(cfg.kind, cfg.width);
+    overlay(cfg, configFields, j, "");
+    return checkConfig(cfg);
+}
+
+std::string
+configKey(const MachineConfig &cfg)
+{
+    return configToJson(cfg).dump();
 }
 
 } // namespace rbsim

@@ -27,9 +27,13 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 
+#include "common/json.hh"
 #include "common/types.hh"
 #include "isa/opclass.hh"
 
@@ -79,7 +83,12 @@ struct LatencyPair
 {
     unsigned early = 1; //!< RB-format availability (first bypass level)
     unsigned late = 1;  //!< TC-format availability (early + conversion)
+
+    bool operator==(const LatencyPair &) const = default;
 };
+
+/** One latency pair per op class (Table 3). */
+using LatencyTable = std::array<LatencyPair, numOpClasses>;
 
 /** Cache geometry and timing. */
 struct CacheParams
@@ -145,7 +154,7 @@ struct MachineConfig
     unsigned memBankBusy = 16;
 
     // Latencies per op class (Table 3).
-    std::array<LatencyPair, numOpClasses> latency{};
+    LatencyTable latency{};
     unsigned storeCompleteLat = 1; //!< 3 on RB machines (data conversion)
 
     /** Latency pair for an op class. */
@@ -173,7 +182,8 @@ struct MachineConfig
     /**
      * Build one of the paper's machines.
      * @param kind which machine
-     * @param width execution width (4 or 8 functional units)
+     * @param width execution width: 4, 8 or 16 functional units
+     *        (std::invalid_argument otherwise)
      */
     static MachineConfig make(MachineKind kind, unsigned width);
 
@@ -185,6 +195,98 @@ struct MachineConfig
     static MachineConfig makeIdealLimited(unsigned width,
                                           std::uint8_t level_mask);
 };
+
+// ------------------------------------------------------------ JSON codec
+// One field list drives the JSON form of a MachineConfig that serve
+// requests, result-cache keys and .repro config lines share.
+
+/** One field of a MachineConfig or of one of its caches: JSON key,
+ * member and, for a number, the values it accepts — [lo, hi], only
+ * powers of two when `pow2`. */
+template <class S>
+struct Field
+{
+    std::string_view key;
+    std::variant<MachineKind S::*, std::string S::*, unsigned S::*,
+                 std::uint8_t S::*, Cycle S::*, bool S::*, Steering S::*,
+                 CacheParams S::*, LatencyTable S::*>
+        member;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = std::numeric_limits<unsigned>::max();
+    bool pow2 = false;
+};
+
+/** The keys of an il1/dl1/l2 cache object. */
+inline constexpr Field<CacheParams> cacheFields[] = {
+    {"size_bytes", &CacheParams::sizeBytes},
+    {"assoc", &CacheParams::assoc, 1},
+    {"line_bytes", &CacheParams::lineBytes, 1,
+     std::numeric_limits<unsigned>::max(), true},
+    {"latency", &CacheParams::latency},
+    {"banks", &CacheParams::banks, 1},
+    {"bank_busy", &CacheParams::bankBusy},
+};
+
+/** Every MachineConfig field once, in JSON order; `kind` and `width`
+ * pick the MachineConfig::make machine the rest overlay. The sizes sit
+ * well above every committed machine yet bound the core's storage and
+ * SlotRef's 16-bit slots; bypass level k is bit k-1 of an 8-bit mask. */
+inline constexpr Field<MachineConfig> configFields[] = {
+    {"kind", &MachineConfig::kind},
+    {"width", &MachineConfig::width, 4, 16, true},
+    {"label", &MachineConfig::label},
+    {"num_schedulers", &MachineConfig::numSchedulers, 1, 64},
+    {"sched_entries", &MachineConfig::schedEntries, 1, 4096},
+    {"select_width", &MachineConfig::selectWidth, 1, 64},
+    {"num_clusters", &MachineConfig::numClusters},
+    {"cross_cluster_delay", &MachineConfig::crossClusterDelay},
+    {"fetch_width", &MachineConfig::fetchWidth, 1, 64},
+    {"fetch_blocks", &MachineConfig::fetchBlocks},
+    {"rename_width", &MachineConfig::renameWidth, 1, 64},
+    {"retire_width", &MachineConfig::retireWidth, 1, 64},
+    {"rob_entries", &MachineConfig::robEntries, 1, 4096},
+    {"lsq_entries", &MachineConfig::lsqEntries, 1, 4096},
+    {"phys_regs", &MachineConfig::physRegs, numArchRegs + 1, 8192},
+    {"fetch_decode_depth", &MachineConfig::fetchDecodeDepth, 0, 64},
+    {"rename_depth", &MachineConfig::renameDepth, 0, 64},
+    {"rf_read_depth", &MachineConfig::rfReadDepth},
+    {"num_bypass_levels", &MachineConfig::numBypassLevels, 1, 8},
+    {"bypass_level_mask", &MachineConfig::bypassLevelMask, 0, 255},
+    {"rb_limited_bypass", &MachineConfig::rbLimitedBypass},
+    {"has_rb_regfile", &MachineConfig::hasRbRegfile},
+    {"hole_aware_scheduling", &MachineConfig::holeAwareScheduling},
+    {"steering", &MachineConfig::steering},
+    {"wakeup_oracle", &MachineConfig::wakeupOracle},
+    {"deadlock_cycles", &MachineConfig::deadlockCycles, 0,
+     std::numeric_limits<Cycle>::max()},
+    {"il1", &MachineConfig::il1},
+    {"dl1", &MachineConfig::dl1},
+    {"l2", &MachineConfig::l2},
+    {"mem_latency", &MachineConfig::memLatency},
+    {"mem_banks", &MachineConfig::memBanks, 1},
+    {"mem_bank_busy", &MachineConfig::memBankBusy},
+    {"latency", &MachineConfig::latency},
+    {"store_complete_lat", &MachineConfig::storeCompleteLat},
+};
+
+/** Throw std::invalid_argument naming the first number of `cfg` out of
+ * its field's range, or the first cache without a whole, power-of-two
+ * number of sets; return `cfg`, for a constructor's initializer list. */
+const MachineConfig &checkConfig(const MachineConfig &cfg);
+
+/** `kind`, `width` and every field that differs from
+ * MachineConfig::make(kind, width); of a cache, the keys that differ. */
+Json configToJson(const MachineConfig &cfg);
+
+/** MachineConfig::make(kind, width) with the keys present overlaid,
+ * then checkConfig. `kind` (alias or figure label) is required; `width`
+ * defaults to 4. Throws std::invalid_argument on an unknown key, a
+ * value of the wrong type, or a number outside its field's range. */
+MachineConfig configFromJson(const Json &j);
+
+/** The compact configToJson dump: equal iff two configs simulate alike
+ * (label included), so it keys serve's results and simulators. */
+std::string configKey(const MachineConfig &cfg);
 
 } // namespace rbsim
 

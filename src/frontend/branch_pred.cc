@@ -65,13 +65,6 @@ HybridPredictor::predict(std::uint64_t pc, BpIndices *latched) const
     return useGshare ? g : l;
 }
 
-BpComponent
-HybridPredictor::chosenComponent(std::uint64_t pc) const
-{
-    return chooser[chooserIndex(pc)] >= 2 ? BpComponent::Gshare
-                                          : BpComponent::Local;
-}
-
 void
 HybridPredictor::speculate(std::uint64_t pc, bool taken)
 {

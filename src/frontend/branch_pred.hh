@@ -56,9 +56,6 @@ struct BpSnapshot
     BpIndices indices; //!< conditional branches: fetch-time table indices
 };
 
-/** Direction predictor component choice (for stats). */
-enum class BpComponent : unsigned char { Gshare, Local };
-
 /** Complete table/history state of the hybrid predictor (checkpoints). */
 struct PredictorState
 {
@@ -81,9 +78,6 @@ class HybridPredictor
      * update() at retirement).
      */
     bool predict(std::uint64_t pc, BpIndices *latched = nullptr) const;
-
-    /** Which component the chooser would select (stats/tests). */
-    BpComponent chosenComponent(std::uint64_t pc) const;
 
     /** Speculatively shift the outcome into the histories. */
     void speculate(std::uint64_t pc, bool taken);

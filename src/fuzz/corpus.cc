@@ -30,69 +30,6 @@ flatten(const std::string &s)
 } // namespace
 
 std::string
-configToJson(const MachineConfig &cfg)
-{
-    Json j = Json::object();
-    j["kind"] = Json(machineName(cfg.kind));
-    j["width"] = Json(cfg.width);
-    j["bypassMask"] = Json(static_cast<unsigned>(cfg.bypassLevelMask));
-    j["holeAware"] = Json(cfg.holeAwareScheduling);
-    j["steering"] = Json(steeringName(cfg.steering));
-    j["label"] = Json(cfg.label);
-    return j.dump();
-}
-
-MachineConfig
-configFromJson(const std::string &text)
-{
-    const Json j = Json::parse(text);
-    // A config line from another build fails this repro alone, never
-    // an assertion that ends the whole replay batch.
-    if (!j.isObject())
-        throw std::invalid_argument("config must be a JSON object");
-    for (const auto &[key, v] : j.items()) {
-        if (key != "kind" && key != "width" && key != "bypassMask" &&
-            key != "holeAware" && key != "steering" && key != "label")
-            throw std::invalid_argument("unknown config key '" + key +
-                                        "'");
-    }
-    auto str = [&j](const char *key, const std::string &dflt) {
-        const Json *v = j.find(key);
-        return v ? v->asString() : dflt;
-    };
-
-    const std::string kind_name = str("kind", "Ideal");
-    const std::optional<MachineKind> kind = machineKindFromName(kind_name);
-    if (!kind)
-        throw std::invalid_argument("unknown machine kind '" + kind_name +
-                                    "'");
-    const std::uint64_t width =
-        j.find("width") ? j.find("width")->asU64() : 8;
-    if (width != 4 && width != 8 && width != 16)
-        throw std::invalid_argument("config width " +
-                                    std::to_string(width) +
-                                    " is not 4, 8, or 16");
-    MachineConfig cfg =
-        MachineConfig::make(*kind, static_cast<unsigned>(width));
-    if (const Json *v = j.find("bypassMask")) {
-        if (v->asU64() > 0b111)
-            throw std::invalid_argument("config bypassMask " +
-                                        std::to_string(v->asU64()) +
-                                        " is above 7");
-        cfg.bypassLevelMask = static_cast<std::uint8_t>(v->asU64());
-    }
-    if (const Json *v = j.find("holeAware"))
-        cfg.holeAwareScheduling = v->asBool();
-    const std::string steering = str("steering", "rr-pairs");
-    const std::optional<Steering> s = steeringFromName(steering);
-    if (!s)
-        throw std::invalid_argument("unknown steering '" + steering + "'");
-    cfg.steering = *s;
-    cfg.label = str("label", cfg.label);
-    return cfg;
-}
-
-std::string
 formatRepro(const ReproFile &repro)
 {
     std::ostringstream os;
@@ -109,7 +46,7 @@ formatRepro(const ReproFile &repro)
     if (repro.resumeSkip)
         os << metaPrefix << "resume-skip: " << repro.resumeSkip << "\n";
     for (const MachineConfig &cfg : repro.configs)
-        os << metaPrefix << "config: " << configToJson(cfg) << "\n";
+        os << metaPrefix << "config: " << configToJson(cfg).dump() << "\n";
     if (!repro.asmText.empty()) {
         os << "\n" << repro.asmText;
         if (repro.asmText.back() != '\n')
@@ -160,7 +97,7 @@ parseRepro(const std::string &text)
         } else if (key == "resume-skip") {
             out.resumeSkip = std::stoull(val, nullptr, 0);
         } else if (key == "config") {
-            out.configs.push_back(configFromJson(val));
+            out.configs.push_back(configFromJson(Json::parse(val)));
         } else {
             throw std::invalid_argument("unknown repro metadata key '" +
                                         key + "'");

@@ -38,7 +38,7 @@ struct ReproFile
      * enough to re-derive the recipe, so presets round-trip through
      * repro files. */
     std::string genJson;
-    std::vector<MachineConfig> configs; //!< program-level machines
+    std::vector<MachineConfig> configs; //!< machines (configToJson lines)
     std::string asmText;            //!< program assembly ("" = value-level)
     /** Replay window (Oracle::setRunLimits): detailed-simulate at most
      * this many retired instructions (0 = to HALT). Recorded so shrunk
@@ -51,16 +51,6 @@ struct ReproFile
 
     bool programLevel() const { return !asmText.empty(); }
 };
-
-/** Compact one-line JSON for the configuration fields the fuzzer varies
- * (kind, width, bypass mask, hole-aware wakeup, steering, label). */
-std::string configToJson(const MachineConfig &cfg);
-
-/** Rebuild a configuration from configToJson output: MachineConfig::make
- * plus the recorded overrides. Throws JsonError / invalid_argument on
- * malformed input, including an unknown key, a width other than 4, 8
- * or 16, and a bypass mask above 7. */
-MachineConfig configFromJson(const std::string &text);
 
 /** Render a repro as an assemblable file with metadata comments. */
 std::string formatRepro(const ReproFile &repro);

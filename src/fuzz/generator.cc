@@ -132,16 +132,13 @@ genOptionsFromJson(const Json &j)
     if (!j.isObject())
         throw std::invalid_argument("gen options must be a JSON object");
     GenOptions o;
-    auto u = [](const Json &v) {
-        return static_cast<unsigned>(v.asU64());
-    };
     for (const auto &[key, v] : j.items()) {
         if (key == "weights") {
             for (const auto &[kname, w] : v.items()) {
                 bool known = false;
                 for (unsigned k = 0; k < numOpKinds; ++k) {
                     if (kname == opKindName(static_cast<OpKind>(k))) {
-                        o.weight[k] = u(w);
+                        o.weight[k] = asSizeField(w, kname);
                         known = true;
                     }
                 }
@@ -150,23 +147,23 @@ genOptionsFromJson(const Json &j)
                         "unknown op kind \"" + kname + "\"");
             }
         } else if (key == "minBody") {
-            o.minBody = u(v);
+            o.minBody = asSizeField(v, key);
         } else if (key == "maxBody") {
-            o.maxBody = u(v);
+            o.maxBody = asSizeField(v, key);
         } else if (key == "minTrips") {
-            o.minTrips = u(v);
+            o.minTrips = asSizeField(v, key);
         } else if (key == "maxTrips") {
-            o.maxTrips = u(v);
+            o.maxTrips = asSizeField(v, key);
         } else if (key == "numSubs") {
-            o.numSubs = u(v);
+            o.numSubs = asSizeField(v, key);
         } else if (key == "jumpTable") {
-            o.jumpTable = v.asBool();
+            o.jumpTable = asBoolField(v, key);
         } else if (key == "sandboxWords") {
-            o.sandboxWords = u(v);
+            o.sandboxWords = asSizeField(v, key);
         } else if (key == "aliasSlots") {
-            o.aliasSlots = u(v);
+            o.aliasSlots = asSizeField(v, key);
         } else if (key == "useStream") {
-            o.useStream = v.asBool();
+            o.useStream = asBoolField(v, key);
         } else if (key == "stream") {
             o.stream = gen::GenConfig::fromJsonValue(v);
         } else {

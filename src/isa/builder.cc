@@ -200,12 +200,6 @@ CodeBuilder::dataWords(Addr base, const std::vector<Word> &words)
     prog.addDataWords(base, words);
 }
 
-void
-CodeBuilder::dataBytes(Addr base, std::vector<std::uint8_t> bytes)
-{
-    prog.addDataBytes(base, std::move(bytes));
-}
-
 Program
 CodeBuilder::finish()
 {

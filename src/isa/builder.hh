@@ -133,9 +133,6 @@ class CodeBuilder
     /** Attach a data segment of 64-bit words. */
     void dataWords(Addr base, const std::vector<Word> &words);
 
-    /** Attach a raw byte segment. */
-    void dataBytes(Addr base, std::vector<std::uint8_t> bytes);
-
     /**
      * Resolve labels and produce the program.
      * @pre every referenced label has been bound

@@ -1,9 +1,7 @@
 #include "serve/protocol.hh"
 
 #include <cstdio>
-#include <limits>
-
-#include "common/bitutil.hh"
+#include <stdexcept>
 
 namespace rbsim::serve
 {
@@ -30,106 +28,11 @@ errorCodeName(ErrorCode code)
 namespace
 {
 
+/** The server answers every std::invalid_argument with bad-request. */
 [[noreturn]] void
 bad(const std::string &msg)
 {
-    throw RequestError(ErrorCode::BadRequest, msg);
-}
-
-std::string
-asStringField(const Json &v, const std::string &key)
-{
-    if (!v.isString())
-        bad("\"" + key + "\" must be a string");
-    return v.asString();
-}
-
-std::uint64_t
-asU64Field(const Json &v, const std::string &key)
-{
-    if (!v.isIntegral())
-        bad("\"" + key + "\" must be a non-negative integer");
-    return v.asU64();
-}
-
-/**
- * An integer in [lo, hi], by default any value an `unsigned` holds, so
- * no size is silently truncated. The structural machine sizes pass
- * tighter bounds: they sit well above every committed machine (ROB 256,
- * 640 physical registers, 16-wide) yet keep the core's construction-
- * time storage bounded and every scheduler slot addressable by
- * SlotRef's 16-bit fields; the bypass fields stay within the 8-bit
- * level mask. Out-of-range values would trip a core assertion (or shift
- * past a word) and take the whole server down, so they are a bad
- * request instead.
- */
-unsigned
-asSizeField(const Json &v, const std::string &key, std::uint64_t lo = 0,
-            std::uint64_t hi = std::numeric_limits<unsigned>::max())
-{
-    const std::uint64_t n = asU64Field(v, key);
-    if (n < lo || n > hi)
-        bad("\"" + key + "\" must be in [" + std::to_string(lo) + ", " +
-            std::to_string(hi) + "]");
-    return static_cast<unsigned>(n);
-}
-
-bool
-asBoolField(const Json &v, const std::string &key)
-{
-    if (!v.isBool())
-        bad("\"" + key + "\" must be a boolean");
-    return v.asBool();
-}
-
-Json
-cacheToJson(const CacheParams &c)
-{
-    Json j = Json::object();
-    j["size_bytes"] = Json(std::uint64_t{c.sizeBytes});
-    j["assoc"] = Json(std::uint64_t{c.assoc});
-    j["line_bytes"] = Json(std::uint64_t{c.lineBytes});
-    j["latency"] = Json(std::uint64_t{c.latency});
-    j["banks"] = Json(std::uint64_t{c.banks});
-    j["bank_busy"] = Json(std::uint64_t{c.bankBusy});
-    return j;
-}
-
-/**
- * Overlay the keys of cache object `j` on `c`, the named machine's
- * cache, and check that CacheModel (and, for the DL1, the SAM decoder)
- * can build the result: a whole, power-of-two number of sets of
- * power-of-two lines, and at least one bank. A geometry that cannot be
- * built would divide by zero or trip an assertion and take the whole
- * server down, so it is a bad request instead.
- */
-CacheParams
-cacheFromJson(const Json &j, const std::string &key, CacheParams c)
-{
-    if (!j.isObject())
-        bad("\"" + key + "\" must be an object");
-    for (const auto &[k, v] : j.items()) {
-        if (k == "size_bytes")
-            c.sizeBytes = asSizeField(v, k);
-        else if (k == "assoc")
-            c.assoc = asSizeField(v, k, 1);
-        else if (k == "line_bytes")
-            c.lineBytes = asSizeField(v, k, 1);
-        else if (k == "latency")
-            c.latency = asSizeField(v, k);
-        else if (k == "banks")
-            c.banks = asSizeField(v, k, 1);
-        else if (k == "bank_busy")
-            c.bankBusy = asSizeField(v, k);
-        else
-            bad("unknown key \"" + k + "\" in \"" + key + "\"");
-    }
-    const std::uint64_t way_bytes = std::uint64_t{c.assoc} * c.lineBytes;
-    if (!isPow2(c.lineBytes) || c.sizeBytes % way_bytes != 0 ||
-        !isPow2(c.sizeBytes / way_bytes))
-        bad("\"" + key + "\" needs a power-of-two line_bytes and "
-            "size_bytes / (assoc * line_bytes) a power of two");
-    return c;
+    throw std::invalid_argument(msg);
 }
 
 } // namespace
@@ -237,21 +140,21 @@ parseRequest(const Json &j)
 MachineConfig
 requestConfig(const JobRequest &req)
 {
-    MachineConfig cfg;
-    if (!req.config.isNull()) {
-        cfg = configFromJson(req.config);
-    } else {
-        const std::optional<MachineKind> kind =
-            machineKindFromName(req.machine);
-        if (!kind)
-            throw RequestError(ErrorCode::UnknownMachine,
-                               "unknown machine \"" + req.machine +
-                                   "\" (want base/rblim/rbfull/ideal or a "
-                                   "figure label)");
-        if (req.width != 4 && req.width != 8 && req.width != 16)
-            bad("\"width\" must be 4, 8, or 16");
-        cfg = MachineConfig::make(*kind, req.width);
+    // The "machine" + "width" shorthand is the config object of its two
+    // base keys.
+    Json spec = req.config;
+    if (spec.isNull()) {
+        spec = Json::object();
+        spec["kind"] = Json(req.machine);
+        spec["width"] = Json(req.width);
     }
+    const Json *kind = spec.find("kind");
+    if (kind && kind->isString() && !machineKindFromName(kind->asString()))
+        throw RequestError(ErrorCode::UnknownMachine,
+                           "unknown machine \"" + kind->asString() +
+                               "\" (want base/rblim/rbfull/ideal or a "
+                               "figure label)");
+    MachineConfig cfg = configFromJson(spec);
 
     // The scheduler mode rides on top of whichever machine was named;
     // both modes produce bit-identical statistics (CI pins it), so the
@@ -267,178 +170,6 @@ requestConfig(const JobRequest &req)
                                "\" (want wakeup or oracle)");
     }
     return cfg;
-}
-
-Json
-configToJson(const MachineConfig &cfg)
-{
-    Json j = Json::object();
-    j["kind"] = Json(machineAlias(cfg.kind));
-    j["label"] = Json(cfg.label);
-    j["width"] = Json(std::uint64_t{cfg.width});
-    j["num_schedulers"] = Json(std::uint64_t{cfg.numSchedulers});
-    j["sched_entries"] = Json(std::uint64_t{cfg.schedEntries});
-    j["select_width"] = Json(std::uint64_t{cfg.selectWidth});
-    j["num_clusters"] = Json(std::uint64_t{cfg.numClusters});
-    j["cross_cluster_delay"] = Json(std::uint64_t{cfg.crossClusterDelay});
-    j["fetch_width"] = Json(std::uint64_t{cfg.fetchWidth});
-    j["fetch_blocks"] = Json(std::uint64_t{cfg.fetchBlocks});
-    j["rename_width"] = Json(std::uint64_t{cfg.renameWidth});
-    j["retire_width"] = Json(std::uint64_t{cfg.retireWidth});
-    j["rob_entries"] = Json(std::uint64_t{cfg.robEntries});
-    j["lsq_entries"] = Json(std::uint64_t{cfg.lsqEntries});
-    j["phys_regs"] = Json(std::uint64_t{cfg.physRegs});
-    j["fetch_decode_depth"] = Json(std::uint64_t{cfg.fetchDecodeDepth});
-    j["rename_depth"] = Json(std::uint64_t{cfg.renameDepth});
-    j["rf_read_depth"] = Json(std::uint64_t{cfg.rfReadDepth});
-    j["num_bypass_levels"] = Json(std::uint64_t{cfg.numBypassLevels});
-    j["bypass_level_mask"] = Json(std::uint64_t{cfg.bypassLevelMask});
-    j["rb_limited_bypass"] = Json(cfg.rbLimitedBypass);
-    j["has_rb_regfile"] = Json(cfg.hasRbRegfile);
-    j["hole_aware_scheduling"] = Json(cfg.holeAwareScheduling);
-    j["steering"] = Json(steeringName(cfg.steering));
-    j["wakeup_oracle"] = Json(cfg.wakeupOracle);
-    j["deadlock_cycles"] = Json(std::uint64_t{cfg.deadlockCycles});
-    j["il1"] = cacheToJson(cfg.il1);
-    j["dl1"] = cacheToJson(cfg.dl1);
-    j["l2"] = cacheToJson(cfg.l2);
-    j["mem_latency"] = Json(std::uint64_t{cfg.memLatency});
-    j["mem_banks"] = Json(std::uint64_t{cfg.memBanks});
-    j["mem_bank_busy"] = Json(std::uint64_t{cfg.memBankBusy});
-    Json lat = Json::array();
-    for (const LatencyPair &p : cfg.latency) {
-        Json pair = Json::array();
-        pair.push(Json(std::uint64_t{p.early}));
-        pair.push(Json(std::uint64_t{p.late}));
-        lat.push(std::move(pair));
-    }
-    j["latency"] = std::move(lat);
-    j["store_complete_lat"] = Json(std::uint64_t{cfg.storeCompleteLat});
-    return j;
-}
-
-MachineConfig
-configFromJson(const Json &j)
-{
-    if (!j.isObject())
-        bad("\"config\" must be an object");
-
-    // Start from the named base machine so a partial dump (kind + the
-    // knobs an ablation actually turns) round-trips; then overlay every
-    // present key. Unknown keys fail loudly — a dump from a newer field
-    // set must not silently drop an ablation knob.
-    const Json *kindField = j.find("kind");
-    if (!kindField || !kindField->isString())
-        bad("\"config\" requires a string \"kind\"");
-    const std::optional<MachineKind> kind =
-        machineKindFromName(kindField->asString());
-    if (!kind)
-        throw RequestError(ErrorCode::UnknownMachine,
-                           "unknown config kind \"" +
-                               kindField->asString() + "\"");
-    const Json *widthField = j.find("width");
-    const unsigned width = widthField ? asSizeField(*widthField, "width") : 4u;
-    if (width != 4 && width != 8 && width != 16)
-        bad("\"width\" must be 4, 8, or 16");
-    MachineConfig cfg = MachineConfig::make(*kind, width);
-
-    for (const auto &[key, v] : j.items()) {
-        if (key == "kind" || key == "width") {
-            // consumed above
-        } else if (key == "label") {
-            cfg.label = asStringField(v, key);
-        } else if (key == "num_schedulers") {
-            cfg.numSchedulers = asSizeField(v, key, 1, 64);
-        } else if (key == "sched_entries") {
-            cfg.schedEntries = asSizeField(v, key, 1, 4096);
-        } else if (key == "select_width") {
-            cfg.selectWidth = asSizeField(v, key, 1, 64);
-        } else if (key == "num_clusters") {
-            cfg.numClusters = asSizeField(v, key);
-        } else if (key == "cross_cluster_delay") {
-            cfg.crossClusterDelay = asSizeField(v, key);
-        } else if (key == "fetch_width") {
-            cfg.fetchWidth = asSizeField(v, key, 1, 64);
-        } else if (key == "fetch_blocks") {
-            cfg.fetchBlocks = asSizeField(v, key);
-        } else if (key == "rename_width") {
-            cfg.renameWidth = asSizeField(v, key, 1, 64);
-        } else if (key == "retire_width") {
-            cfg.retireWidth = asSizeField(v, key, 1, 64);
-        } else if (key == "rob_entries") {
-            cfg.robEntries = asSizeField(v, key, 1, 4096);
-        } else if (key == "lsq_entries") {
-            cfg.lsqEntries = asSizeField(v, key, 1, 4096);
-        } else if (key == "phys_regs") {
-            // The rename table needs a free register beyond the 32
-            // architectural ones.
-            cfg.physRegs = asSizeField(v, key, numArchRegs + 1, 8192);
-        } else if (key == "fetch_decode_depth") {
-            // Depths size the front pipe (fetch_width per stage).
-            cfg.fetchDecodeDepth = asSizeField(v, key, 0, 64);
-        } else if (key == "rename_depth") {
-            cfg.renameDepth = asSizeField(v, key, 0, 64);
-        } else if (key == "rf_read_depth") {
-            cfg.rfReadDepth = asSizeField(v, key);
-        } else if (key == "num_bypass_levels") {
-            // Level k is bit k-1 of the 8-bit level mask.
-            cfg.numBypassLevels = asSizeField(v, key, 1, 8);
-        } else if (key == "bypass_level_mask") {
-            cfg.bypassLevelMask =
-                static_cast<std::uint8_t>(asSizeField(v, key, 0, 255));
-        } else if (key == "rb_limited_bypass") {
-            cfg.rbLimitedBypass = asBoolField(v, key);
-        } else if (key == "has_rb_regfile") {
-            cfg.hasRbRegfile = asBoolField(v, key);
-        } else if (key == "hole_aware_scheduling") {
-            cfg.holeAwareScheduling = asBoolField(v, key);
-        } else if (key == "steering") {
-            const std::string name = asStringField(v, key);
-            const std::optional<Steering> s = steeringFromName(name);
-            if (!s)
-                bad("unknown steering policy \"" + name + "\"");
-            cfg.steering = *s;
-        } else if (key == "wakeup_oracle") {
-            cfg.wakeupOracle = asBoolField(v, key);
-        } else if (key == "deadlock_cycles") {
-            cfg.deadlockCycles = asU64Field(v, key);
-        } else if (key == "il1") {
-            cfg.il1 = cacheFromJson(v, key, cfg.il1);
-        } else if (key == "dl1") {
-            cfg.dl1 = cacheFromJson(v, key, cfg.dl1);
-        } else if (key == "l2") {
-            cfg.l2 = cacheFromJson(v, key, cfg.l2);
-        } else if (key == "mem_latency") {
-            cfg.memLatency = asSizeField(v, key);
-        } else if (key == "mem_banks") {
-            cfg.memBanks = asSizeField(v, key, 1);
-        } else if (key == "mem_bank_busy") {
-            cfg.memBankBusy = asSizeField(v, key);
-        } else if (key == "latency") {
-            if (!v.isArray() || v.size() != cfg.latency.size())
-                bad("\"latency\" must be an array of " +
-                    std::to_string(cfg.latency.size()) +
-                    " [early, late] pairs");
-            for (std::size_t i = 0; i < cfg.latency.size(); ++i) {
-                const Json &pair = v.elements()[i];
-                if (!pair.isArray() || pair.size() != 2)
-                    bad("\"latency\" entries must be [early, late] pairs");
-                cfg.latency[i].early = asSizeField(pair.elements()[0], key);
-                cfg.latency[i].late = asSizeField(pair.elements()[1], key);
-            }
-        } else if (key == "store_complete_lat") {
-            cfg.storeCompleteLat = asSizeField(v, key);
-        } else {
-            bad("unknown config key \"" + key + "\"");
-        }
-    }
-    return cfg;
-}
-
-std::string
-configKey(const MachineConfig &cfg)
-{
-    return configToJson(cfg).dump();
 }
 
 std::string

@@ -6,9 +6,9 @@
  * guaranteed (clients match on "id"). A request names its program
  * either as a registered workload ("workload" + "scale") or as TinyAlpha
  * assembly ("program"), and its machine either as a paper label/alias
- * ("machine" + "width") or as a full configuration object ("config",
- * the same shape configToJson emits — every MachineConfig field, so
- * ablation grids survive the wire).
+ * ("machine" + "width") or as a configuration object ("config", the
+ * form configToJson emits — a base machine and the fields that differ
+ * from it, so ablation grids survive the wire).
  *
  * Responses are rbsim-bench-1 cells (machine/workload/ipc/host_ms/
  * sim_khz/stats) extended with the serve envelope: "schema"
@@ -65,10 +65,10 @@ struct JobRequest
     std::string programAsm; //!< TinyAlpha assembly text
     unsigned scale = 1;     //!< workload scale factor
 
-    // Machine: label/alias + width, or a full config object.
+    // Machine: label/alias + width, or a config object.
     std::string machine;
     unsigned width = 4;
-    Json config; //!< full MachineConfig (null when machine/width used)
+    Json config; //!< configFromJson's input (null when machine/width used)
 
     std::string scheduler = "wakeup"; //!< wakeup | oracle
     Cycle maxCycles = 100'000'000;
@@ -87,7 +87,7 @@ struct JobRequest
     std::vector<std::string> statSelect;
 };
 
-/** Thrown by parseRequest / requestConfig on an invalid request. */
+/** Thrown by requestConfig for an unknown machine or scheduler. */
 class RequestError : public std::runtime_error
 {
   public:
@@ -100,7 +100,7 @@ class RequestError : public std::runtime_error
 
 /**
  * Parse one request line. Throws JsonError on malformed JSON and
- * RequestError on an invalid request object.
+ * std::invalid_argument on an invalid request object.
  */
 JobRequest parseRequest(const std::string &line);
 
@@ -108,28 +108,11 @@ JobRequest parseRequest(const std::string &line);
 JobRequest parseRequest(const Json &j);
 
 /**
- * Resolve a request's machine specification to a MachineConfig with the
- * requested scheduler applied. Throws RequestError (UnknownMachine /
- * UnknownScheduler / BadRequest).
+ * Resolve a request's machine specification through configFromJson,
+ * with the requested scheduler applied. Throws RequestError
+ * (UnknownMachine / UnknownScheduler) or std::invalid_argument.
  */
 MachineConfig requestConfig(const JobRequest &req);
-
-/** Serialize every MachineConfig field (requestConfig inverse). */
-Json configToJson(const MachineConfig &cfg);
-
-/** Rebuild a MachineConfig from configToJson output. Unknown keys are
- * rejected, missing keys keep the label's base construction — a dump
- * from a newer field set fails loudly instead of silently dropping an
- * ablation knob. Throws RequestError. */
-MachineConfig configFromJson(const Json &j);
-
-/**
- * Canonical configuration fingerprint: the compact JSON dump of
- * configToJson. Two configs simulate identically iff their keys match
- * (label included), so this keys both the per-worker simulators and
- * the result cache.
- */
-std::string configKey(const MachineConfig &cfg);
 
 /** Render a success response line (no trailing newline). */
 std::string formatResult(const std::string &id, const SimResult &result,

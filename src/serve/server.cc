@@ -107,6 +107,9 @@ Server::handleLine(const std::string &line)
     } catch (const RequestError &e) {
         fail(id, e.code, e.what());
         return;
+    } catch (const std::invalid_argument &e) {
+        fail(id, ErrorCode::BadRequest, e.what());
+        return;
     }
 
     Program prog;

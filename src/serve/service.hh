@@ -85,8 +85,8 @@ class SimService
     unsigned workers() const { return queue.workers(); }
 
     /**
-     * The result-cache identity of a job: configKey (every MachineConfig
-     * field, scheduler knobs included) + program name + Program::hash()
+     * The result-cache identity of a job: configKey (the config's short
+     * JSON form, scheduler knobs included) + program name + Program::hash()
      * (through programHash()) + SimOptions::resultKey(), which
      * canonicalizes EVERY result-affecting option field
      * (tests/test_serve.cc guards that new SimOptions fields revisit

@@ -73,7 +73,7 @@ struct WarmSink
 } // namespace
 
 FastForward::FastForward(const MachineConfig &config, const Program &prog)
-    : cfg(config), program(prog), interp(prog), warmMem(cfg)
+    : cfg(checkConfig(config)), program(prog), interp(prog), warmMem(cfg)
 {
 }
 

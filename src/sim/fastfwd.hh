@@ -43,7 +43,7 @@ class FastForward
     /** Bind to a machine (cache geometry) and a program, at the program
      * entry with cold caches and predictor and memory sharing the
      * program's image. The program must outlive the engine; the
-     * configuration is copied. */
+     * configuration is copied (and checkConfig'd). */
     FastForward(const MachineConfig &cfg, const Program &prog);
 
     /**

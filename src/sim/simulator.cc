@@ -162,7 +162,7 @@ Simulator::runInto(const Program &program, const SimOptions &opts,
     core.attachProfiler(nullptr);
     out.stats = machine->snapshot();
     if (warm)
-        out.stats = out.stats.since(*warm);
+        out.stats.subtract(*warm);
     deriveFormulas(out.stats);
 }
 

@@ -102,8 +102,8 @@ struct SimOptions
     std::uint64_t maxInsts = 0;
     //! Detailed-warmup leg: run this many instructions, snapshot the
     //! statistics, and go on (state stays warm) into the measured
-    //! window, whose statistics are the end snapshot since that one
-    //! (StatSnapshot::since). Each leg gets its own maxCycles budget.
+    //! window, whose statistics are the end snapshot minus that one
+    //! (StatSnapshot::subtract). Each leg gets its own maxCycles budget.
     std::uint64_t warmupInsts = 0;
     //! Resume from this checkpoint instead of the program entry
     //! (shared so one checkpoint fans out to many jobs without copies).

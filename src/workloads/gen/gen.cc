@@ -148,20 +148,20 @@ GenConfig::fromJsonValue(const Json &j)
     GenConfig c;
     auto u32 = [&j](const char *key, std::uint32_t dflt) {
         const Json *v = j.find(key);
-        return v ? static_cast<std::uint32_t>(v->asU64()) : dflt;
+        return v ? asSizeField(*v, key) : dflt;
     };
     auto dbl = [&j](const char *key, double dflt) {
         const Json *v = j.find(key);
         return v ? v->asDouble() : dflt;
     };
     if (const Json *v = j.find("family"))
-        c.family = genFamilyFromName(v->asString());
+        c.family = genFamilyFromName(asStringField(*v, "family"));
     if (const Json *v = j.find("dist"))
-        c.dist = keyDistFromName(v->asString());
+        c.dist = keyDistFromName(asStringField(*v, "dist"));
     c.skew = dbl("skew", c.skew);
     c.numKeys = u32("numKeys", c.numKeys);
     if (const Json *v = j.find("scramble"))
-        c.scramble = v->asBool();
+        c.scramble = asBoolField(*v, "scramble");
     c.readFrac = dbl("readFrac", c.readFrac);
     c.updateFrac = dbl("updateFrac", c.updateFrac);
     c.rmwFrac = dbl("rmwFrac", c.rmwFrac);
@@ -175,7 +175,7 @@ GenConfig::fromJsonValue(const Json &j)
     c.streamOps = u32("streamOps", c.streamOps);
     c.trips = u32("trips", c.trips);
     if (const Json *v = j.find("label"))
-        c.label = v->asString();
+        c.label = asStringField(*v, "label");
     return c;
 }
 

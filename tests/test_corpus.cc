@@ -58,31 +58,44 @@ TEST(Corpus, UnknownOracleReplayFailsWithDiagnostic)
 TEST(Corpus, BadConfigReproFailsAloneWithDiagnostic)
 {
     // A config line this build rejects — a width the machine factory
-    // would assert on, a bypass mask wider than three levels, a key it
-    // does not know — fails that one file with a diagnostic, and the
-    // files after it in the replay batch still run.
+    // would assert on, a mask past the 8-bit level mask, a key it does
+    // not know, a non-integral number, no kind — fails that one file
+    // with a diagnostic naming the key, and the files after it in the
+    // replay batch still run.
     const std::string good =
         std::string(RBSIM_CORPUS_DIR) + "/sched-bypass-widen-min.repro";
     std::ostringstream text;
     text << std::ifstream(good).rdbuf();
-    const std::string honest = R"("width":8,"bypassMask":4,)";
+    const std::string honest =
+        R"({"kind":"ideal","width":8,"label":"Ideal No-1,2",)"
+        R"("bypass_level_mask":4})";
     ASSERT_NE(text.str().find(honest), std::string::npos);
 
     struct Bad
     {
-        const char *fields;
+        const char *config;
         const char *diagnostic;
     };
     const Bad bads[] = {
-        {R"("width":0,"bypassMask":4,)", "width 0"},
-        {R"("width":6,"bypassMask":4,)", "width 6"},
-        {R"("width":8,"bypassMask":263,)", "bypassMask 263"},
-        {R"("width":8,"bypassMask":4,"polled":false,)", "'polled'"},
+        {R"({"kind":"ideal","width":0,"bypass_level_mask":4})",
+         R"("width" must be a power of two in [4, 16])"},
+        {R"({"kind":"ideal","width":6,"bypass_level_mask":4})",
+         R"("width" must be a power of two in [4, 16])"},
+        {R"({"kind":"ideal","width":8.0,"bypass_level_mask":4})",
+         R"("width" must be a non-negative integer)"},
+        {R"({"kind":"ideal","width":8,"bypass_level_mask":263})",
+         R"("bypass_level_mask" must be in [0, 255])"},
+        {R"({"kind":"ideal","width":8,"bypass_level_mask":4,)"
+         R"("polled":false})",
+         R"(unknown config key "polled")"},
+        {R"({"kind":"Ideal","width":8,"bypassMask":4})",
+         R"(unknown config key "bypassMask")"},
+        {R"({"width":8,"bypass_level_mask":4})", R"("kind")"},
     };
     std::vector<std::string> batch;
     for (std::size_t i = 0; i < std::size(bads); ++i) {
         std::string t = text.str();
-        t.replace(t.find(honest), honest.size(), bads[i].fields);
+        t.replace(t.find(honest), honest.size(), bads[i].config);
         const std::string path = ::testing::TempDir() + "bad-config-" +
                                  std::to_string(i) + ".repro";
         std::ofstream(path) << t;

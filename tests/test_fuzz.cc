@@ -161,6 +161,16 @@ TEST(FuzzGenerator, GenOptionsJsonRoundTrip)
     }
     EXPECT_THROW(genOptionsFromJson(Json::parse("{\"bogus\": 1}")),
                  std::invalid_argument);
+    // A count wider than its field is rejected, not truncated (to a
+    // maxBody of 1).
+    for (const char *bad : {R"({"maxBody":4294967297})",
+                            R"({"weights":{"arith":4294967296}})",
+                            R"({"stream":{"numKeys":4294967297}})",
+                            R"({"maxBody":1e30})"}) {
+        EXPECT_THROW(genOptionsFromJson(Json::parse(bad)),
+                     std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(FuzzGenerator, ProgramsTerminateStructurally)
@@ -367,31 +377,40 @@ TEST(FuzzPipeline, SchedBypassWidenPlantIsCaughtAndShrunk)
 
 TEST(FuzzCorpus, ConfigJsonRoundTrip)
 {
+    // A repro's config lines are the machine-config JSON form: the
+    // fuzzed knobs survive the file.
     MachineConfig cfg = MachineConfig::makeIdealLimited(4, 0b010);
     cfg.holeAwareScheduling = false;
     cfg.steering = Steering::DependenceAware;
     cfg.label += "/depsteer";
-    const MachineConfig back = configFromJson(configToJson(cfg));
-    EXPECT_EQ(back.kind, cfg.kind);
-    EXPECT_EQ(back.width, cfg.width);
-    EXPECT_EQ(back.bypassLevelMask, cfg.bypassLevelMask);
-    EXPECT_EQ(back.holeAwareScheduling, cfg.holeAwareScheduling);
-    EXPECT_EQ(back.steering, cfg.steering);
-    EXPECT_EQ(back.label, cfg.label);
+    ReproFile repro;
+    repro.oracle = "cosim";
+    repro.configs = {cfg};
+    const std::string text = formatRepro(repro);
+    EXPECT_NE(text.find("; rbsim-repro-config: " + configKey(cfg) + "\n"),
+              std::string::npos)
+        << text;
+    const ReproFile back = parseRepro(text);
+    ASSERT_EQ(back.configs.size(), 1u);
+    EXPECT_EQ(configKey(back.configs[0]), configKey(cfg));
 
-    // Lines this build cannot honor are rejected with an exception, not
-    // a factory assertion: a width outside 4/8/16, a bypass mask wider
-    // than the three levels, a key this build does not know, a
-    // non-object.
+    // Lines this build cannot honor fail the parse with an exception,
+    // not a factory assertion: a width outside 4/8/16, a mask past the
+    // 8-bit level mask, a key this build does not know (the old
+    // bypassMask/holeAware spelling included), a missing kind.
     for (const char *bad :
-         {R"({"kind":"Baseline","width":0})",
-          R"({"kind":"Baseline","width":6})",
-          R"({"kind":"Ideal","width":4,"bypassMask":8})",
-          R"({"kind":"Ideal","width":4,"bypassMask":263})",
-          R"({"kind":"Baseline","width":4,"polled":false})",
-          R"({"kind":"Baseline","width":4,"frobnicate":1})",
-          R"([4])"}) {
-        EXPECT_THROW(configFromJson(bad), std::invalid_argument) << bad;
+         {R"({"kind":"base","width":0})",
+          R"({"kind":"base","width":6})",
+          R"({"kind":"ideal","width":4,"bypass_level_mask":263})",
+          R"({"kind":"base","width":4,"polled":false})",
+          R"({"kind":"Ideal","width":4,"bypassMask":4})",
+          R"({"kind":"RB-limited","width":8,"holeAware":false})",
+          R"({"width":8})"}) {
+        EXPECT_THROW(parseRepro(std::string("; rbsim-repro-oracle: cosim\n"
+                                            "; rbsim-repro-config: ") +
+                                bad + "\n"),
+                     std::invalid_argument)
+            << bad;
     }
 }
 

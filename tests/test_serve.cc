@@ -5,6 +5,9 @@
  *    single-instruction sensitivity, the data image of many or
  *    overlapping writes, values pinned across image representations);
  *  - SimService result caching and in-batch coalescing;
+ *  - the machine-config codec: every listed field round-trips, the
+ *    check runs before any core component, SERVING.md's key table is
+ *    the field list rendered;
  *  - protocol edge cases: malformed JSON, unknown machine / workload /
  *    scheduler, malformed shapes, oversized programs, duplicate ids,
  *    duplicate in-flight jobs — all structured per-job error records,
@@ -13,9 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,7 +31,12 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "sim/fastfwd.hh"
 #include "workloads/workload.hh"
+
+#if !defined(RBSIM_CORPUS_DIR) || !defined(RBSIM_SERVING_DOC)
+#error "RBSIM_CORPUS_DIR and RBSIM_SERVING_DOC must be defined"
+#endif
 
 namespace rbsim
 {
@@ -370,35 +381,277 @@ TEST(SimOptionsKey, EveryResultAffectingFieldChangesTheKey)
 
 TEST(ServeProtocol, ConfigJsonRoundTrips)
 {
-    for (unsigned width : {4u, 8u}) {
+    for (unsigned width : {4u, 8u, 16u}) {
         for (MachineKind kind :
              {MachineKind::Baseline, MachineKind::RbLimited,
               MachineKind::RbFull, MachineKind::Ideal}) {
             const MachineConfig cfg = MachineConfig::make(kind, width);
-            const MachineConfig round =
-                serve::configFromJson(serve::configToJson(cfg));
-            EXPECT_EQ(serve::configKey(cfg), serve::configKey(round));
+            const Json j = configToJson(cfg);
+            // A paper machine is its kind and width alone.
+            EXPECT_EQ(j.size(), 2u) << j.dump();
+            EXPECT_EQ(configKey(configFromJson(j)), configKey(cfg));
         }
     }
     // An ablation knob survives the wire.
     MachineConfig ab = MachineConfig::makeIdealLimited(4, 0b001);
     ab.label = "Ideal-L1";
-    const MachineConfig round =
-        serve::configFromJson(serve::configToJson(ab));
-    EXPECT_EQ(serve::configKey(ab), serve::configKey(round));
+    const MachineConfig round = configFromJson(configToJson(ab));
+    EXPECT_EQ(configKey(ab), configKey(round));
     EXPECT_EQ(round.bypassLevelMask, 0b001);
+    EXPECT_EQ(configKey(ab), R"({"kind":"ideal","width":4,)"
+                             R"("label":"Ideal-L1","bypass_level_mask":1})");
 }
 
 TEST(ServeProtocol, PartialCacheObjectOverlaysTheNamedMachine)
 {
     // A cache object keeps the named machine's values for the keys it
     // leaves out, like the config object around it.
-    const MachineConfig cfg = serve::configFromJson(Json::parse(
+    const MachineConfig cfg = configFromJson(Json::parse(
         R"({"kind":"Baseline","dl1":{"assoc":4},"l2":{"banks":4}})"));
     MachineConfig want = MachineConfig::make(MachineKind::Baseline, 4);
     want.dl1.assoc = 4;
     want.l2.banks = 4;
-    EXPECT_EQ(serve::configKey(cfg), serve::configKey(want));
+    EXPECT_EQ(configKey(cfg), configKey(want));
+    EXPECT_EQ(configKey(cfg), R"({"kind":"base","width":4,)"
+                              R"("dl1":{"assoc":4},"l2":{"banks":4}})");
+}
+
+// ------------------------------------------------------- config codec
+
+TEST(ConfigCodec, GuardAgainstFieldsMissingFromTheList)
+{
+    // If this stops compiling you added a field to MachineConfig or
+    // CacheParams: add it to configFields or cacheFields
+    // (core/machine_config.hh) with its key and range, then update the
+    // bindings, the mirrors and the counts. A field the list misses
+    // travels in no request, keys no cache entry and escapes
+    // checkConfig, so the result cache would serve stale results.
+    //
+    // A structured binding names every member, so a member added
+    // anywhere, into padding too, breaks it; the size mirrors also
+    // catch a member whose type grew.
+    [[maybe_unused]] const auto &[c0, c1, c2, c3, c4, c5] = CacheParams{};
+    static_assert(std::size(cacheFields) == 6);
+    [[maybe_unused]] const auto &[m0, m1, m2, m3, m4, m5, m6, m7, m8, m9,
+                                  m10, m11, m12, m13, m14, m15, m16, m17,
+                                  m18, m19, m20, m21, m22, m23, m24, m25,
+                                  m26, m27, m28, m29, m30, m31, m32, m33] =
+        MachineConfig{};
+    static_assert(std::size(configFields) == 34);
+    struct ExpectedCache
+    {
+        std::uint32_t sizeBytes, assoc, lineBytes;
+        unsigned latency, banks, bankBusy;
+    };
+    static_assert(sizeof(CacheParams) == sizeof(ExpectedCache),
+                  "new CacheParams field: add it to cacheFields");
+    struct Expected
+    {
+        MachineKind kind;
+        std::string label;
+        unsigned width, numSchedulers, schedEntries, selectWidth,
+            numClusters, crossClusterDelay;
+        unsigned fetchWidth, fetchBlocks, renameWidth, retireWidth,
+            robEntries, lsqEntries, physRegs, fetchDecodeDepth,
+            renameDepth, rfReadDepth;
+        unsigned numBypassLevels;
+        std::uint8_t bypassLevelMask;
+        bool rbLimitedBypass, hasRbRegfile, holeAwareScheduling;
+        Steering steering;
+        bool wakeupOracle;
+        Cycle deadlockCycles;
+        CacheParams il1, dl1, l2;
+        unsigned memLatency, memBanks, memBankBusy;
+        LatencyTable latency;
+        unsigned storeCompleteLat;
+    };
+    static_assert(sizeof(MachineConfig) == sizeof(Expected),
+                  "new MachineConfig field: add it to configFields");
+    SUCCEED();
+}
+
+TEST(ConfigCodec, EveryListedFieldRoundTripsAndChangesTheKey)
+{
+    // Each listed field in turn takes a value other than the base
+    // machine's that its range accepts (doubling keeps a power of two
+    // one, and a cache a power-of-two number of sets). The value must
+    // come back exactly and must change configKey.
+    const MachineConfig base = MachineConfig::make(MachineKind::RbLimited, 4);
+    const std::string base_key = configKey(base);
+    const auto twice = [](auto v) {
+        return static_cast<decltype(v)>(v ? 2 * v : 1);
+    };
+    const auto expectRoundTrip = [&](const MachineConfig &cfg,
+                                     auto same_field) {
+        ASSERT_NO_THROW(checkConfig(cfg));
+        const MachineConfig back = configFromJson(configToJson(cfg));
+        EXPECT_TRUE(same_field(back));
+        EXPECT_EQ(configKey(back), configKey(cfg));
+        EXPECT_NE(configKey(cfg), base_key);
+    };
+    for (const Field<MachineConfig> &f : configFields) {
+        SCOPED_TRACE(std::string(f.key));
+        std::visit(
+            [&](auto m) {
+                MachineConfig cfg = base;
+                auto &v = cfg.*m;
+                using T = std::remove_cvref_t<decltype(v)>;
+                if constexpr (std::is_same_v<T, CacheParams>) {
+                    for (const Field<CacheParams> &c : cacheFields) {
+                        SCOPED_TRACE(std::string(c.key));
+                        const auto cm = std::get<unsigned CacheParams::*>(
+                            c.member);
+                        MachineConfig one = base;
+                        (one.*m).*cm = twice((base.*m).*cm);
+                        expectRoundTrip(one, [&](const MachineConfig &b) {
+                            return (b.*m).*cm == (one.*m).*cm;
+                        });
+                    }
+                } else {
+                    if constexpr (std::is_same_v<T, MachineKind>)
+                        v = MachineKind::RbFull;
+                    else if constexpr (std::is_same_v<T, Steering>)
+                        v = Steering::ClassPartition;
+                    else if constexpr (std::is_same_v<T, std::string>)
+                        v += "/x";
+                    else if constexpr (std::is_same_v<T, bool>)
+                        v = !v;
+                    else if constexpr (std::is_same_v<T, LatencyTable>)
+                        v[0].late = twice(v[0].late);
+                    else
+                        v = twice(v);
+                    expectRoundTrip(cfg, [&](const MachineConfig &b) {
+                        return b.*m == cfg.*m;
+                    });
+                }
+            },
+            f.member);
+    }
+}
+
+TEST(ConfigCodec, RejectsWhatNoCoreCanBuild)
+{
+    for (const char *bad : {
+             R"([4])",
+             R"({"width":8})",                        // kind is required
+             R"({"kind":"base","width":0})",
+             R"({"kind":"base","width":6})",
+             R"({"kind":"base","width":8.0})",         // not integral
+             R"({"kind":"ideal","bypass_level_mask":256})",
+             R"({"kind":"ideal","bypass_level_mask":1e30})",
+             R"({"kind":"base","label":7})",
+             R"({"kind":"base","steering":"psychic"})",
+             R"({"kind":"base","dl1":{"sets":4}})",
+             R"({"kind":"base","latency":[[1,1]]})",
+             R"({"kind":"Ideal","width":4,"bypassMask":4})", // old keys
+             R"({"kind":"Ideal","holeAware":false})",
+         }) {
+        EXPECT_THROW(configFromJson(Json::parse(bad)), std::invalid_argument)
+            << bad;
+    }
+}
+
+TEST(ConfigCodec, CodeBuiltConfigsAreCheckedBeforeAnyComponent)
+{
+    // A config built in code reaches the core without the codec; the
+    // core and the fast-forward engine run checkConfig first, so an
+    // impossible cache is an exception naming it, not an assertion deep
+    // inside CacheModel.
+    MachineConfig cfg = MachineConfig::make(MachineKind::Baseline, 4);
+    cfg.dl1.assoc = 0;
+    const Program prog = findWorkload("compress").build(WorkloadParams{});
+    for (const bool fast_forward : {false, true}) {
+        SCOPED_TRACE(fast_forward ? "FastForward" : "simulate");
+        try {
+            if (fast_forward)
+                FastForward(cfg, prog).run(1);
+            else
+                simulate(cfg, prog);
+            ADD_FAILURE() << "dl1.assoc = 0 was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("dl1"), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** The SERVING.md table of config keys, as the field list renders it. */
+std::string
+renderConfigTable()
+{
+    const auto range = [](const auto &f) {
+        return std::string(f.pow2 ? "power of two" : "integer") + " in [" +
+               std::to_string(f.lo) + ", " + std::to_string(f.hi) + "]";
+    };
+    std::string out = "| key | value |\n|---|---|\n";
+    for (const Field<MachineConfig> &f : configFields) {
+        const std::string value = std::visit(
+            [&](auto m) -> std::string {
+                using T = std::remove_cvref_t<
+                    decltype(std::declval<MachineConfig &>().*m)>;
+                if constexpr (std::is_same_v<T, MachineKind>) {
+                    std::string names;
+                    for (MachineKind k :
+                         {MachineKind::Baseline, MachineKind::RbLimited,
+                          MachineKind::RbFull, MachineKind::Ideal})
+                        names += "`" + std::string(machineAlias(k)) + "`, ";
+                    return names + "or a figure label";
+                } else if constexpr (std::is_same_v<T, Steering>) {
+                    std::string names;
+                    for (Steering s :
+                         {Steering::RoundRobinPairs, Steering::DependenceAware,
+                          Steering::ClassPartition})
+                        names += (names.empty() ? "`" : ", `") +
+                                 std::string(steeringName(s)) + "`";
+                    return names;
+                } else if constexpr (std::is_same_v<T, std::string>) {
+                    return "string";
+                } else if constexpr (std::is_same_v<T, bool>) {
+                    return "`true` or `false`";
+                } else if constexpr (std::is_same_v<T, CacheParams>) {
+                    return "cache object (keys below)";
+                } else if constexpr (std::is_same_v<T, LatencyTable>) {
+                    return "array of " + std::to_string(numOpClasses) +
+                           " `[early, late]` pairs, one per op class, "
+                           "each an integer in [0, " +
+                           std::to_string(
+                               std::numeric_limits<unsigned>::max()) +
+                           "]";
+                } else {
+                    return range(f);
+                }
+            },
+            f.member);
+        out += "| `" + std::string(f.key) + "` | " + value + " |\n";
+    }
+    out += "\n| cache key | value |\n|---|---|\n";
+    for (const Field<CacheParams> &c : cacheFields)
+        out += "| `" + std::string(c.key) + "` | " + range(c) + " |\n";
+    return out;
+}
+
+TEST(ConfigCodec, ServingDocTableIsTheFieldListRendered)
+{
+    // docs/SERVING.md §3 lists the config keys between two marker
+    // comments; on a difference, paste the rendering printed below
+    // between them.
+    const std::string begin = "<!-- config-fields:begin -->\n";
+    const std::string end = "<!-- config-fields:end -->";
+    std::ifstream in(RBSIM_SERVING_DOC);
+    ASSERT_TRUE(in) << RBSIM_SERVING_DOC;
+    std::ostringstream doc;
+    doc << in.rdbuf();
+    const std::string text = doc.str();
+    const std::size_t from = text.find(begin);
+    const std::size_t to = text.find(end);
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    ASSERT_LT(from, to);
+    const std::size_t body = from + begin.size();
+    const std::string want = renderConfigTable();
+    EXPECT_EQ(text.substr(body, to - body), want)
+        << "the field list renders as:\n"
+        << want;
 }
 
 TEST(ServeProtocol, RequestParsing)
@@ -478,6 +731,9 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     expectError(ts.roundTrip("this is not json"), "parse");
     expectError(ts.roundTrip(R"({"id":"e1","workload":"compress",)"
                              R"("machine":"pentium"})"),
+                "unknown-machine");
+    expectError(ts.roundTrip(R"({"id":"e9","workload":"compress",)"
+                             R"("config":{"kind":"pentium","width":8}})"),
                 "unknown-machine");
     expectError(ts.roundTrip(R"({"id":"e2","workload":"doom",)"
                              R"("machine":"base"})"),
@@ -621,6 +877,33 @@ TEST(ServeServer, OutOfRangeMachineSizesAreBadRequests)
         R"("phys_regs":640,"num_schedulers":8,"sched_entries":32}})");
     ASSERT_EQ(big.size(), 1u);
     EXPECT_TRUE(big[0].find("ok")->asBool());
+}
+
+TEST(ServeServer, EveryCorpusConfigLineIsAServableConfig)
+{
+    // A .repro config line and a request's "config" are one dialect:
+    // each committed line, sent as text, runs.
+    TestServer ts;
+    const std::string prefix = "; rbsim-repro-config: ";
+    unsigned n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(RBSIM_CORPUS_DIR)) {
+        std::ifstream in(entry.path());
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.rfind(prefix, 0) != 0)
+                continue;
+            const std::string config = line.substr(prefix.size());
+            SCOPED_TRACE(entry.path().filename().string() + ": " + config);
+            const auto resp = ts.roundTrip(
+                R"({"id":"c)" + std::to_string(n++) +
+                R"(","workload":"compress","max_insts":2000,"config":)" +
+                config + "}");
+            ASSERT_EQ(resp.size(), 1u);
+            EXPECT_TRUE(resp[0].find("ok")->asBool()) << resp[0].dump();
+        }
+    }
+    EXPECT_GE(n, 30u);
 }
 
 TEST(ServeServer, OversizedProgramsRejected)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Statistics toolkit: means, Histogram, the StatGroup snapshot writer,
- * and StatSnapshot's window difference and JSON rendering.
+ * and StatSnapshot's window difference and JSON rendering; the JSON
+ * library's unsigned and checked field reads.
  */
 
 #include <gtest/gtest.h>
@@ -124,7 +125,7 @@ TEST(StatGroup, DuplicateNamesThrow)
 
 // ------------------------------------------------------- window deltas
 
-TEST(StatSnapshot, SinceSubtractsCountersAndBuckets)
+TEST(StatSnapshot, SubtractTakesAwayTheStartCountersAndBuckets)
 {
     std::uint64_t table[3] = {5, 0, 0};
     Histogram hist(4);
@@ -135,22 +136,25 @@ TEST(StatSnapshot, SinceSubtractsCountersAndBuckets)
     table[2] = 4;
     hist.record(1);
     hist.record(3, 2);
-    StatSnapshot end;
-    writeCore(end, 100, 0, table, hist);
-    const StatSnapshot window = end.since(start);
+    StatSnapshot window;
+    writeCore(window, 100, 0, table, hist);
+    window.formulas["core.ipc"] = 1.5;
+    window.subtract(start);
 
     EXPECT_EQ(window.counter("core.retired"), 60u);
     EXPECT_EQ(window.vec("core.table"),
               (std::vector<std::uint64_t>{4, 0, 4}));
     EXPECT_EQ(window.vec("core.waits"),
               (std::vector<std::uint64_t>{0, 1, 0, 2}));
-    // A snapshot since itself is all zeros, with every name kept.
-    const StatSnapshot none = start.since(start);
+    // Formulas of the whole run are no formulas of the window.
+    EXPECT_TRUE(window.formulas.empty());
+    // A snapshot minus itself is all zeros, with every name kept.
+    StatSnapshot none = start;
+    none.subtract(start);
     EXPECT_EQ(none.counters.size(), start.counters.size());
     EXPECT_EQ(none.counter("core.retired"), 0u);
     EXPECT_EQ(none.vec("core.waits"),
               (std::vector<std::uint64_t>{0, 0, 0, 0}));
-    EXPECT_TRUE(none.formulas.empty());
 }
 
 // ---------------------------------------------------------- JSON travel
@@ -184,6 +188,30 @@ TEST(StatSnapshot, EqualityDetectsDivergence)
     EXPECT_EQ(a, b);
     b.counters["core.retired"] = 6;
     EXPECT_NE(a, b);
+}
+
+TEST(Json, UnsignedReadsRejectWhatNoU64Holds)
+{
+    EXPECT_EQ(Json::parse("18446744073709551615").asU64(),
+              18446744073709551615ull);
+    EXPECT_EQ(Json::parse("8.0").asU64(), 8u);
+    // Past 2^64 a number parses as a double, and no cast of it to
+    // std::uint64_t is defined.
+    for (const char *big : {"1e30", "99999999999999999999",
+                            "18446744073709551616"}) {
+        SCOPED_TRACE(big);
+        const Json v = Json::parse(big);
+        EXPECT_THROW(v.asU64(), JsonError);
+        EXPECT_THROW(asU64Field(v, "n"), std::invalid_argument);
+    }
+    // The checked readers take integers only, and sizes that fit.
+    EXPECT_THROW(asU64Field(Json::parse("8.0"), "n"), std::invalid_argument);
+    EXPECT_EQ(asSizeField(Json::parse("4294967295"), "n"), 4294967295u);
+    EXPECT_THROW(asSizeField(Json::parse("4294967296"), "n"),
+                 std::invalid_argument);
+    EXPECT_THROW(asBoolField(Json::parse("1"), "b"), std::invalid_argument);
+    EXPECT_THROW(asStringField(Json::parse("1"), "s"),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -113,6 +113,11 @@ TEST(GenConfigJson, RejectsMalformedInput)
     EXPECT_THROW(GenConfig::fromJson("[]"), std::exception);
     EXPECT_THROW(GenConfig::fromJson("{\"family\": \"bogus\"}"),
                  std::invalid_argument);
+    // A count wider than its 32-bit field is rejected, not truncated.
+    EXPECT_THROW(GenConfig::fromJson(R"({"numKeys":4294967297})"),
+                 std::invalid_argument);
+    EXPECT_THROW(GenConfig::fromJson(R"({"trips":1e30})"),
+                 std::invalid_argument);
 }
 
 TEST(GenSweep, DefaultSetCoversEveryFamilyAndSkewOverrideWorks)
