@@ -95,7 +95,7 @@ BM_TcToRbHardwired(benchmark::State &state)
     Rng rng(9);
     Word w = rng.next();
     for (auto _ : state) {
-        RbNum x = tcToRb(w);
+        RbNum x = RbNum::fromTc(w);
         benchmark::DoNotOptimize(x);
         w += 0x9e3779b9;
     }
@@ -109,7 +109,7 @@ BM_RbToTcConversion(benchmark::State &state)
     const RbNum x = rbAdd(RbNum::fromTc(rng.next()),
                           RbNum::fromTc(rng.next())).sum;
     for (auto _ : state) {
-        Word w = rbToTc(x);
+        Word w = x.toTc();
         benchmark::DoNotOptimize(w);
     }
 }
@@ -190,7 +190,7 @@ addThroughputCells(bench::BenchReport &report)
     }
     {
         const auto [ops, sec] = time([&] {
-            RbNum x = tcToRb(w);
+            RbNum x = RbNum::fromTc(w);
             benchmark::DoNotOptimize(x);
             w += 0x9e3779b9;
         });
@@ -199,7 +199,7 @@ addThroughputCells(bench::BenchReport &report)
     }
     {
         const auto [ops, sec] = time([&] {
-            Word v = rbToTc(a);
+            Word v = a.toTc();
             benchmark::DoNotOptimize(v);
         });
         report.addCell(

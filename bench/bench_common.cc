@@ -52,24 +52,6 @@ applyScheduler(MachineConfig cfg)
     return cfg;
 }
 
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? csv.size() : comma;
-        if (end > start)
-            out.push_back(csv.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 BenchOptions
@@ -93,7 +75,7 @@ parseBenchArgs(int &argc, char **argv)
                 usageDie(argv[0], "--scale must be >= 1");
             opts.scale = static_cast<unsigned>(n);
         } else if (std::strcmp(arg, "--machines") == 0) {
-            opts.machines = splitCsv(value("--machines"));
+            opts.machines = splitTokens(value("--machines"), ",");
             if (opts.machines.empty())
                 usageDie(argv[0], "--machines needs at least one label");
         } else if (std::strcmp(arg, "--scheduler") == 0) {

@@ -28,29 +28,6 @@
 #include "sim/report.hh"
 #include "workloads/gen/opstream.hh"
 
-namespace
-{
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start < csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? csv.size() : comma;
-        if (end > start)
-            out.push_back(csv.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -70,10 +47,10 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (std::strcmp(argv[i], "--skews") == 0) {
-            for (const std::string &s : splitCsv(value("--skews")))
+            for (const std::string &s : splitTokens(value("--skews"), ","))
                 skews.push_back(std::stod(s));
         } else if (std::strcmp(argv[i], "--presets") == 0) {
-            presets = splitCsv(value("--presets"));
+            presets = splitTokens(value("--presets"), ",");
         } else if (std::strcmp(argv[i], "--width") == 0) {
             width = static_cast<unsigned>(
                 std::strtoul(value("--width"), nullptr, 10));

@@ -382,7 +382,12 @@ struct Parser
                 const std::string key = parseString();
                 skipWs();
                 expect(':');
-                j[key] = parseValue();
+                // operator[]'s key scan tells a new key from a repeat.
+                const std::size_t members = j.size();
+                Json &slot = j[key];
+                if (j.size() == members)
+                    fail("duplicate key \"" + key + "\"");
+                slot = parseValue();
                 skipWs();
                 if (peek() == ',') {
                     ++pos;

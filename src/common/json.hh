@@ -100,7 +100,8 @@ class Json
      */
     std::string dump(unsigned indent = 0) const;
 
-    /** Parse a document. Throws JsonError on malformed input. */
+    /** Parse a document. Throws JsonError on malformed input, an
+     * object that names a key twice included. */
     static Json parse(const std::string &text);
 
   private:

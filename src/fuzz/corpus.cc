@@ -35,8 +35,6 @@ formatRepro(const ReproFile &repro)
     std::ostringstream os;
     os << metaPrefix << "oracle: " << repro.oracle << "\n";
     os << metaPrefix << "seed: " << repro.seed << "\n";
-    if (repro.valueIters)
-        os << metaPrefix << "iters: " << repro.valueIters << "\n";
     if (!repro.note.empty())
         os << metaPrefix << "note: " << flatten(repro.note) << "\n";
     if (!repro.genJson.empty())
@@ -83,8 +81,6 @@ parseRepro(const std::string &text)
             have_oracle = true;
         } else if (key == "seed") {
             out.seed = std::stoull(val, nullptr, 0);
-        } else if (key == "iters") {
-            out.valueIters = std::stoull(val, nullptr, 0);
         } else if (key == "note") {
             out.note = val;
         } else if (key == "gen") {
@@ -154,8 +150,8 @@ OracleResult
 replayRepro(const ReproFile &repro, Plant plant, const TraceSpec &spec)
 {
     // Validate the oracle name up front so a corpus file written by a
-    // newer build fails loudly with a diagnostic instead of throwing
-    // out of the replay loop (or, worse, passing vacuously).
+    // newer or older build fails loudly with a diagnostic instead of
+    // throwing out of the replay loop (or, worse, passing vacuously).
     const std::vector<std::string> known = oracleNames();
     if (std::find(known.begin(), known.end(), repro.oracle) ==
         known.end()) {
@@ -163,28 +159,16 @@ replayRepro(const ReproFile &repro, Plant plant, const TraceSpec &spec)
         for (const std::string &n : known)
             names += (names.empty() ? "" : ", ") + n;
         return {true, "unknown oracle '" + repro.oracle +
-                    "' — is this repro from a newer build? known "
+                    "' — is this repro from another build? known "
                     "oracles: " + names};
     }
     const auto oracles = makeOracles({repro.oracle}, plant, spec);
     Oracle &oracle = *oracles.front();
     if (repro.maxInsts || repro.resumeSkip)
         oracle.setRunLimits(repro.maxInsts, repro.resumeSkip);
-    if (repro.programLevel()) {
-        if (!oracle.programLevel()) {
-            return {true, repro.oracle +
-                        ": repro has a program but the oracle is "
-                        "value-level"};
-        }
-        return oracle.runProgram(assemble(repro.asmText), repro.configs);
-    }
-    if (oracle.programLevel()) {
-        return {true, repro.oracle +
-                    ": repro has no program but the oracle is "
-                    "program-level"};
-    }
-    return oracle.runSeed(repro.seed,
-                          repro.valueIters ? repro.valueIters : 4096);
+    if (repro.asmText.empty())
+        return {true, repro.oracle + ": repro has no program"};
+    return oracle.runProgram(assemble(repro.asmText), repro.configs);
 }
 
 OracleResult

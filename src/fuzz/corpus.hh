@@ -6,8 +6,7 @@
  * travels as assembly text (the assembler round-trips everything the
  * generator emits) and the metadata — which oracle failed, the case
  * seed, the machine configurations, a note — travels in `; rbsim-repro`
- * comment lines the assembler ignores. Value-level oracle failures have
- * no program; they replay from the recorded seed and iteration count.
+ * comment lines the assembler ignores.
  *
  * Files under tests/corpus/ are replayed by ctest (test_corpus) and must
  * stay green: they are regression tests, so a repro minted from a
@@ -31,7 +30,6 @@ struct ReproFile
 {
     std::string oracle;             //!< oracle name (see oracleNames())
     std::uint64_t seed = 0;         //!< case seed
-    std::uint64_t valueIters = 0;   //!< value-level: iterations to replay
     std::string note;               //!< free-form failure description
     /** Generator bias knobs (genOptionsToJson one-liner) the case was
      * drawn with, "" when the defaults were in force — with the seed,
@@ -39,7 +37,7 @@ struct ReproFile
      * repro files. */
     std::string genJson;
     std::vector<MachineConfig> configs; //!< machines (configToJson lines)
-    std::string asmText;            //!< program assembly ("" = value-level)
+    std::string asmText;            //!< program assembly
     /** Replay window (Oracle::setRunLimits): detailed-simulate at most
      * this many retired instructions (0 = to HALT). Recorded so shrunk
      * repros of deep failures stay replayable without resimulating the
@@ -48,8 +46,6 @@ struct ReproFile
     /** Replay window: functionally fast-forward this many instructions
      * (checkpoint capture + resume) before the detailed window. */
     std::uint64_t resumeSkip = 0;
-
-    bool programLevel() const { return !asmText.empty(); }
 };
 
 /** Render a repro as an assemblable file with metadata comments. */
@@ -74,13 +70,13 @@ std::vector<std::string> listCorpus(const std::string &dir);
 
 /**
  * Re-run a repro through its oracle (with an optional plant, for
- * pipeline self-tests). Program-level repros assemble `asmText` and run
- * it on the recorded configs; value-level repros replay the seed.
- * `spec` arms pipeline tracing for the replayed runs (see TraceSpec).
+ * pipeline self-tests): assemble `asmText` and run it on the recorded
+ * configs. `spec` arms pipeline tracing for the replayed runs (see
+ * TraceSpec).
  *
  * A repro naming an oracle this build does not know (a corpus file from
- * a newer build) is reported as a *failed* result with a diagnostic —
- * never silently skipped or passed.
+ * a newer or older build) is reported as a *failed* result with a
+ * diagnostic — never silently skipped or passed.
  */
 OracleResult replayRepro(const ReproFile &repro,
                          Plant plant = Plant::None,

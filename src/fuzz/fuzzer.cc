@@ -25,9 +25,8 @@ struct RawFailure
     std::size_t oracleIdx = 0;
     std::uint64_t seed = 0;
     std::string detail;
-    ProgRecipe recipe;                  // program-level only
-    std::vector<MachineConfig> configs; // program-level only
-    bool programLevel = false;
+    ProgRecipe recipe;
+    std::vector<MachineConfig> configs;
 };
 
 std::string
@@ -80,18 +79,12 @@ runFuzz(const FuzzOptions &opts)
             const std::uint64_t case_seed =
                 Rng::mixSeed(opts.seed, idx);
 
-            OracleResult result;
-            ProgRecipe recipe;
-            std::vector<MachineConfig> configs;
-            if (oracle.programLevel()) {
-                Rng rng(case_seed);
-                configs = oracle.pickConfigs(rng);
-                recipe = generateRecipe(rng, opts.gen);
-                recipe.name = "fuzz-" + hexSeed(case_seed);
-                result = oracle.runProgram(lowerRecipe(recipe), configs);
-            } else {
-                result = oracle.runSeed(case_seed, opts.valueIters);
-            }
+            Rng rng(case_seed);
+            std::vector<MachineConfig> configs = oracle.pickConfigs(rng);
+            ProgRecipe recipe = generateRecipe(rng, opts.gen);
+            recipe.name = "fuzz-" + hexSeed(case_seed);
+            const OracleResult result =
+                oracle.runProgram(lowerRecipe(recipe), configs);
 
             std::lock_guard<std::mutex> lock(mtx);
             ++caseCount[which];
@@ -103,7 +96,6 @@ runFuzz(const FuzzOptions &opts)
             f.oracleIdx = which;
             f.seed = case_seed;
             f.detail = result.detail;
-            f.programLevel = oracle.programLevel();
             f.recipe = std::move(recipe);
             f.configs = std::move(configs);
             // Keep the maxFailures lowest-numbered failing cases, so the
@@ -158,31 +150,27 @@ runFuzz(const FuzzOptions &opts)
         out.repro.maxInsts = opts.maxInsts;
         out.repro.resumeSkip = opts.resumeSkip;
 
-        if (f.programLevel) {
-            ProgRecipe minimal = f.recipe;
-            if (opts.shrink) {
-                const ShrinkOutcome s = shrinkRecipe(
-                    oracle, f.configs, f.recipe, opts.maxShrinkEvals);
-                out.shrinkEvals = s.evals;
-                if (s.reproduced) {
-                    minimal = s.recipe;
-                    out.detail = s.detail;
-                    out.repro.note = s.detail;
-                }
+        ProgRecipe minimal = f.recipe;
+        if (opts.shrink) {
+            const ShrinkOutcome s = shrinkRecipe(oracle, f.configs, f.recipe,
+                                                 opts.maxShrinkEvals);
+            out.shrinkEvals = s.evals;
+            if (s.reproduced) {
+                minimal = s.recipe;
+                out.detail = s.detail;
+                out.repro.note = s.detail;
             }
-            const Program prog = lowerRecipe(minimal);
-            out.programInsts = static_cast<unsigned>(prog.code.size());
-            out.repro.configs = f.configs;
-            out.repro.asmText = disassembleProgram(prog);
-        } else {
-            out.repro.valueIters = opts.valueIters;
         }
+        const Program prog = lowerRecipe(minimal);
+        out.programInsts = static_cast<unsigned>(prog.code.size());
+        out.repro.configs = f.configs;
+        out.repro.asmText = disassembleProgram(prog);
 
         if (!opts.corpusDir.empty()) {
             out.path = writeRepro(opts.corpusDir,
                                   out.oracle + "-" + hexSeed(f.seed),
                                   out.repro);
-            if (f.programLevel && opts.traceLast) {
+            if (opts.traceLast) {
                 // Re-run the shrunk repro with the ring armed so every
                 // written .repro ships with a pipeline visualization of
                 // its failure (<repro>.trace, O3PipeView format).
@@ -215,11 +203,8 @@ FuzzSummary::format() const
     os << "total: " << cases << " cases in " << seconds << " s\n";
     for (const FuzzFailure &f : failures) {
         os << "FAIL [" << f.oracle << "] seed=0x" << std::hex << f.seed
-           << std::dec;
-        if (f.programInsts)
-            os << " (" << f.programInsts << " insts after "
-               << f.shrinkEvals << " shrink evals)";
-        os << "\n  " << f.detail << "\n";
+           << std::dec << " (" << f.programInsts << " insts after "
+           << f.shrinkEvals << " shrink evals)\n  " << f.detail << "\n";
         if (!f.path.empty())
             os << "  repro: " << f.path << "\n";
     }
@@ -247,10 +232,8 @@ FuzzSummary::toJson() const
         o["oracle"] = Json(f.oracle);
         o["seed"] = Json(f.seed);
         o["detail"] = Json(f.detail);
-        if (f.programInsts) {
-            o["programInsts"] = Json(f.programInsts);
-            o["shrinkEvals"] = Json(f.shrinkEvals);
-        }
+        o["programInsts"] = Json(f.programInsts);
+        o["shrinkEvals"] = Json(f.shrinkEvals);
         if (!f.path.empty())
             o["repro"] = Json(f.path);
         fails.push(std::move(o));

@@ -28,12 +28,11 @@ namespace rbsim::fuzz
 /** Driver options (the rbsim-fuzz command line). */
 struct FuzzOptions
 {
-    std::vector<std::string> oracles; //!< empty = all five
+    std::vector<std::string> oracles; //!< empty = both
     std::uint64_t seed = 1;           //!< master seed
     double seconds = 0.0;             //!< wall-clock budget (0 = off)
     std::uint64_t iterations = 0;     //!< case budget (0 = off)
     unsigned jobs = 1;                //!< worker threads
-    std::uint64_t valueIters = 4096;  //!< draws per value-level case
     GenOptions gen;                   //!< program generator bias
     std::string corpusDir;            //!< write repros here ("" = don't)
     Plant plant = Plant::None;        //!< injected bug (self-test)
@@ -42,7 +41,7 @@ struct FuzzOptions
     unsigned maxFailures = 3;         //!< repros kept per oracle
                                       //!< (lowest case numbers)
     //! Ring-buffer size for the pipeline trace written next to every
-    //! program-level repro ("<repro>.trace"); 0 disables.
+    //! repro ("<repro>.trace"); 0 disables.
     std::size_t traceLast = 64;
     //! Windowed replay (Oracle::setRunLimits): cap the detailed cosim
     //! window per case at this many retired instructions (0 = to HALT)
@@ -70,7 +69,7 @@ struct FuzzFailure
     ReproFile repro;
     std::string path;          //!< repro file path ("" when not written)
     unsigned shrinkEvals = 0;
-    unsigned programInsts = 0; //!< lowered instruction count (program-level)
+    unsigned programInsts = 0; //!< lowered instruction count
 };
 
 /** Everything one fuzzing run produced. */

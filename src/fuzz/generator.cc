@@ -134,6 +134,8 @@ genOptionsFromJson(const Json &j)
     GenOptions o;
     for (const auto &[key, v] : j.items()) {
         if (key == "weights") {
+            if (!v.isObject())
+                throw std::invalid_argument("\"weights\" must be an object");
             for (const auto &[kname, w] : v.items()) {
                 bool known = false;
                 for (unsigned k = 0; k < numOpKinds; ++k) {

@@ -2,7 +2,7 @@
  * @file
  * rbsim-fuzz: differential fuzzing front end.
  *
- *   rbsim-fuzz --seconds 30                  # all five oracles, 30 s
+ *   rbsim-fuzz --seconds 30                  # both oracles, 30 s
  *   rbsim-fuzz --oracle cosim --iterations 50
  *   rbsim-fuzz --jobs 8 --seed 7 --corpus-dir out/
  *   rbsim-fuzz --replay tests/corpus/foo.repro
@@ -45,8 +45,6 @@ usage(std::ostream &os)
           "                     or a workload-stream family: ycsb/"
           "pointer-chase/\n"
           "                     branch-entropy/rb-adversarial)\n"
-          "  --value-iters <n>  draws per value-level case (default "
-          "4096)\n"
           "  --corpus-dir <d>   write shrunk repro files into <d>\n"
           "  --max-failures <n> repros kept per oracle (default 3)\n"
           "  --plant <name>     inject a known bug (sched-bypass-widen, "
@@ -147,8 +145,6 @@ main(int argc, char **argv)
                 opts.oracles.push_back(value());
             } else if (arg == "--preset") {
                 opts.gen = GenOptions::preset(value());
-            } else if (arg == "--value-iters") {
-                opts.valueIters = std::stoull(value());
             } else if (arg == "--corpus-dir") {
                 opts.corpusDir = value();
             } else if (arg == "--max-failures") {

@@ -1,15 +1,11 @@
 #include "fuzz/oracle.hh"
 
-#include <bit>
 #include <cctype>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "rb/convert.hh"
-#include "rb/digit_slice.hh"
-#include "rb/rbalu.hh"
 #include "sim/cosim.hh"
 #include "sim/fastfwd.hh"
 #include "sim/simulator.hh"
@@ -34,41 +30,6 @@ hex(Word w)
     std::ostringstream os;
     os << "0x" << std::hex << w;
     return os.str();
-}
-
-/** Operand patterns for the value-level oracles: uniform draws alone
- * rarely land on overflow boundaries, small counts, or 32-bit edges. */
-Word
-patternedWord(Rng &rng)
-{
-    switch (rng.below(6)) {
-      case 0:
-        return rng.next();
-      case 1: // large magnitude (overflow-prone)
-        return rng.next() | 0xc000000000000000ull;
-      case 2: // small signed
-        return static_cast<Word>(rng.range(-512, 511));
-      case 3: // around a single power of two
-        return (Word{1} << rng.below(64)) +
-               static_cast<Word>(rng.range(-1, 1));
-      case 4: // int64 extremes
-        return (rng.chance(1, 2) ? 0x7fffffffffffffffull
-                                 : 0x8000000000000000ull) +
-               static_cast<Word>(rng.range(-2, 2));
-      default: // 32-bit boundary neighborhood
-        return static_cast<Word>(static_cast<SWord>(
-            static_cast<std::int32_t>(rng.next())));
-    }
-}
-
-/** Canonical or randomized redundant encoding of a value. */
-RbNum
-encodingOf(Word w, Rng &rng)
-{
-    if (rng.chance(1, 2))
-        return RbNum::fromTc(w);
-    return redundantEncodingOf(w, rng,
-                               static_cast<unsigned>(rng.below(96)));
 }
 
 /** Machine label as a filename fragment. */
@@ -146,7 +107,6 @@ class CosimOracle : public Oracle
     using Oracle::Oracle;
 
     std::string name() const override { return "cosim"; }
-    bool programLevel() const override { return true; }
 
     std::vector<MachineConfig>
     pickConfigs(Rng &rng) const override
@@ -273,7 +233,6 @@ class PlantedOpcodePairOracle : public Oracle
     using Oracle::Oracle;
 
     std::string name() const override { return "cosim"; }
-    bool programLevel() const override { return true; }
 
     std::vector<MachineConfig>
     pickConfigs(Rng &rng) const override
@@ -304,7 +263,6 @@ class SchedOracle : public Oracle
     using Oracle::Oracle;
 
     std::string name() const override { return "sched"; }
-    bool programLevel() const override { return true; }
 
     std::vector<MachineConfig>
     pickConfigs(Rng &rng) const override
@@ -366,211 +324,6 @@ class SchedOracle : public Oracle
     }
 };
 
-// ------------------------------------------------------------- rbalu
-
-class RbAluOracle : public Oracle
-{
-  public:
-    using Oracle::Oracle;
-
-    std::string name() const override { return "rbalu"; }
-    bool programLevel() const override { return false; }
-
-    OracleResult
-    runSeed(std::uint64_t seed, std::uint64_t iters) const override
-    {
-        Rng rng(seed);
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            const Word a = patternedWord(rng);
-            const Word b = patternedWord(rng);
-            const RbNum x = encodingOf(a, rng);
-            const RbNum y = encodingOf(b, rng);
-
-            auto fail = [&](const std::string &what) -> OracleResult {
-                return {true, "seed " + std::to_string(seed) + " iter " +
-                            std::to_string(i) + ": " + what + " for a=" +
-                            hex(a) + " b=" + hex(b)};
-            };
-            auto checkResult = [&](const char *opname,
-                                   const RbAddResult &r,
-                                   Word expect, __int128 wide)
-                -> OracleResult {
-                if (r.sum.toTc() != expect) {
-                    return fail(std::string(opname) + " value " +
-                                hex(r.sum.toTc()) + " != " + hex(expect));
-                }
-                const bool ovf =
-                    wide < -(static_cast<__int128>(1) << 63) ||
-                    wide >= (static_cast<__int128>(1) << 63);
-                if (r.tcOverflow != ovf) {
-                    return fail(std::string(opname) + " overflow flag " +
-                                std::to_string(r.tcOverflow));
-                }
-                if (r.sum.signNegative() !=
-                    (static_cast<SWord>(expect) < 0)) {
-                    return fail(std::string(opname) + " sign scan");
-                }
-                if (r.sum.isZero() != (expect == 0))
-                    return fail(std::string(opname) + " zero test");
-                if (r.sum.lsbSet() != ((expect & 1) != 0))
-                    return fail(std::string(opname) + " LSB test");
-                const unsigned tz = expect == 0
-                    ? 64u
-                    : static_cast<unsigned>(std::countr_zero(expect));
-                if (rbCttz(r.sum) != tz)
-                    return fail(std::string(opname) + " trailing zeros");
-                return {};
-            };
-
-            const __int128 sa = static_cast<SWord>(a);
-            const __int128 sb = static_cast<SWord>(b);
-            OracleResult r =
-                checkResult("add", rbAdd(x, y), a + b, sa + sb);
-            if (r.failed)
-                return r;
-            r = checkResult("sub", rbSub(x, y), a - b, sa - sb);
-            if (r.failed)
-                return r;
-            // The digit shift re-signs the MSD (section 3.5), so the
-            // scaled add computes wrapped(a << s) + b and its overflow
-            // flag is relative to the wrapped shifted addend.
-            const unsigned scale = rng.chance(1, 2) ? 2 : 3;
-            const __int128 sshift =
-                static_cast<SWord>(a << scale);
-            r = checkResult("scaledadd", rbScaledAdd(x, scale, y),
-                            (a << scale) + b, sshift + sb);
-            if (r.failed)
-                return r;
-
-            const unsigned k = static_cast<unsigned>(rng.below(64));
-            const RbNum sh = rbShiftLeftDigits(x, k);
-            if (sh.toTc() != a << k)
-                return fail("digit shift by " + std::to_string(k));
-            if (sh.signNegative() !=
-                (static_cast<SWord>(a << k) < 0)) {
-                return fail("digit-shift sign scan by " +
-                            std::to_string(k));
-            }
-        }
-        return {};
-    }
-};
-
-// ------------------------------------------------------------- slice
-
-class SliceOracle : public Oracle
-{
-  public:
-    using Oracle::Oracle;
-
-    std::string name() const override { return "slice"; }
-    bool programLevel() const override { return false; }
-
-    OracleResult
-    runSeed(std::uint64_t seed, std::uint64_t iters) const override
-    {
-        Rng rng(seed);
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            // A random-length batch (including the n=0 and n=64 edges)
-            // of arbitrary legal digit planes — the whole encoding
-            // space, not just reachable ALU outputs. Each lane is
-            // checked three ways: scalar gate chain vs bit-parallel
-            // arithmetic, and the bit-sliced batch vs both.
-            const std::size_t n = static_cast<std::size_t>(rng.below(65));
-            std::uint64_t xp[64], xm[64], yp[64], ym[64];
-            std::uint64_t sp[64], sm[64];
-            std::int8_t co[64];
-            for (std::size_t j = 0; j < n; ++j) {
-                xp[j] = rng.next();
-                xm[j] = rng.next() & ~xp[j];
-                yp[j] = rng.next();
-                ym[j] = rng.next() & ~yp[j];
-            }
-            addBySlicesBatch(xp, xm, yp, ym, sp, sm, co, n);
-
-            for (std::size_t j = 0; j < n; ++j) {
-                const RbNum x(xp[j], xm[j]);
-                const RbNum y(yp[j], ym[j]);
-                auto fail = [&](const char *what) -> OracleResult {
-                    return {true, "seed " + std::to_string(seed) +
-                                " iter " + std::to_string(i) + " lane " +
-                                std::to_string(j) + ": " + what +
-                                " for x=(" + hex(x.plus()) + "," +
-                                hex(x.minus()) + ") y=(" + hex(y.plus()) +
-                                "," + hex(y.minus()) + ")"};
-                };
-
-                const RbRawSum gate = addBySlices(x, y);
-                const RbRawSum arith = rbAddRaw(x, y);
-                if (!(gate.digits == arith.digits) ||
-                    gate.carryOut != arith.carryOut)
-                    return fail("digit-slice adder diverges");
-                if ((sp[j] & sm[j]) != 0)
-                    return fail("batched slice illegal digit planes");
-                if (sp[j] != gate.digits.plus() ||
-                    sm[j] != gate.digits.minus() ||
-                    co[j] != gate.carryOut)
-                    return fail("batched slice diverges from gate chain");
-            }
-        }
-        return {};
-    }
-};
-
-// --------------------------------------------------------- roundtrip
-
-class RoundTripOracle : public Oracle
-{
-  public:
-    using Oracle::Oracle;
-
-    std::string name() const override { return "roundtrip"; }
-    bool programLevel() const override { return false; }
-
-    OracleResult
-    runSeed(std::uint64_t seed, std::uint64_t iters) const override
-    {
-        Rng rng(seed);
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            const Word w = patternedWord(rng);
-            auto fail = [&](const std::string &what) -> OracleResult {
-                return {true, "seed " + std::to_string(seed) + " iter " +
-                            std::to_string(i) + ": " + what + " for w=" +
-                            hex(w)};
-            };
-            for (unsigned e = 0; e < 4; ++e) {
-                const RbNum enc = redundantEncodingOf(
-                    w, rng, static_cast<unsigned>(rng.below(128)));
-                if ((enc.plus() & enc.minus()) != 0)
-                    return fail("illegal digit encoding");
-                if (enc.toTc() != w)
-                    return fail("TC->RB->TC fast conversion");
-                if (rbToTcRipple(enc) != w)
-                    return fail("TC->RB->TC ripple subtractor");
-                if (enc.isZero() != (w == 0))
-                    return fail("zero test on redundant encoding");
-                if (enc.signNegative() != (static_cast<SWord>(w) < 0))
-                    return fail("sign scan on redundant encoding");
-                if (enc.lsbSet() != ((w & 1) != 0))
-                    return fail("LSB test on redundant encoding");
-                const unsigned tz = w == 0
-                    ? 64u
-                    : static_cast<unsigned>(std::countr_zero(w));
-                if (enc.trailingZeroDigits() != tz)
-                    return fail("trailing-zero count");
-            }
-            // Longword conversion keeps the 32-bit sign (section 3.6).
-            const std::uint32_t lo =
-                static_cast<std::uint32_t>(w);
-            const Word sext = static_cast<Word>(static_cast<SWord>(
-                static_cast<std::int32_t>(lo)));
-            if (RbNum::fromTcLong(lo).toTc() != sext)
-                return fail("longword conversion");
-        }
-        return {};
-    }
-};
-
 } // namespace
 
 // ------------------------------------------------------------ shared
@@ -587,29 +340,10 @@ parsePlant(const std::string &name)
     throw std::invalid_argument("unknown plant '" + name + "'");
 }
 
-std::vector<MachineConfig>
-Oracle::pickConfigs(Rng &) const
-{
-    return {};
-}
-
-OracleResult
-Oracle::runProgram(const Program &, const std::vector<MachineConfig> &)
-    const
-{
-    return {true, name() + " is not a program-level oracle"};
-}
-
-OracleResult
-Oracle::runSeed(std::uint64_t, std::uint64_t) const
-{
-    return {true, name() + " is not a value-level oracle"};
-}
-
 std::vector<std::string>
 oracleNames()
 {
-    return {"cosim", "sched", "rbalu", "slice", "roundtrip"};
+    return {"cosim", "sched"};
 }
 
 std::vector<std::unique_ptr<Oracle>>
@@ -630,12 +364,6 @@ makeOracles(const std::vector<std::string> &names, Plant plant,
                 out.push_back(std::make_unique<CosimOracle>(plant));
         } else if (n == "sched") {
             out.push_back(std::make_unique<SchedOracle>(plant));
-        } else if (n == "rbalu") {
-            out.push_back(std::make_unique<RbAluOracle>(plant));
-        } else if (n == "slice") {
-            out.push_back(std::make_unique<SliceOracle>(plant));
-        } else if (n == "roundtrip") {
-            out.push_back(std::make_unique<RoundTripOracle>(plant));
         } else {
             throw std::invalid_argument("unknown oracle '" + n + "'");
         }

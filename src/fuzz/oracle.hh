@@ -1,31 +1,20 @@
 /**
  * @file
- * Differential oracles for the fuzzer. Each oracle checks one exact
- * equivalence the paper's claims rest on:
+ * Differential oracles for the fuzzer. Each oracle runs a generated
+ * program on machine configs and checks one exact equivalence the
+ * paper's claims rest on; a failing program can be shrunk:
  *
- *  - "cosim":     lockstep co-simulation of OooCore against the
- *                 functional interpreter on a set of fuzzed machine
- *                 configs, plus cross-machine agreement of the final
- *                 architectural memory (every machine must compute the
- *                 same program state).
- *  - "sched":     the wakeup-array scheduler in oracle mode (stepped
- *                 every cycle, every latched wakeup bit checked against
- *                 its predicate) against a plain idle-skipping run:
- *                 no oracle mismatch and bit-identical StatSnapshots.
- *  - "rbalu":     redundant binary add/sub/scaled-add/shift against a
- *                 __int128 two's-complement reference, including the
- *                 section 3.5 overflow flag and the section 3.6
- *                 sign/zero/LSB/trailing-zero predicates — across
- *                 randomized redundant encodings, not just canonical
- *                 conversions.
- *  - "slice":     the gate-level Figure 2 digit-slice adder against the
- *                 bit-parallel arithmetic model, raw digits and carry.
- *  - "roundtrip": TC -> RB -> TC identity across the redundant encoding
- *                 space (fast subtractor and explicit ripple circuit).
+ *  - "cosim": lockstep co-simulation of OooCore against the functional
+ *             interpreter on a set of fuzzed machine configs, plus
+ *             cross-machine agreement of the final architectural memory
+ *             (every machine must compute the same program state).
+ *  - "sched": the wakeup-array scheduler in oracle mode (stepped every
+ *             cycle, every latched wakeup bit checked against its
+ *             predicate) against a plain idle-skipping run: no oracle
+ *             mismatch and bit-identical StatSnapshots.
  *
- * Oracles are either program-level (they consume a generated program and
- * machine configs; failures can be shrunk) or value-level (they consume
- * a seed and draw operand streams; failures replay from the seed).
+ * The RB arithmetic itself is not fuzzed: tests/test_rb_digit_slice.cc
+ * and tests/test_rbalu.cc prove it exhaustively.
  *
  * A `Plant` selects an intentionally injected bug so the
  * detect-shrink-repro pipeline itself can be tested end to end.
@@ -75,7 +64,7 @@ struct OracleResult
  * set, each simulated machine writes a full O3PipeView trace to
  * "<streamPath>.<label>"; when `ringLast` is set, the last N
  * instructions of the failing run are dumped to `ringPath` and the
- * failure detail names the file. Value-level oracles ignore it.
+ * failure detail names the file.
  */
 struct TraceSpec
 {
@@ -101,21 +90,13 @@ class Oracle
     /** Stable oracle name (CLI flag, repro files, stats keys). */
     virtual std::string name() const = 0;
 
-    /** True when the oracle consumes generated programs (and failures
-     * are shrinkable); false for seed-driven value oracles. */
-    virtual bool programLevel() const = 0;
+    /** The machine configs one case runs against. */
+    virtual std::vector<MachineConfig> pickConfigs(Rng &rng) const = 0;
 
-    /** Program-level: the machine configs one case runs against. */
-    virtual std::vector<MachineConfig> pickConfigs(Rng &rng) const;
-
-    /** Program-level: run the differential check. */
+    /** Run the differential check. */
     virtual OracleResult
     runProgram(const Program &prog,
-               const std::vector<MachineConfig> &configs) const;
-
-    /** Value-level: draw `iters` operand sets from `seed` and check. */
-    virtual OracleResult runSeed(std::uint64_t seed,
-                                 std::uint64_t iters) const;
+               const std::vector<MachineConfig> &configs) const = 0;
 
     /** Arm pipeline tracing for subsequent runProgram calls. */
     void setTrace(const TraceSpec &spec) { traceSpec = spec; }
@@ -149,7 +130,7 @@ class Oracle
 std::vector<std::string> oracleNames();
 
 /**
- * Build oracles by name (all five when `names` is empty), wiring the
+ * Build oracles by name (both when `names` is empty), wiring the
  * requested plant into the affected oracle and arming the trace sinks
  * on every oracle. Throws std::invalid_argument for unknown names.
  */

@@ -1,9 +1,5 @@
 #include "rb/convert.hh"
 
-#include <array>
-
-#include "common/rng.hh"
-
 namespace rbsim
 {
 
@@ -22,34 +18,6 @@ rbToTcRipple(const RbNum &x)
         result |= static_cast<std::uint64_t>(diff) << i;
     }
     return result;
-}
-
-RbNum
-redundantEncodingOf(Word w, Rng &rng, unsigned rewrites)
-{
-    // Work on an explicit digit array; the rewrites are exact integer
-    // identities (2^(i+1) - 2^i == 2^i), so the unwrapped value never
-    // changes.
-    std::array<int, 64> d{};
-    const RbNum canon = RbNum::fromTc(w);
-    for (unsigned i = 0; i < 64; ++i)
-        d[i] = static_cast<int>(canon.digit(i));
-
-    for (unsigned n = 0; n < rewrites; ++n) {
-        const unsigned i = static_cast<unsigned>(rng.below(63));
-        if (d[i] == 1 && d[i + 1] <= 0) {
-            d[i] = -1;
-            d[i + 1] += 1;
-        } else if (d[i] == -1 && d[i + 1] >= 0) {
-            d[i] = 1;
-            d[i + 1] -= 1;
-        }
-    }
-
-    RbNum out;
-    for (unsigned i = 0; i < 64; ++i)
-        out.setDigit(i, static_cast<Digit>(d[i]));
-    return out;
 }
 
 } // namespace rbsim

@@ -18,44 +18,13 @@
 namespace rbsim
 {
 
-/** Hardwired TC -> RB conversion (alias for RbNum::fromTc). */
-inline RbNum
-tcToRb(Word w)
-{
-    return RbNum::fromTc(w);
-}
-
-/** Fast RB -> TC conversion (the value of the number, wrapped to 64 bit). */
-inline Word
-rbToTc(const RbNum &x)
-{
-    return x.toTc();
-}
-
 /**
  * RB -> TC via an explicit bit-serial borrow-propagating subtractor,
- * mirroring the conversion circuit structure. Equivalent to rbToTc; used
- * by unit tests.
+ * mirroring the conversion circuit structure. Equivalent to
+ * RbNum::toTc; tests/test_rbalu.cc checks it on every operand its
+ * sweeps enumerate.
  */
 Word rbToTcRipple(const RbNum &x);
-
-class Rng;
-
-/**
- * A random *legal* redundant encoding of the two's complement value `w`.
- *
- * Starts from the hardwired fromTc encoding and applies random local
- * carry/borrow rewrites (+1 at digit i <-> -1 at digit i plus +1 at digit
- * i+1, and the mirror rule), each of which preserves the unwrapped value
- * exactly. The result therefore has the same unwrapped signed value as
- * fromTc(w) — so every section 3.6 predicate (sign scan, zero test, LSB,
- * trailing-zero count) must still agree with the TC value. This is what
- * the round-trip and ALU differential oracles feed the datapath, so the
- * equivalences are checked across the encoding space rather than only on
- * canonical conversions.
- * @param rewrites number of rewrite attempts (more = less canonical)
- */
-RbNum redundantEncodingOf(Word w, Rng &rng, unsigned rewrites = 64);
 
 } // namespace rbsim
 

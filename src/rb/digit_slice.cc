@@ -1,35 +1,7 @@
 #include "rb/digit_slice.hh"
 
-#include <cassert>
-#include <cstring>
-
 namespace rbsim
 {
-
-namespace
-{
-
-/**
- * In-place 64x64 bit-matrix transpose (recursive block swap, the
- * Hacker's Delight 7-3 routine widened to 64 bits). In raw (row, bit)
- * coordinates it computes a'[r] bit b = a[63-b] bit (63-r); applied
- * twice it is the identity, and the slice loop below accounts for the
- * reversed indexing in between.
- */
-void
-transpose64(std::uint64_t a[64])
-{
-    std::uint64_t m = 0x00000000ffffffffull;
-    for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
-        for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const std::uint64_t t = (a[k] ^ (a[k + j] >> j)) & m;
-            a[k] ^= t;
-            a[k + j] ^= t << j;
-        }
-    }
-}
-
-} // namespace
 
 SliceOutputs
 evalDigitSlice(DigitWires x, DigitWires y, bool h_prev, TransferWires f_prev)
@@ -97,77 +69,6 @@ addBySlices(const RbNum &x, const RbNum &y)
         carry_out = -1;
 
     return RbRawSum{RbNum(sum_plus, sum_minus), carry_out};
-}
-
-void
-addBySlicesBatch(const std::uint64_t *xp, const std::uint64_t *xm,
-                 const std::uint64_t *yp, const std::uint64_t *ym,
-                 std::uint64_t *sp, std::uint64_t *sm,
-                 std::int8_t *carryOut, std::size_t n)
-{
-    assert(n <= 64);
-
-    // Lane planes -> digit-position words. After transpose64, word w
-    // holds digit (63 - w) of every pair, with pair j at bit (63 - j);
-    // unused lanes are zero (a legal 0 + 0 column).
-    std::uint64_t txp[64], txm[64], typ[64], tym[64];
-    std::memset(txp, 0, sizeof(txp));
-    std::memset(txm, 0, sizeof(txm));
-    std::memset(typ, 0, sizeof(typ));
-    std::memset(tym, 0, sizeof(tym));
-    std::memcpy(txp, xp, n * sizeof(*xp));
-    std::memcpy(txm, xm, n * sizeof(*xm));
-    std::memcpy(typ, yp, n * sizeof(*yp));
-    std::memcpy(tym, ym, n * sizeof(*ym));
-    transpose64(txp);
-    transpose64(txm);
-    transpose64(typ);
-    transpose64(tym);
-
-    std::uint64_t tsp[64], tsm[64];
-
-    // The evalDigitSlice equations verbatim, each bool widened to a
-    // 64-lane mask; digit positions run 0 -> 63 (word 63 -> 0) so the
-    // h/f neighbor chain is identical to the scalar slice chain.
-    std::uint64_t h_prev = ~std::uint64_t{0}; // below digit 0: nonneg
-    std::uint64_t fp_prev = 0, fm_prev = 0;   // no transfer into digit 0
-    for (int w = 63; w >= 0; --w) {
-        const std::uint64_t xpos = txp[w], xneg = txm[w];
-        const std::uint64_t ypos = typ[w], yneg = tym[w];
-
-        const std::uint64_t z_p2 = xpos & ypos;
-        const std::uint64_t z_m2 = xneg & yneg;
-        const std::uint64_t z_p1 = (xpos ^ ypos) & ~xneg & ~yneg;
-        const std::uint64_t z_m1 = (xneg ^ yneg) & ~xpos & ~ypos;
-        const std::uint64_t z_abs1 = z_p1 | z_m1;
-
-        const std::uint64_t h = ~xneg & ~yneg;
-        const std::uint64_t f_plus = z_p2 | (z_p1 & h_prev);
-        const std::uint64_t f_minus = z_m2 | (z_m1 & ~h_prev);
-        const std::uint64_t d_plus = z_abs1 & ~h_prev;
-        const std::uint64_t d_minus = z_abs1 & h_prev;
-
-        tsp[w] = (d_plus & ~fm_prev) | (fp_prev & ~d_minus);
-        tsm[w] = (d_minus & ~fp_prev) | (fm_prev & ~d_plus);
-
-        h_prev = h;
-        fp_prev = f_plus;
-        fm_prev = f_minus;
-    }
-
-    // Digit words -> lane planes (transpose64 twice is the identity).
-    transpose64(tsp);
-    transpose64(tsm);
-    std::memcpy(sp, tsp, n * sizeof(*sp));
-    std::memcpy(sm, tsm, n * sizeof(*sm));
-
-    // Final transfers are the lane carry-outs; pair j sits at bit 63-j.
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::uint64_t lane = std::uint64_t{1} << (63 - j);
-        carryOut[j] = (fp_prev & lane)   ? std::int8_t{1}
-                      : (fm_prev & lane) ? std::int8_t{-1}
-                                         : std::int8_t{0};
-    }
 }
 
 } // namespace rbsim

@@ -14,8 +14,9 @@
  * The slice therefore sees only digits i, i-1, and i-2 of the inputs
  * (i-2 indirectly through f_{i-1}) — the bounded carry propagation that
  * gives the adder its width-independent latency. An adder built by
- * chaining slices must be (and is, see tests/test_rb_digit_slice.cc)
- * bit-for-bit equivalent to the bit-parallel rbAddRaw.
+ * chaining slices is bit-for-bit equivalent to the bit-parallel rbAddRaw
+ * for every input: tests/test_rb_digit_slice.cc proves it by checking
+ * every 3-digit window at every position.
  */
 
 #ifndef RBSIM_RB_DIGIT_SLICE_HH
@@ -67,26 +68,6 @@ SliceOutputs evalDigitSlice(DigitWires x, DigitWires y, bool h_prev,
  * normalized) digits and carry-out, like rbAddRaw.
  */
 RbRawSum addBySlices(const RbNum &x, const RbNum &y);
-
-/**
- * Up to 64 slice-chain additions evaluated lane-parallel by
- * bit-slicing: the operand planes are transposed into digit-position
- * words (bit j of word i = digit i of pair j), the *same* slice
- * equations as evalDigitSlice then run once per digit position with
- * every boolean signal widened to a 64-lane mask, and the sum planes
- * are transposed back. The gate chain stays structurally intact —
- * digit positions are still evaluated strictly in order through the
- * h/f neighbor wires — so the batch keeps its value as a gate-level
- * oracle while costing ~1/64th the slice evaluations per pair.
- *
- * Arrays are structure-of-arrays plane lanes (xp[i], xm[i] are pair i's
- * plus and minus planes); carryOut[i] receives -1/0/+1 like
- * RbRawSum::carryOut. n <= 64.
- */
-void addBySlicesBatch(const std::uint64_t *xp, const std::uint64_t *xm,
-                      const std::uint64_t *yp, const std::uint64_t *ym,
-                      std::uint64_t *sp, std::uint64_t *sm,
-                      std::int8_t *carryOut, std::size_t n);
 
 } // namespace rbsim
 

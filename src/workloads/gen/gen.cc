@@ -146,36 +146,47 @@ GenConfig::fromJsonValue(const Json &j)
     if (!j.isObject())
         throw std::invalid_argument("GenConfig JSON must be an object");
     GenConfig c;
-    auto u32 = [&j](const char *key, std::uint32_t dflt) {
-        const Json *v = j.find(key);
-        return v ? asSizeField(*v, key) : dflt;
-    };
-    auto dbl = [&j](const char *key, double dflt) {
-        const Json *v = j.find(key);
-        return v ? v->asDouble() : dflt;
-    };
-    if (const Json *v = j.find("family"))
-        c.family = genFamilyFromName(asStringField(*v, "family"));
-    if (const Json *v = j.find("dist"))
-        c.dist = keyDistFromName(asStringField(*v, "dist"));
-    c.skew = dbl("skew", c.skew);
-    c.numKeys = u32("numKeys", c.numKeys);
-    if (const Json *v = j.find("scramble"))
-        c.scramble = asBoolField(*v, "scramble");
-    c.readFrac = dbl("readFrac", c.readFrac);
-    c.updateFrac = dbl("updateFrac", c.updateFrac);
-    c.rmwFrac = dbl("rmwFrac", c.rmwFrac);
-    c.scanFrac = dbl("scanFrac", c.scanFrac);
-    c.scanLen = u32("scanLen", c.scanLen);
-    c.workingSetBytes = u32("workingSetBytes", c.workingSetBytes);
-    c.nodeBytes = u32("nodeBytes", c.nodeBytes);
-    c.chaseSteps = u32("chaseSteps", c.chaseSteps);
-    c.takenRate = dbl("takenRate", c.takenRate);
-    c.chainLen = u32("chainLen", c.chainLen);
-    c.streamOps = u32("streamOps", c.streamOps);
-    c.trips = u32("trips", c.trips);
-    if (const Json *v = j.find("label"))
-        c.label = asStringField(*v, "label");
+    for (const auto &[key, v] : j.items()) {
+        if (key == "family")
+            c.family = genFamilyFromName(asStringField(v, key));
+        else if (key == "dist")
+            c.dist = keyDistFromName(asStringField(v, key));
+        else if (key == "skew")
+            c.skew = v.asDouble();
+        else if (key == "numKeys")
+            c.numKeys = asSizeField(v, key);
+        else if (key == "scramble")
+            c.scramble = asBoolField(v, key);
+        else if (key == "readFrac")
+            c.readFrac = v.asDouble();
+        else if (key == "updateFrac")
+            c.updateFrac = v.asDouble();
+        else if (key == "rmwFrac")
+            c.rmwFrac = v.asDouble();
+        else if (key == "scanFrac")
+            c.scanFrac = v.asDouble();
+        else if (key == "scanLen")
+            c.scanLen = asSizeField(v, key);
+        else if (key == "workingSetBytes")
+            c.workingSetBytes = asSizeField(v, key);
+        else if (key == "nodeBytes")
+            c.nodeBytes = asSizeField(v, key);
+        else if (key == "chaseSteps")
+            c.chaseSteps = asSizeField(v, key);
+        else if (key == "takenRate")
+            c.takenRate = v.asDouble();
+        else if (key == "chainLen")
+            c.chainLen = asSizeField(v, key);
+        else if (key == "streamOps")
+            c.streamOps = asSizeField(v, key);
+        else if (key == "trips")
+            c.trips = asSizeField(v, key);
+        else if (key == "label")
+            c.label = asStringField(v, key);
+        else
+            throw std::invalid_argument("unknown GenConfig key \"" + key +
+                                        "\"");
+    }
     return c;
 }
 

@@ -37,8 +37,8 @@ corpusFiles()
 
 TEST(Corpus, UnknownOracleReplayFailsWithDiagnostic)
 {
-    // A .repro naming an oracle this build does not know (typically a
-    // repro minted by a newer build) must come back as a *failed*
+    // A .repro naming an oracle this build does not know (a repro
+    // minted by a newer or older build) must come back as a *failed*
     // replay with a diagnostic — never a silent PASS, never an abort of
     // the whole replay batch.
     ReproFile repro = loadRepro(std::string(RBSIM_CORPUS_DIR) +
@@ -57,11 +57,13 @@ TEST(Corpus, UnknownOracleReplayFailsWithDiagnostic)
 
 TEST(Corpus, BadConfigReproFailsAloneWithDiagnostic)
 {
-    // A config line this build rejects — a width the machine factory
-    // would assert on, a mask past the 8-bit level mask, a key it does
-    // not know, a non-integral number, no kind — fails that one file
-    // with a diagnostic naming the key, and the files after it in the
-    // replay batch still run.
+    // A repro this build rejects fails that one file with a diagnostic,
+    // and the files after it in the replay batch still run. The config
+    // line may have a width the machine factory would assert on, a mask
+    // past the 8-bit level mask, a key it does not know or names twice,
+    // a non-integral number or no kind. A file from an older build may
+    // name the value-level `rbalu` oracle or carry an `iters` line,
+    // neither of which this build has.
     const std::string good =
         std::string(RBSIM_CORPUS_DIR) + "/sched-bypass-widen-min.repro";
     std::ostringstream text;
@@ -69,34 +71,45 @@ TEST(Corpus, BadConfigReproFailsAloneWithDiagnostic)
     const std::string honest =
         R"({"kind":"ideal","width":8,"label":"Ideal No-1,2",)"
         R"("bypass_level_mask":4})";
+    const std::string oracle = "; rbsim-repro-oracle: sched\n";
     ASSERT_NE(text.str().find(honest), std::string::npos);
+    ASSERT_EQ(text.str().find(oracle), 0u);
 
     struct Bad
     {
-        const char *config;
+        std::string from;
+        std::string to;
         const char *diagnostic;
     };
     const Bad bads[] = {
-        {R"({"kind":"ideal","width":0,"bypass_level_mask":4})",
+        {honest, R"({"kind":"ideal","width":0,"bypass_level_mask":4})",
          R"("width" must be a power of two in [4, 16])"},
-        {R"({"kind":"ideal","width":6,"bypass_level_mask":4})",
+        {honest, R"({"kind":"ideal","width":6,"bypass_level_mask":4})",
          R"("width" must be a power of two in [4, 16])"},
-        {R"({"kind":"ideal","width":8.0,"bypass_level_mask":4})",
+        {honest, R"({"kind":"ideal","width":8.0,"bypass_level_mask":4})",
          R"("width" must be a non-negative integer)"},
-        {R"({"kind":"ideal","width":8,"bypass_level_mask":263})",
+        {honest, R"({"kind":"ideal","width":8,"bypass_level_mask":263})",
          R"("bypass_level_mask" must be in [0, 255])"},
-        {R"({"kind":"ideal","width":8,"bypass_level_mask":4,)"
+        {honest,
+         R"({"kind":"ideal","width":8,"bypass_level_mask":4,)"
          R"("polled":false})",
          R"(unknown config key "polled")"},
-        {R"({"kind":"Ideal","width":8,"bypassMask":4})",
+        {honest, R"({"kind":"Ideal","width":8,"bypassMask":4})",
          R"(unknown config key "bypassMask")"},
-        {R"({"width":8,"bypass_level_mask":4})", R"("kind")"},
+        {honest, R"({"width":8,"bypass_level_mask":4})", R"("kind")"},
+        {honest, R"({"kind":"ideal","width":16,"width":8})",
+         R"(duplicate key "width")"},
+        {oracle, "; rbsim-repro-oracle: rbalu\n",
+         "unknown oracle 'rbalu' — is this repro from another build? "
+         "known oracles: cosim, sched"},
+        {oracle, oracle + "; rbsim-repro-iters: 4096\n",
+         "unknown repro metadata key 'iters'"},
     };
     std::vector<std::string> batch;
     for (std::size_t i = 0; i < std::size(bads); ++i) {
         std::string t = text.str();
-        t.replace(t.find(honest), honest.size(), bads[i].config);
-        const std::string path = ::testing::TempDir() + "bad-config-" +
+        t.replace(t.find(bads[i].from), bads[i].from.size(), bads[i].to);
+        const std::string path = ::testing::TempDir() + "bad-repro-" +
                                  std::to_string(i) + ".repro";
         std::ofstream(path) << t;
         batch.push_back(path);

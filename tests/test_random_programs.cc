@@ -12,7 +12,7 @@
  * This is the fixed-matrix regression sibling of rbsim-fuzz: the same
  * generator, a deterministic seed range, and a hand-picked config set
  * covering every machine variant. Open-ended exploration (fuzzed
- * configs, value-level oracles, shrinking) lives in the rbsim-fuzz tool.
+ * configs, scheduler parity, shrinking) lives in the rbsim-fuzz tool.
  */
 
 #include <gtest/gtest.h>

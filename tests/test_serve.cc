@@ -729,6 +729,11 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     TestServer ts;
 
     expectError(ts.roundTrip("this is not json"), "parse");
+    // A key named twice is a parse error, not a silently kept last value.
+    expectError(ts.roundTrip(R"({"id":"e0","workload":"compress",)"
+                             R"("config":{"kind":"base","width":16,)"
+                             R"("width":4}})"),
+                "parse");
     expectError(ts.roundTrip(R"({"id":"e1","workload":"compress",)"
                              R"("machine":"pentium"})"),
                 "unknown-machine");

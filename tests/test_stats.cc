@@ -190,6 +190,24 @@ TEST(StatSnapshot, EqualityDetectsDivergence)
     EXPECT_NE(a, b);
 }
 
+TEST(Json, DuplicateObjectKeyIsAParseError)
+{
+    // Keeping the last value would read {"width":16,"width":4} as a
+    // 4-wide machine without a word of warning.
+    try {
+        Json::parse(R"({"kind":"base","width":16,"width":4})");
+        ADD_FAILURE() << "duplicate key accepted";
+    } catch (const JsonError &e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate key \"width\""),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(Json::parse(R"({"o":{"k":null,"k":null}})"), JsonError);
+    // One key in two sibling objects is not a duplicate.
+    const Json ok = Json::parse(R"({"a":{"k":1},"b":{"k":2}})");
+    EXPECT_EQ(ok.find("b")->find("k")->asU64(), 2u);
+}
+
 TEST(Json, UnsignedReadsRejectWhatNoU64Holds)
 {
     EXPECT_EQ(Json::parse("18446744073709551615").asU64(),

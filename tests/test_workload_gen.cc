@@ -118,6 +118,15 @@ TEST(GenConfigJson, RejectsMalformedInput)
                  std::invalid_argument);
     EXPECT_THROW(GenConfig::fromJson(R"({"trips":1e30})"),
                  std::invalid_argument);
+    // A misspelt key is rejected by name, not dropped for the default.
+    try {
+        GenConfig::fromJson(R"({"numKeyz":5})");
+        ADD_FAILURE() << "unknown key accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("\"numKeyz\""),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(GenSweep, DefaultSetCoversEveryFamilyAndSkewOverrideWorks)
