@@ -62,9 +62,13 @@ def run_round(server, tag, scale, scheduler):
         for alias, label in FIG12_MACHINES:
             jid = f"{tag}-{alias}-{wl}"
             ids[jid] = (label, wl)
+            # Oracle mode is a machine-config field, so a request asks
+            # for it with a config object.
+            config = {"kind": alias, "width": 4}
+            if scheduler == "oracle":
+                config["wakeup_oracle"] = True
             server.send(json.dumps({
-                "id": jid, "workload": wl, "scale": scale,
-                "machine": alias, "width": 4, "scheduler": scheduler,
+                "id": jid, "workload": wl, "scale": scale, "config": config,
             }))
     cells = {}
     while len(cells) < len(ids):

@@ -1,10 +1,13 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
 
 namespace rbsim
 {
@@ -304,9 +307,14 @@ struct Parser
               case 'u': {
                   if (pos + 4 > text.size())
                       fail("truncated \\u escape");
+                  const std::string hex = text.substr(pos, 4);
+                  if (!std::all_of(hex.begin(), hex.end(),
+                                   [](unsigned char h) {
+                                       return std::isxdigit(h);
+                                   }))
+                      fail("\\u needs four hex digits");
                   const unsigned cp = static_cast<unsigned>(
-                      std::strtoul(text.substr(pos, 4).c_str(), nullptr,
-                                   16));
+                      std::strtoul(hex.c_str(), nullptr, 16));
                   pos += 4;
                   // Basic-multilingual-plane code points only; enough
                   // for the escapes this library itself emits.
@@ -331,34 +339,46 @@ struct Parser
     Json
     parseNumber()
     {
+        // The whole run of number characters must match RFC 8259's
+        // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
         const std::size_t start = pos;
-        const bool neg = peek() == '-';
-        if (neg)
+        while (pos < text.size() &&
+               std::string_view("0123456789+-.eE").find(text[pos]) !=
+                   std::string_view::npos)
             ++pos;
-        bool isInt = !neg;
-        char prev = '\0';
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos;
-            } else if (c == '.' || c == 'e' || c == 'E' ||
-                       ((c == '+' || c == '-') &&
-                        (prev == 'e' || prev == 'E'))) {
-                isInt = false;
-                ++pos;
-            } else {
-                break;
-            }
-            prev = c;
-        }
         const std::string tok = text.substr(start, pos - start);
-        if (tok.empty() || tok == "-")
-            fail("bad number");
-        if (isInt && tok[0] != '-') {
+        std::size_t i = 0;
+        const auto skip = [&](std::string_view set) {
+            if (i == tok.size() || set.find(tok[i]) == set.npos)
+                return false;
+            ++i;
+            return true;
+        };
+        const auto digits = [&] {
+            const std::size_t from = i;
+            while (i < tok.size() &&
+                   std::isdigit(static_cast<unsigned char>(tok[i])))
+                ++i;
+            return i - from;
+        };
+        const bool neg = skip("-");
+        const bool lead0 = i < tok.size() && tok[i] == '0';
+        const std::size_t whole = digits();
+        bool ok = whole == 1 || (whole > 1 && !lead0);
+        const bool frac = skip(".");
+        if (frac)
+            ok = ok && digits() > 0;
+        const bool exp = skip("eE");
+        if (exp) {
+            skip("+-");
+            ok = ok && digits() > 0;
+        }
+        if (!ok || i != tok.size())
+            fail("bad number \"" + tok + "\"");
+        if (!neg && !frac && !exp) {
             errno = 0;
-            char *end = nullptr;
-            const std::uint64_t u = std::strtoull(tok.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0')
+            const std::uint64_t u = std::strtoull(tok.c_str(), nullptr, 10);
+            if (errno == 0)
                 return Json(u);
         }
         return Json(std::strtod(tok.c_str(), nullptr));

@@ -12,10 +12,10 @@
  * RB-carrying levels; RB-input consumers accept either form.
  *
  * Limited networks remove levels, producing *holes* in availability that
- * the section 4.3 scheduler schedules around. `availabilityPattern`
- * renders the same information as the interleaved-0/1 shift-register
- * initialization of the paper's Figure 8 wakeup logic, and is tested
- * equivalent to `operandAvail`.
+ * the section 4.3 scheduler schedules around. `availPattern` is the one
+ * definition: the interleaved-0/1 shift-register initialization of the
+ * paper's Figure 8 wakeup logic, from which `operandAvail` reads one bit
+ * and `firstAvail` counts trailing zeros.
  */
 
 #ifndef RBSIM_CORE_BYPASS_HH
@@ -59,48 +59,33 @@ struct ProdAvail
 };
 
 /**
- * Can a consumer selected at cycle t in cluster `consumer_cluster` obtain
- * this operand?
+ * The Figure 8 wakeup pattern of one operand: bit i is set iff a consumer
+ * in cluster `consumer_cluster` can be selected at cycle `p.early + i`.
+ * Every bit from `p.rfTc - p.early` up is set (the register file); a
+ * producer not yet selected (`p.early == neverCycle`) gives 0. With
+ * hole-aware scheduling off, only the top run of ones is kept: all a
+ * from-now-on wakeup can express.
  *
  * @param cfg the machine (bypass structure, cross-cluster delay)
  * @param p the producer's availability record
  * @param needs_tc true when the consuming operand requires two's
  *        complement (TC-input instruction, or store data)
  * @param consumer_cluster cluster of the consuming functional unit
- * @param t candidate select cycle
  */
+std::uint64_t availPattern(const MachineConfig &cfg, const ProdAvail &p,
+                           bool needs_tc, unsigned consumer_cluster);
+
+/** Can a consumer selected at cycle t obtain the operand? (One bit of
+ * availPattern.) */
 bool operandAvail(const MachineConfig &cfg, const ProdAvail &p,
                   bool needs_tc, unsigned consumer_cluster, Cycle t);
 
 /**
  * First cycle at or after `from` at which the operand is available
- * (bounded: falls back to the register file, which always serves).
+ * (bounded: the register file always serves). `p` must be produced.
  */
 Cycle firstAvail(const MachineConfig &cfg, const ProdAvail &p,
                  bool needs_tc, unsigned consumer_cluster, Cycle from);
-
-/**
- * First cycle from which the operand is available at *every* later
- * cycle — the end of the last availability hole. Together with
- * `firstAvail(.., p.early)` this brackets the window the wakeup array
- * must latch per-cycle bits for; outside it the ready bit is constant.
- */
-Cycle stableAvailFrom(const MachineConfig &cfg, const ProdAvail &p,
-                      bool needs_tc, unsigned consumer_cluster);
-
-/**
- * The wakeup shift-register pattern of paper Figure 8: bit i is 1 iff the
- * operand is available at select cycle `base + i`. Bits beyond the window
- * are implied 1 (register file). Used by tests and the scheduling-logic
- * demo; the scheduler itself calls operandAvail.
- *
- * @param base pattern origin cycle
- * @param window number of bits to render (<= 64)
- */
-std::uint64_t availabilityPattern(const MachineConfig &cfg,
-                                  const ProdAvail &p, bool needs_tc,
-                                  unsigned consumer_cluster, Cycle base,
-                                  unsigned window);
 
 /** True if the operand was served from a bypass path rather than the
  * register file at cycle t (for the Figure 13 accounting). */

@@ -1,9 +1,11 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "common/bitutil.hh"
 #include "isa/opclass.hh"
@@ -30,8 +32,8 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
       samDl1(cfg.dl1.sizeBytes / (cfg.dl1.assoc * cfg.dl1.lineBytes),
              cfg.dl1.lineBytes),
       producerSched(cfg.physRegs, 0xff),
-      regWaiterHead(cfg.physRegs, -1),
-      slotPendingOps(rob.slotCount(), 0)
+      waitWords(static_cast<unsigned>((rob.slotCount() + 63) / 64)),
+      regWaiters(std::size_t{cfg.physRegs} * waitWords, 0)
 {
     if (from && from->pc >= prog.code.size())
         throw std::logic_error("cannot resume a halted checkpoint");
@@ -43,25 +45,15 @@ OooCore::OooCore(const MachineConfig &cfg, const Program &prog,
     fetchBuf.reserve(cfg.fetchWidth);
     pendingFlushes.reserve(cfg.robEntries);
 
-    // Waiter pool: at most one node per (scheduler entry, source operand)
-    // is ever live (dead nodes are reclaimed on broadcast and on flush).
-    // Every scheduler entry is also in the ROB, so the ROB bounds the
-    // live entries as well as the schedulers' total capacity does.
-    const std::size_t slot_count = std::min<std::size_t>(
-        static_cast<std::size_t>(cfg.numSchedulers) * cfg.schedEntries,
-        cfg.robEntries);
-    waiterPool.resize(slot_count * 3 /* max sources per instruction */);
-    for (std::size_t i = 0; i < waiterPool.size(); ++i) {
-        waiterPool[i].next = i + 1 < waiterPool.size()
-                                 ? static_cast<std::int32_t>(i + 1)
-                                 : -1;
-    }
-    waiterFree = waiterPool.empty() ? -1 : 0;
-
     // Pre-size the wakeup heap's backing store so steady-state event
     // churn stays off the heap (a slot arms at most a handful of
-    // transition events; stale events drain time-bounded).
+    // transition events; stale events drain time-bounded). Every
+    // scheduler entry is also in the ROB, so the ROB bounds the live
+    // entries as well as the schedulers' total capacity does.
     {
+        const std::size_t slot_count = std::min<std::size_t>(
+            static_cast<std::size_t>(cfg.numSchedulers) * cfg.schedEntries,
+            cfg.robEntries);
         std::vector<WakeupEvent> storage;
         storage.reserve(slot_count * 8);
         wakeupEvents = decltype(wakeupEvents)(EventLater{},
@@ -161,7 +153,7 @@ void
 OooCore::maybeSkipIdle(Cycle end, Cycle last_progress)
 {
     // Anything latched for this cycle's select means work now.
-    if (sched.anyReady() || sched.anyAttention())
+    if (sched.anyLatched())
         return;
 
     Cycle target = neverCycle;
@@ -354,29 +346,16 @@ OooCore::flushAfter(const RobEntry &branch)
             rename.undo(e.archDest, e.dest, e.prevDest);
             scoreboard.clear(e.dest);
         }
+        // A squashed consumer waits no more. Stale heap events are
+        // cheaper to drain lazily (generation-guarded, time-bounded).
+        const std::size_t slot = rob.slotOf(e.seq);
+        for (unsigned i = 0; i < e.numSrcs; ++i)
+            waitersOf(e.src[i].reg)[slot >> 6] &=
+                ~(std::uint64_t{1} << (slot & 63));
         ++coreStats.squashed;
     });
     sched.squashAfter(branch.seq);
     lsq.squashAfter(branch.seq);
-    // Squashed consumers' waiter records are now dead (their slot
-    // generation no longer matches); unlink them back onto the free list
-    // so a hot mispredict loop cannot exhaust the pool. Stale heap
-    // events are cheaper to drain lazily (generation-guarded,
-    // time-bounded).
-    for (std::int32_t &head : regWaiterHead) {
-        std::int32_t *link = &head;
-        while (*link != -1) {
-            WaiterNode &n = waiterPool[*link];
-            if (sched.live(n.ref, n.gen)) {
-                link = &n.next;
-            } else {
-                const std::int32_t dead = *link;
-                *link = n.next;
-                n.next = waiterFree;
-                waiterFree = dead;
-            }
-        }
-    }
     coreStats.squashed += frontPipe.size();
     frontPipe.clear();
     frontSnaps.clear();
@@ -595,44 +574,31 @@ OooCore::drainWakeupEvents()
         // Stale events are filtered on (SlotRef, gen), never on the
         // slot's seq: squash recycles sequence numbers, so a slot
         // refilled in the same cycle can hold an identical seq and a
-        // seq check (SchedulerBank::holds) would deliver the dead
-        // occupant's event to the new one.
+        // seq check would deliver the dead occupant's event to the new
+        // one.
         if (!sched.live(ev.ref, ev.gen))
             continue; // issued, squashed, or slot reused
         sched.setReady(ev.ref, ev.ready);
-        sched.setHole(ev.ref, ev.hole);
+        sched.setHole(ev.ref, !ev.ready);
     }
-}
-
-void
-OooCore::addWaiter(PhysReg r, SchedulerBank::SlotRef ref)
-{
-    assert(waiterFree != -1 && "waiter pool exhausted");
-    const std::int32_t idx = waiterFree;
-    WaiterNode &n = waiterPool[idx];
-    waiterFree = n.next;
-    n.ref = ref;
-    n.gen = sched.genOf(ref);
-    n.next = regWaiterHead[r];
-    regWaiterHead[r] = idx;
 }
 
 void
 OooCore::armDispatch(const RobEntry &e, SchedulerBank::SlotRef ref)
 {
-    std::uint8_t pending = 0;
+    bool pending = false;
     for (unsigned i = 0; i < e.numSrcs; ++i) {
         if (scoreboard.of(e.src[i].reg).rfTc == neverCycle) {
-            ++pending;
-            addWaiter(e.src[i].reg, ref);
+            waitersOf(e.src[i].reg)[ref.slot >> 6] |= std::uint64_t{1}
+                                                      << (ref.slot & 63);
+            pending = true;
         }
     }
-    slotPendingOps[ref.slot] = pending;
     // Stores want the oldest-first scan's attention until their address
     // reaches the LSQ, even while the data producer is still unknown.
     if (e.isMemStore && !e.storeAddrRecorded)
         sched.setStoreScan(ref, true);
-    if (pending == 0)
+    if (!pending)
         armWakeup(e, ref);
 }
 
@@ -640,73 +606,60 @@ void
 OooCore::produceAndWake(PhysReg r, const ProdAvail &p)
 {
     scoreboard.produce(r, p);
-    // Walk the register's waiter list, arming consumers whose last
-    // unknown producer this is, and return every node to the free list.
-    // List order is insertion-reversed, which is behavior-neutral: armed
-    // wakeup events land on distinct slots (setReady/setHole commute)
-    // and each slot arms exactly once.
-    std::int32_t it = regWaiterHead[r];
-    regWaiterHead[r] = -1;
-    while (it != -1) {
-        WaiterNode &w = waiterPool[it];
-        const std::int32_t next = w.next;
-        if (sched.live(w.ref, w.gen)) {
-            assert(slotPendingOps[w.ref.slot] > 0);
-            if (--slotPendingOps[w.ref.slot] == 0)
-                armWakeup(rob.get(sched.seqAt(w.ref)), w.ref);
+    // Take the register's waiters and arm each one whose sources are now
+    // all known. A slot is armed once, by its last producer; one that
+    // reads r twice has one bit here, which is why no per-slot count of
+    // pending sources is kept.
+    std::uint64_t *w = waitersOf(r);
+    for (unsigned wi = 0; wi < waitWords; ++wi) {
+        for (std::uint64_t m = std::exchange(w[wi], 0); m; m &= m - 1) {
+            const unsigned slot =
+                wi * 64 + static_cast<unsigned>(std::countr_zero(m));
+            const RobEntry &e = rob.atSlot(slot);
+            if (std::all_of(e.src.begin(), e.src.begin() + e.numSrcs,
+                            [this](const RobEntry::Src &s) {
+                                return scoreboard.of(s.reg).rfTc !=
+                                       neverCycle;
+                            }))
+                armWakeup(e, SchedulerBank::SlotRef{
+                                 e.sched, static_cast<std::uint16_t>(slot)});
         }
-        w.next = waiterFree;
-        waiterFree = it;
-        it = next;
     }
 }
 
 void
 OooCore::armWakeup(const RobEntry &e, SchedulerBank::SlotRef ref)
 {
-    // Every producer timeline is now final: render the entry's whole
-    // readiness future as ready/hole bit transitions. Before the last
-    // producer's first availability (fmax) the entry is plain not-ready
-    // (no bits); from fmax to the end of the last availability hole
-    // (stable) not-ready means hole-blocked; from stable on it stays
-    // ready until selected.
-    const Cycle start = now + 1; // readiness needs now > dispatch
-    Cycle fmax = 0;
-    Cycle stable = 0;
+    // Every producer timeline is now final. Until `base`, the later of
+    // the next cycle and the last producer's first availability, the
+    // entry is plain not-ready. From base on, bit i of `ready` is the
+    // AND of the operands' availPattern bits at base + i: not-ready
+    // there means hole-blocked, since every operand has been available
+    // before. The patterns end in ones (the register file), so one event
+    // at base and one per bit change cover the entry's whole future.
+    Cycle base = now + 1; // readiness needs now > dispatch
+    std::uint64_t pat[3] = {}; // per source
     for (unsigned i = 0; i < e.numSrcs; ++i) {
         const ProdAvail &p = scoreboard.of(e.src[i].reg);
         assert(p.rfTc != neverCycle);
-        fmax = std::max(fmax, firstAvail(config, p, e.src[i].needsTc,
-                                         e.cluster, p.early));
-        stable = std::max(stable,
-                          stableAvailFrom(config, p, e.src[i].needsTc,
-                                          e.cluster));
+        pat[i] = availPattern(config, p, e.src[i].needsTc, e.cluster);
+        // firstAvail(.., p.early), without rebuilding the pattern
+        base = std::max<Cycle>(base, p.early + std::countr_zero(pat[i]));
+    }
+    std::uint64_t ready = ~std::uint64_t{0};
+    for (unsigned i = 0; i < e.numSrcs; ++i) {
+        // Shifted to base, with ones shifted in from the top.
+        const Cycle shift = base - scoreboard.of(e.src[i].reg).early;
+        if (shift < 64)
+            ready &= ~(~pat[i] >> shift);
     }
     const std::uint32_t gen = sched.genOf(ref);
-    const Cycle base = std::max(start, fmax);
-    if (base >= stable) {
-        wakeupEvents.push(WakeupEvent{base, ref, gen, true, false});
-        return;
-    }
-    auto all_avail = [&](Cycle t) {
-        for (unsigned i = 0; i < e.numSrcs; ++i) {
-            const ProdAvail &p = scoreboard.of(e.src[i].reg);
-            if (!operandAvail(config, p, e.src[i].needsTc, e.cluster, t))
-                return false;
-        }
-        return true;
-    };
-    bool prev_ready = false;
-    bool first = true;
-    for (Cycle t = base; t <= stable; ++t) {
-        const bool r = all_avail(t);
-        if (first || r != prev_ready) {
-            // For t >= fmax, "blocked only by holes" is exactly
-            // !ready: every failing operand has been available before.
-            wakeupEvents.push(WakeupEvent{t, ref, gen, r, !r});
-            first = false;
-            prev_ready = r;
-        }
+    wakeupEvents.push(WakeupEvent{base, ref, gen, (ready & 1) != 0});
+    for (std::uint64_t m = (ready ^ ready << 1) & ~std::uint64_t{1}; m;
+         m &= m - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+        wakeupEvents.push(
+            WakeupEvent{base + i, ref, gen, (ready >> i & 1) != 0});
     }
 }
 

@@ -287,22 +287,21 @@ class OooCore
     // ---------------------------------------------- wakeup-array state
     //
     // The in-core half of Figure 8: when a producer is selected, its
-    // availability timeline is broadcast to the waiting consumers
-    // (`regWaiters`, the CAM match), and once a consumer knows all of its
-    // producers, `armWakeup` converts the timelines into a handful of
-    // ready/hole bit-transition events on a time-ordered heap — the
-    // software image of the interleaved 0/1 shift-register patterns.
-    // Slot-generation counters guard events and waiter records against
+    // availability timeline is broadcast to the consumers waiting on its
+    // register (`regWaiters`, the CAM match), and once a consumer knows
+    // all of its producers, `armWakeup` ANDs their availPattern bits
+    // into a handful of ready/hole bit-transition events on a
+    // time-ordered heap. Slot-generation counters guard events against
     // slot reuse after issue or squash.
 
-    /** One scheduled transition of a slot's ready/hole bits. */
+    /** One scheduled transition of a slot's ready bit (its hole bit
+     * becomes the complement). */
     struct WakeupEvent
     {
         Cycle at = 0;
         SchedulerBank::SlotRef ref;
         std::uint32_t gen = 0; //!< slot generation at arm time
         bool ready = false;
-        bool hole = false;
     };
 
     struct EventLater
@@ -314,32 +313,17 @@ class OooCore
         }
     };
 
-    /**
-     * A consumer slot waiting for one producer register's broadcast.
-     * Waiters are pool-allocated intrusive list nodes (`waiterPool`,
-     * chained per register through `regWaiterHead`) so steady-state
-     * dispatch/wakeup churn never touches the heap.
-     */
-    struct WaiterNode
-    {
-        SchedulerBank::SlotRef ref;
-        std::uint32_t gen = 0;
-        std::int32_t next = -1; //!< pool index of next waiter, -1 = end
-    };
-
-    /** Pop a node off the free list and link it onto register r. */
-    void addWaiter(PhysReg r, SchedulerBank::SlotRef ref);
+    /** The waiter mask of physical register r: bit s is set while the
+     * entry in ROB slot s waits for r's producer to be selected. */
+    std::uint64_t *waitersOf(PhysReg r)
+    { return &regWaiters[std::size_t{r} * waitWords]; }
 
     std::priority_queue<WakeupEvent, std::vector<WakeupEvent>, EventLater>
         wakeupEvents;
-    //! Fixed pool of waiter nodes (one per scheduler-slot operand).
-    std::vector<WaiterNode> waiterPool;
-    //! Per physical register: head pool index of its waiter list (-1 =
-    //! empty).
-    std::vector<std::int32_t> regWaiterHead;
-    std::int32_t waiterFree = -1; //!< free-list head into waiterPool
-    //! Per ROB slot: producers still unknown (not yet issued).
-    std::vector<std::uint8_t> slotPendingOps;
+    //! Slot-mask words per physical register (one bit per ROB slot).
+    const unsigned waitWords;
+    //! Per physical register, waitWords words of waiting ROB slots.
+    std::vector<std::uint64_t> regWaiters;
 
     // Host-perf telemetry; deliberately NOT written statistics, so
     // oracle-mode and plain StatSnapshots stay bit-identical.

@@ -160,8 +160,6 @@ MachineConfig::make(MachineKind kind, unsigned width)
     cfg.numSchedulers = width / 2;
     cfg.schedEntries = (width == 16 ? 256 : 128) / cfg.numSchedulers;
     cfg.numClusters = width <= 4 ? 1 : width / 4;
-    cfg.rbLimitedBypass = kind == MachineKind::RbLimited;
-    cfg.hasRbRegfile = kind == MachineKind::RbFull;
     if (width == 16) {
         cfg.fetchWidth = 16;
         cfg.fetchBlocks = 3;

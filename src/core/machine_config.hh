@@ -130,8 +130,6 @@ struct MachineConfig
     // Bypass network.
     unsigned numBypassLevels = 3;     //!< full network: 3 levels + RF
     std::uint8_t bypassLevelMask = 0b111; //!< bit k-1: level k present
-    bool rbLimitedBypass = false;     //!< the section 4.2 limited network
-    bool hasRbRegfile = false;        //!< RB-full keeps RB register files
     bool holeAwareScheduling = true;  //!< section 4.3 wakeup; ablation knob
     Steering steering = Steering::RoundRobinPairs;
 
@@ -252,8 +250,6 @@ inline constexpr Field<MachineConfig> configFields[] = {
     {"rf_read_depth", &MachineConfig::rfReadDepth},
     {"num_bypass_levels", &MachineConfig::numBypassLevels, 1, 8},
     {"bypass_level_mask", &MachineConfig::bypassLevelMask, 0, 255},
-    {"rb_limited_bypass", &MachineConfig::rbLimitedBypass},
-    {"has_rb_regfile", &MachineConfig::hasRbRegfile},
     {"hole_aware_scheduling", &MachineConfig::holeAwareScheduling},
     {"steering", &MachineConfig::steering},
     {"wakeup_oracle", &MachineConfig::wakeupOracle},

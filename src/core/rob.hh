@@ -153,6 +153,9 @@ class Rob
      * entries index per-instruction state by it. */
     std::size_t slotOf(std::uint64_t seq) const { return seq & mask; }
 
+    /** Entry in ring slot `slot` (the slotOf of an in-flight seq). */
+    RobEntry &atSlot(std::size_t slot) { return slots[slot]; }
+
     /** Sequence number of the head (oldest) entry; every in-flight seq
      * lies in [headSequence(), headSequence() + size()). */
     std::uint64_t headSequence() const { return headSeq; }

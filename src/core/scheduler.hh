@@ -104,9 +104,6 @@ class SchedulerBank
     unsigned numSchedulers() const
     { return static_cast<unsigned>(counts.size()); }
 
-    /** Entries each scheduler can hold. */
-    unsigned capacityPer() const { return entriesPer; }
-
     // ------------------------------------------------- wakeup array
 
     /** Latch/clear the RESOURCE AVAILABLE bit of a slot. */
@@ -143,21 +140,6 @@ class SchedulerBank
         return wordOf(r).storeScan >> bitOf(r) & 1;
     }
 
-    /** Does the slot currently hold this sequence number?
-     *
-     * Debug assertions ONLY — never use this to validate a queued
-     * wakeup event. Sequence numbers are recycled on squash (flushAfter
-     * rewinds nextSeq to branch.seq + 1), so after squash → same-cycle
-     * re-dispatch a reused slot can hold the *same* seq as the squashed
-     * occupant and a stale event would be accepted. The (SlotRef, gen)
-     * pair checked by live() names one occupancy uniquely; all event
-     * validation goes through it. */
-    bool
-    holds(SlotRef r, std::uint64_t seq) const
-    {
-        return isValid(r) && seqs[r.slot] == seq;
-    }
-
     /** Generation of a slot; bumped on every insert, so a (ref, gen)
      * pair names one occupancy of the slot. */
     std::uint32_t genOf(SlotRef r) const { return gens[r.slot]; }
@@ -168,14 +150,6 @@ class SchedulerBank
     live(SlotRef r, std::uint32_t gen) const
     {
         return isValid(r) && gens[r.slot] == gen;
-    }
-
-    /** Sequence number held by a slot (must be valid). */
-    std::uint64_t
-    seqAt(SlotRef r) const
-    {
-        assert(isValid(r));
-        return seqs[r.slot];
     }
 
     /** Call `fn(ref, seq)` for every entry of scheduler s, in slot
@@ -196,22 +170,13 @@ class SchedulerBank
         }
     }
 
-    /** Any ready bit set across all schedulers? */
+    /** Any ready, hole or storeScan bit set, i.e. work for this
+     * cycle's select walk? */
     bool
-    anyReady() const
+    anyLatched() const
     {
         for (const Words &w : words)
-            if (w.ready)
-                return true;
-        return false;
-    }
-
-    /** Any per-cycle attention (hole accounting / store AGEN) pending? */
-    bool
-    anyAttention() const
-    {
-        for (const Words &w : words)
-            if (w.hole | w.storeScan)
+            if (w.ready | w.hole | w.storeScan)
                 return true;
         return false;
     }

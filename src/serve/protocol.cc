@@ -14,7 +14,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::BadRequest: return "bad-request";
       case ErrorCode::UnknownMachine: return "unknown-machine";
       case ErrorCode::UnknownWorkload: return "unknown-workload";
-      case ErrorCode::UnknownScheduler: return "unknown-scheduler";
       case ErrorCode::BadProgram: return "bad-program";
       case ErrorCode::OversizedProgram: return "oversized-program";
       case ErrorCode::DuplicateId: return "duplicate-id";
@@ -79,8 +78,6 @@ parseRequest(const Json &j)
             if (!v.isObject())
                 bad("\"config\" must be an object");
             req.config = v;
-        } else if (key == "scheduler") {
-            req.scheduler = asStringField(v, key);
         } else if (key == "max_cycles") {
             req.maxCycles = asU64Field(v, key);
         } else if (key == "cosim") {
@@ -154,22 +151,7 @@ requestConfig(const JobRequest &req)
                            "unknown machine \"" + kind->asString() +
                                "\" (want base/rblim/rbfull/ideal or a "
                                "figure label)");
-    MachineConfig cfg = configFromJson(spec);
-
-    // The scheduler mode rides on top of whichever machine was named;
-    // both modes produce bit-identical statistics (CI pins it), so the
-    // result cache treats them as distinct keys only because the
-    // host-speed numbers differ.
-    if (req.scheduler == "wakeup") {
-        cfg.wakeupOracle = false;
-    } else if (req.scheduler == "oracle") {
-        cfg.wakeupOracle = true;
-    } else {
-        throw RequestError(ErrorCode::UnknownScheduler,
-                           "unknown scheduler \"" + req.scheduler +
-                               "\" (want wakeup or oracle)");
-    }
-    return cfg;
+    return configFromJson(spec);
 }
 
 std::string

@@ -42,7 +42,6 @@ enum class ErrorCode
     BadRequest,       //!< well-formed JSON, invalid shape/fields
     UnknownMachine,   //!< machine label/alias not recognized
     UnknownWorkload,  //!< workload name not registered
-    UnknownScheduler, //!< scheduler not wakeup/oracle
     BadProgram,       //!< assembly failed to assemble
     OversizedProgram, //!< program exceeds the server's instruction cap
     DuplicateId,      //!< request id already used this session
@@ -70,7 +69,6 @@ struct JobRequest
     unsigned width = 4;
     Json config; //!< configFromJson's input (null when machine/width used)
 
-    std::string scheduler = "wakeup"; //!< wakeup | oracle
     Cycle maxCycles = 100'000'000;
     bool cosim = true;
     //! "max_insts": retired-instruction budget (0 = run to HALT). A
@@ -87,7 +85,7 @@ struct JobRequest
     std::vector<std::string> statSelect;
 };
 
-/** Thrown by requestConfig for an unknown machine or scheduler. */
+/** Thrown by requestConfig for an unknown machine. */
 class RequestError : public std::runtime_error
 {
   public:
@@ -108,9 +106,8 @@ JobRequest parseRequest(const std::string &line);
 JobRequest parseRequest(const Json &j);
 
 /**
- * Resolve a request's machine specification through configFromJson,
- * with the requested scheduler applied. Throws RequestError
- * (UnknownMachine / UnknownScheduler) or std::invalid_argument.
+ * Resolve a request's machine specification through configFromJson.
+ * Throws RequestError (UnknownMachine) or std::invalid_argument.
  */
 MachineConfig requestConfig(const JobRequest &req);
 

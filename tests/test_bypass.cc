@@ -3,10 +3,13 @@
  * Tests for the bypass availability model (paper §4.1, §4.2): full
  * networks, the RB-limited network's holes, Figure 14's level-removal
  * variants, cross-cluster delay, the Figure 5/7 pipeline diagrams, and
- * the Figure 8 shift-register pattern equivalence.
+ * the Figure 8 shift-register pattern that defines them all.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <vector>
 
 #include "core/bypass.hh"
 
@@ -200,42 +203,135 @@ TEST(Bypass, HoleUnawareSchedulerWaitsForContinuousRegion)
     EXPECT_TRUE(operandAvail(cfg, p, true, 0, 13));
 }
 
-TEST(Bypass, PatternMatchesOperandAvail)
+/** `low` in the low byte, ones above it: the register file. */
+constexpr std::uint64_t
+pattern(std::uint8_t low)
 {
-    // The Figure 8 shift-register rendering agrees bit-for-bit with the
-    // availability predicate, for every machine and both formats.
-    for (MachineKind kind : {MachineKind::Baseline, MachineKind::RbLimited,
-                             MachineKind::RbFull, MachineKind::Ideal}) {
-        for (unsigned width : {4u, 8u}) {
-            const MachineConfig cfg = MachineConfig::make(kind, width);
-            for (bool needs_tc : {false, true}) {
-                for (unsigned cc = 0; cc < cfg.numClusters; ++cc) {
-                    const ProdAvail p = dualProducer(cfg, 5, 0);
-                    const std::uint64_t pat = availabilityPattern(
-                        cfg, p, needs_tc, cc, 5, 20);
-                    for (unsigned i = 0; i < 20; ++i) {
-                        EXPECT_EQ((pat >> i) & 1,
-                                  operandAvail(cfg, p, needs_tc, cc,
-                                               5 + i) ? 1u : 0u)
-                            << machineName(kind) << " i=" << i;
-                    }
-                }
-            }
+    return ~std::uint64_t{0} << 8 | low;
+}
+
+struct PatternCase
+{
+    const char *what;
+    MachineKind kind;
+    unsigned width;
+    bool dual;                 //!< dual-format (RB arith) producer
+    bool needsTc;              //!< TC-requiring consumer
+    std::uint8_t levelMask;    //!< Figure 14 bypass levels present
+    bool holeAware;
+    unsigned crossDelay;       //!< producer in cluster 0, consumer in 1
+    std::uint64_t want;
+};
+
+TEST(Bypass, AvailPatternTable)
+{
+    // The Figure 8 pattern, bit i = select at early + i, on every
+    // machine (4-wide: one cluster; 8-wide: consumer in the other
+    // cluster). Window: 3 bypass levels, register file from bit 3.
+    // "TC<-RB" is a TC-requiring consumer of a dual-format producer.
+    const std::vector<PatternCase> cases = {
+        {"Baseline, TC consumer", MachineKind::Baseline, 4, false, true, 7,
+         true, 0, pattern(0b11111111)},
+        {"Baseline, RB consumer", MachineKind::Baseline, 4, false, false, 7,
+         true, 0, pattern(0b11111111)},
+        {"Ideal, RB consumer", MachineKind::Ideal, 4, true, false, 7, true, 0,
+         pattern(0b11111111)},
+        {"RB-full RB<-RB", MachineKind::RbFull, 4, true, false, 7, true, 0,
+         pattern(0b11111111)},
+        {"RB-full TC<-RB", MachineKind::RbFull, 4, true, true, 7, true, 0,
+         pattern(0b11111100)},
+        {"RB-full TC<-TC", MachineKind::RbFull, 4, false, true, 7, true, 0,
+         pattern(0b11111111)},
+        {"RB-limited RB<-RB", MachineKind::RbLimited, 4, true, false, 7, true,
+         0, pattern(0b11111001)},
+        {"RB-limited TC<-RB", MachineKind::RbLimited, 4, true, true, 7, true,
+         0, pattern(0b11111100)},
+        {"RB-limited RB<-TC", MachineKind::RbLimited, 4, false, false, 7,
+         true, 0, pattern(0b11111001)},
+        {"RB-limited TC<-TC", MachineKind::RbLimited, 4, false, true, 7, true,
+         0, pattern(0b11111101)},
+        // Hole-unaware wakeup keeps the top run of ones only.
+        {"unaware RB<-RB", MachineKind::RbLimited, 4, true, false, 7, false,
+         0, pattern(0b11111000)},
+        {"unaware TC<-RB", MachineKind::RbLimited, 4, true, true, 7, false, 0,
+         pattern(0b11111100)},
+        {"unaware TC<-TC", MachineKind::RbLimited, 4, false, true, 7, false,
+         0, pattern(0b11111100)},
+        // Figure 14: level k catches at bit k-1 when present.
+        {"No-1", MachineKind::Ideal, 4, false, true, 0b110, true, 0,
+         pattern(0b11111110)},
+        {"No-2", MachineKind::Ideal, 4, false, true, 0b101, true, 0,
+         pattern(0b11111101)},
+        {"No-3", MachineKind::Ideal, 4, false, true, 0b011, true, 0,
+         pattern(0b11111011)},
+        {"No-1,2", MachineKind::Ideal, 4, false, true, 0b100, true, 0,
+         pattern(0b11111100)},
+        {"No-2,3", MachineKind::Ideal, 4, false, true, 0b001, true, 0,
+         pattern(0b11111001)},
+        // Cross-cluster delays 0, 1, 2 and past the window: catches move
+        // up, the register file does not.
+        {"Ideal cross 0", MachineKind::Ideal, 8, false, true, 7, true, 0,
+         pattern(0b11111111)},
+        {"Ideal cross 1", MachineKind::Ideal, 8, false, true, 7, true, 1,
+         pattern(0b11111110)},
+        {"Ideal cross 2", MachineKind::Ideal, 8, false, true, 7, true, 2,
+         pattern(0b11111100)},
+        {"Ideal cross 9", MachineKind::Ideal, 8, false, true, 7, true, 9,
+         pattern(0b11111000)},
+        {"RB-full TC<-RB cross 1", MachineKind::RbFull, 8, true, true, 7, true,
+         1, pattern(0b11111000)},
+        {"RB-full RB<-RB cross 2", MachineKind::RbFull, 8, true, false, 7,
+         true, 2, pattern(0b11111100)},
+        {"RB-limited RB<-RB cross 0", MachineKind::RbLimited, 8, true, false,
+         7, true, 0, pattern(0b11111001)},
+        {"RB-limited RB<-RB cross 1", MachineKind::RbLimited, 8, true, false,
+         7, true, 1, pattern(0b11111010)},
+        {"RB-limited RB<-RB cross 2", MachineKind::RbLimited, 8, true, false,
+         7, true, 2, pattern(0b11111100)},
+        {"RB-limited TC<-TC cross 1", MachineKind::RbLimited, 8, false, true,
+         7, true, 1, pattern(0b11111010)},
+        {"RB-limited TC<-TC cross 4000000000", MachineKind::RbLimited, 8,
+         false, true, 7, true, 4'000'000'000u, pattern(0b11111000)},
+    };
+    for (const PatternCase &c : cases) {
+        MachineConfig cfg = MachineConfig::make(c.kind, c.width);
+        cfg.bypassLevelMask = c.levelMask;
+        cfg.holeAwareScheduling = c.holeAware;
+        cfg.crossClusterDelay = c.crossDelay;
+        const unsigned consumer = c.width == 8 ? 1 : 0;
+        const ProdAvail p =
+            c.dual ? dualProducer(cfg, 10) : tcProducer(cfg, 10);
+        EXPECT_EQ(availPattern(cfg, p, c.needsTc, consumer), c.want)
+            << c.what;
+        // operandAvail reads one bit; firstAvail counts trailing zeros.
+        for (unsigned i = 0; i < 64; ++i) {
+            EXPECT_EQ(operandAvail(cfg, p, c.needsTc, consumer, p.early + i),
+                      (c.want >> i & 1) != 0)
+                << c.what << " bit " << i;
         }
+        EXPECT_EQ(firstAvail(cfg, p, c.needsTc, consumer, 0),
+                  p.early + std::countr_zero(c.want))
+            << c.what;
     }
+    // A producer not yet selected offers nothing.
+    const MachineConfig cfg = MachineConfig::make(MachineKind::Ideal, 4);
+    ProdAvail pending;
+    pending.early = pending.late = pending.rfTc = neverCycle;
+    EXPECT_EQ(availPattern(cfg, pending, false, 0), 0u);
+    EXPECT_EQ(availPattern(cfg, ProdAvail::always(), true, 0),
+              ~std::uint64_t{0});
 }
 
 TEST(Bypass, RbLimitedPatternShowsInterleavedBits)
 {
     // The paper's Figure 8 initial value interleaves 0s and 1s according
     // to missing bypass levels: for an RB consumer of a 1-cycle RB op,
-    // the pattern from the producer's select cycle is 0,1,0,0,1,1,1,...
+    // the pattern from the producer's first availability is
+    // 1,0,0,1,1,1,... (BYP-1, the two-cycle hole, the register file).
     const MachineConfig cfg =
         MachineConfig::make(MachineKind::RbLimited, 4);
     const ProdAvail p = dualProducer(cfg, 0); // early 1, rf 4
-    const std::uint64_t pat =
-        availabilityPattern(cfg, p, false, 0, 0, 8);
-    EXPECT_EQ(pat & 0xffu, 0b11110010u);
+    EXPECT_EQ(availPattern(cfg, p, false, 0) & 0xffu, 0b11111001u);
 }
 
 TEST(Bypass, AlwaysAvailableRecord)

@@ -7,7 +7,8 @@
  * whole-machine statistic bit-identity between oracle mode (stepped
  * every cycle, every latched wakeup bit checked against its predicate)
  * and plain idle-skipping runs (including a monolithic 128-entry
- * scheduler and the retirement-progress watchdog).
+ * scheduler, an instruction reading one pending register twice, and
+ * the retirement-progress watchdog).
  */
 
 #include <gtest/gtest.h>
@@ -77,12 +78,12 @@ TEST(Scheduler, WakeupSelectAndSquashAcrossTheWindowWrap)
     EXPECT_EQ(bank.occupancy(), 2u);
     EXPECT_TRUE(bank.live(refs[head], bank.genOf(refs[head])));
     EXPECT_TRUE(bank.live(refs[head + 5], bank.genOf(refs[head + 5])));
-    EXPECT_FALSE(bank.holds(refs[head + 6], head + 6));
+    EXPECT_FALSE(bank.live(refs[head + 6], bank.genOf(refs[head + 6])));
 
     // Squash after the head: the wrapped entry goes, the head stays.
     bank.squashAfter(head);
     EXPECT_EQ(bank.occupancy(), 1u);
-    EXPECT_TRUE(bank.holds(refs[head], head));
+    EXPECT_TRUE(bank.live(refs[head], bank.genOf(refs[head])));
 }
 
 TEST(Scheduler, SelectWidthExhaustionStopsTheScan)
@@ -156,7 +157,6 @@ TEST(Scheduler, WakeupSlotRefsValidateAgainstReuse)
     SchedulerBank bank(1, 8, 2, 8);
     const auto r1 = bank.insert(0, 1);
     const auto g1 = bank.genOf(r1);
-    EXPECT_TRUE(bank.holds(r1, 1));
     EXPECT_TRUE(bank.live(r1, g1));
     bank.squashAfter(0);
     EXPECT_FALSE(bank.live(r1, g1));
@@ -168,8 +168,8 @@ TEST(Scheduler, WakeupSlotRefsValidateAgainstReuse)
 
 TEST(Scheduler, SeqCheckAcceptsRecycledSlotButGenCheckDoesNot)
 {
-    // Why wakeup-event validation is (SlotRef, gen) and holds() is
-    // debug-only: a squash rewinds the core's sequence counter
+    // Why wakeup-event validation is (SlotRef, gen), not the slot's
+    // seq: a squash rewinds the core's sequence counter
     // (flushAfter sets nextSeq = branch.seq + 1), so the instruction
     // dispatched right after a squash reuses both the freed slot AND
     // the squashed occupant's seq. A seq-based check cannot tell the
@@ -181,9 +181,14 @@ TEST(Scheduler, SeqCheckAcceptsRecycledSlotButGenCheckDoesNot)
     const auto r2 = bank.insert(0, 7); // recycled seq, same slot
     ASSERT_EQ(r2.slot, r1.slot);
     ASSERT_EQ(r2.sched, r1.sched);
-    // holds() is fooled: the slot is valid and holds seq 7 again, so a
-    // stale queued event for the squashed instruction would pass.
-    EXPECT_TRUE(bank.holds(r1, 7));
+    // A seq check is fooled: the slot is valid and holds seq 7 again,
+    // so a stale queued event for the squashed instruction would pass.
+    std::vector<std::uint64_t> seqs;
+    bank.forEachEntry(0, [&](SchedulerBank::SlotRef r, std::uint64_t seq) {
+        if (r.slot == r1.slot)
+            seqs.push_back(seq);
+    });
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{7}));
     // live() is not: the reuse bumped the slot generation.
     EXPECT_FALSE(bank.live(r1, g1));
     EXPECT_TRUE(bank.live(r2, bank.genOf(r2)));
@@ -357,6 +362,31 @@ TEST(WakeupParity, MonolithicSchedulerRunsOnTheWakeupArray)
     EXPECT_TRUE(oracle.halted);
     EXPECT_TRUE(oracle.stats == plain.stats)
         << "plain ipc=" << plain.ipc() << " oracle ipc=" << oracle.ipc();
+}
+
+TEST(WakeupParity, OneInstructionReadingAPendingRegisterTwice)
+{
+    // ADDQ r2, r2 -> r3 waits on one pending register through both
+    // sources: r2's producer wakes it once, and it must still arm (a
+    // count of pending sources against one waiter bit per register
+    // would never reach zero and deadlock the run).
+    CodeBuilder cb("same-source-twice");
+    cb.dataWords(0x40000, {21});
+    cb.ldiq(R(1), 0x40000);
+    cb.load(Opcode::LDQ, R(2), 0, R(1)); // cold miss: r2 pending long
+    cb.op3(Opcode::ADDQ, R(2), R(2), R(3));
+    cb.op3(Opcode::MULQ, R(3), R(3), R(4));
+    cb.store(Opcode::STQ, R(4), 8, R(1));
+    cb.halt();
+    const Program prog = cb.finish();
+    for (MachineConfig cfg : parityMachines(4)) {
+        const SimResult plain = simulate(cfg, prog);
+        cfg.wakeupOracle = true;
+        const SimResult checked = simulate(cfg, prog);
+        ASSERT_TRUE(plain.halted) << cfg.label;
+        ASSERT_TRUE(checked.halted) << cfg.label;
+        EXPECT_TRUE(plain.stats == checked.stats) << cfg.label;
+    }
 }
 
 // ------------------------------------------------- deadlock watchdog

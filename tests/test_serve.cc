@@ -9,7 +9,7 @@
  *    check runs before any core component, SERVING.md's key table is
  *    the field list rendered;
  *  - protocol edge cases: malformed JSON, unknown machine / workload /
- *    scheduler, malformed shapes, oversized programs, duplicate ids,
+ *    key, malformed shapes, oversized programs, duplicate ids,
  *    duplicate in-flight jobs — all structured per-job error records,
  *    with the server still serving afterwards.
  */
@@ -435,9 +435,9 @@ TEST(ConfigCodec, GuardAgainstFieldsMissingFromTheList)
     [[maybe_unused]] const auto &[m0, m1, m2, m3, m4, m5, m6, m7, m8, m9,
                                   m10, m11, m12, m13, m14, m15, m16, m17,
                                   m18, m19, m20, m21, m22, m23, m24, m25,
-                                  m26, m27, m28, m29, m30, m31, m32, m33] =
+                                  m26, m27, m28, m29, m30, m31] =
         MachineConfig{};
-    static_assert(std::size(configFields) == 34);
+    static_assert(std::size(configFields) == 32);
     struct ExpectedCache
     {
         std::uint32_t sizeBytes, assoc, lineBytes;
@@ -456,7 +456,7 @@ TEST(ConfigCodec, GuardAgainstFieldsMissingFromTheList)
             renameDepth, rfReadDepth;
         unsigned numBypassLevels;
         std::uint8_t bypassLevelMask;
-        bool rbLimitedBypass, hasRbRegfile, holeAwareScheduling;
+        bool holeAwareScheduling;
         Steering steering;
         bool wakeupOracle;
         Cycle deadlockCycles;
@@ -658,7 +658,7 @@ TEST(ServeProtocol, RequestParsing)
 {
     const serve::JobRequest req = serve::parseRequest(std::string(
         R"({"id":"j1","workload":"gcc","scale":2,"machine":"rblim",)"
-        R"("width":8,"scheduler":"oracle","max_cycles":1000,)"
+        R"("width":8,"max_cycles":1000,)"
         R"("cosim":false,"stats":["core.ipc"]})"));
     EXPECT_EQ(req.id, "j1");
     EXPECT_EQ(req.workload, "gcc");
@@ -670,7 +670,13 @@ TEST(ServeProtocol, RequestParsing)
     const MachineConfig cfg = serve::requestConfig(req);
     EXPECT_EQ(cfg.kind, MachineKind::RbLimited);
     EXPECT_EQ(cfg.width, 8u);
-    EXPECT_TRUE(cfg.wakeupOracle);
+    EXPECT_FALSE(cfg.wakeupOracle);
+    // Oracle mode is a config field like any other.
+    EXPECT_TRUE(serve::requestConfig(
+                    serve::parseRequest(std::string(
+                        R"({"id":"j2","workload":"gcc","config":)"
+                        R"({"kind":"rblim","wakeup_oracle":true}})")))
+                    .wakeupOracle);
 }
 
 // ------------------------------------------------- server edge cases
@@ -743,12 +749,13 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     expectError(ts.roundTrip(R"({"id":"e2","workload":"doom",)"
                              R"("machine":"base"})"),
                 "unknown-workload");
-    // "polled" names no scheduler of this build.
-    for (const char *sched : {"psychic", "polled"}) {
+    // Oracle mode is the config's wakeup_oracle; a request has no
+    // "scheduler" key.
+    for (const char *sched : {"oracle", "polled"}) {
         expectError(ts.roundTrip(R"({"id":"e3","workload":"compress",)"
                                  R"("machine":"base","scheduler":")" +
                                  std::string(sched) + "\"}"),
-                    "unknown-scheduler");
+                    "bad-request");
     }
     // Shape errors: missing id, program+workload both, neither machine
     // nor config, unknown key.
@@ -762,8 +769,10 @@ TEST(ServeServer, StructuredErrorsAndSurvival)
     expectError(ts.roundTrip(R"({"id":"e6","workload":"compress",)"
                              R"("machine":"base","frobnicate":1})"),
                 "bad-request");
-    // Host knobs this build does not have are unknown config keys.
-    for (const char *key : {"polled_scheduler", "idle_skip"}) {
+    // Knobs this build does not have are unknown config keys; the
+    // machine kind alone decides the RB bypass and register files.
+    for (const char *key : {"polled_scheduler", "idle_skip",
+                            "rb_limited_bypass", "has_rb_regfile"}) {
         expectError(ts.roundTrip(R"({"id":"e8","workload":"compress",)"
                                  R"("config":{"kind":"Baseline",")" +
                                  std::string(key) + "\":false}}"),
@@ -971,6 +980,51 @@ TEST(ServeServer, DuplicateIdAndDuplicateInFlight)
     ASSERT_EQ(retry.size(), 1u);
     EXPECT_TRUE(retry[0].find("ok")->asBool());
     EXPECT_TRUE(retry[0].find("cache_hit")->asBool());
+}
+
+TEST(ServeServer, NonRfcNumbersAndEscapesAreParseErrors)
+{
+    // Each line holds JSON outside RFC 8259 (a \u escape without four
+    // hex digits, a leading zero, a second fraction, a lone minus). It
+    // answers parse instead of running with a guessed value, and the
+    // job after it runs.
+    TestServer ts;
+    const char *bad[] = {
+        R"({"id":"z\uZZZZ","workload":"compress","machine":"base",)"
+        R"("max_insts":1000})",
+        R"({"id":"n1","workload":"compress","machine":"base",)"
+        R"("max_insts":01000})",
+        R"({"id":"n2","workload":"compress","config":{"kind":"base",)"
+        R"("mem_latency":1.0.0}})",
+        R"({"id":"n3","workload":"compress","machine":"base",)"
+        R"("max_insts":-})",
+    };
+    for (std::size_t i = 0; i < std::size(bad); ++i) {
+        expectError(ts.roundTrip(bad[i]), "parse");
+        const auto ok = ts.roundTrip(
+            R"({"id":"ok)" + std::to_string(i) +
+            R"(","workload":"compress","machine":"base","max_insts":1000})");
+        ASSERT_EQ(ok.size(), 1u);
+        EXPECT_TRUE(ok[0].find("ok")->asBool()) << bad[i];
+    }
+}
+
+TEST(ServeServer, WakeupOracleConfigRunsTheOracle)
+{
+    // The config object is the one way to ask for oracle mode, so the
+    // plain job after an oracle job is a job of its own, not a cache hit
+    // of it.
+    TestServer ts;
+    for (const char *line :
+         {R"({"id":"a","workload":"compress","config":{"kind":"base",)"
+          R"("wakeup_oracle":true},"max_insts":2000})",
+          R"({"id":"b","workload":"compress","machine":"base",)"
+          R"("max_insts":2000})"}) {
+        const auto resp = ts.roundTrip(line);
+        ASSERT_EQ(resp.size(), 1u);
+        EXPECT_TRUE(resp[0].find("ok")->asBool()) << line;
+        EXPECT_FALSE(resp[0].find("cache_hit")->asBool()) << line;
+    }
 }
 
 // ------------------------------------------- aborts through the server

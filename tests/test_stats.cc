@@ -208,6 +208,29 @@ TEST(Json, DuplicateObjectKeyIsAParseError)
     EXPECT_EQ(ok.find("b")->find("k")->asU64(), 2u);
 }
 
+TEST(Json, NumbersAndEscapesFollowRfc8259)
+{
+    // A number is the whole token -?(0|[1-9][0-9]*)(.[0-9]+)?
+    // ([eE][+-]?[0-9]+)?, and \u takes exactly four hex digits; no
+    // longest parsing prefix is kept.
+    for (const char *bad :
+         {R"({"skew":0.5.5})", "01000", "-01", "00", "1.", ".5", "-", "+1",
+          "1e", "1e+", "--1", "0x10", "1.5e3.2", "1e5e5", "[1-2]",
+          R"("\uZZZZ")", R"("z\u12")", R"("\u12G4")", R"("\u-123")",
+          R"("\u 123")"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(Json::parse(bad), JsonError);
+    }
+    EXPECT_EQ(Json::parse("0").asU64(), 0u);
+    EXPECT_EQ(Json::parse("1000").asU64(), 1000u);
+    EXPECT_EQ(Json::parse("-0").asDouble(), 0.0);
+    EXPECT_EQ(Json::parse("-1.5e-3").asDouble(), -1.5e-3);
+    EXPECT_EQ(Json::parse("2E+2").asDouble(), 200.0);
+    EXPECT_EQ(Json::parse("0.25").asDouble(), 0.25);
+    EXPECT_EQ(Json::parse("[1,-2]").elements().size(), 2u);
+    EXPECT_EQ(Json::parse(R"("\u0041\u00e9")").asString(), "A\xc3\xa9");
+}
+
 TEST(Json, UnsignedReadsRejectWhatNoU64Holds)
 {
     EXPECT_EQ(Json::parse("18446744073709551615").asU64(),
